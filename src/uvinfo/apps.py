@@ -22,7 +22,8 @@ from .uvcore import CardinalityPower, UvinfoError, format_ratio, ratio
 from .chancap import (
     Channel,
     DeltaOutOfRange,
-    _capacity_from_table,
+    _capacity_search,
+    _pair_values,
     _require_normalized,
     CapacityResult,
 )
@@ -245,9 +246,8 @@ class EquivocationMatrix:
     @staticmethod
     def from_channel(ch: Channel, m) -> "EquivocationMatrix":
         _require_normalized(ch, m)
-        mapping = {
-            (a, b): m.of(ch.image(a) & ch.image(b))
-            for a, b in itertools.combinations(ch.x_symbols, 2)}
+        mapping = dict(zip(itertools.combinations(ch.x_symbols, 2),
+                           _pair_values(ch, m)))
         return EquivocationMatrix.of(ch.x_symbols, mapping,
                                      v_min=ch.min_image_uncertainty(m))
 
@@ -269,8 +269,7 @@ def matrix_capacity(em: EquivocationMatrix, delta) -> CapacityResult:
         raise DeltaOutOfRange(
             f"need 0 <= delta < v_min = {format_ratio(em.v_min)}, "
             f"got {format_ratio(delta)}")
-    table = dict(em.entries)
-    return _capacity_from_table(em.labels, table, delta)
+    return _capacity_search(em.labels, [v for _, v in em.entries], delta)
 
 
 # ---------------------------------------------------------------------------

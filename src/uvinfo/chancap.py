@@ -4,8 +4,8 @@ A channel maps each input symbol to a nonempty set of output symbols; the
 equivocation of two inputs is the (normalized) uncertainty of their image
 intersection.  Capacity is the log of the largest codebook whose pairwise
 equivocations all clear the size-dependent threshold ``delta / k``; it is
-found by an exact per-size clique search and certified by exhausting size
-``count + 1``.
+found by a ranked bitset clique search per size and certified by refuting
+size ``count + 1``.
 
 The uncertainty function must be normalized so the full output alphabet has
 uncertainty 1 (cardinality-power functions over the whole alphabet already
@@ -15,6 +15,7 @@ every threshold comparison becomes vacuous and capacity is infinite.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,6 +52,13 @@ class NotNormalized(UvinfoError):
     """The uncertainty of the full output alphabet must equal 1."""
 
 
+def _sorted_symbols(symbols, side: str) -> tuple:
+    try:
+        return tuple(sorted(symbols))
+    except TypeError:
+        raise UvinfoError(f"{side} symbols must be mutually comparable") from None
+
+
 @dataclass(frozen=True)
 class Channel:
     """A set-valued noise map on finite alphabets.
@@ -67,15 +75,15 @@ class Channel:
     def of(mapping: dict, y_alphabet=None) -> "Channel":
         if not mapping:
             raise UvinfoError("a channel needs at least one input symbol")
-        xs = tuple(sorted(mapping))
+        xs = _sorted_symbols(mapping, "input")
         image_list = [frozenset(mapping[x]) for x in xs]
         for x, img in zip(xs, image_list):
             if not img:
                 raise UvinfoError(f"image of {x!r} is empty")
         if y_alphabet is None:
-            ys = tuple(sorted(frozenset().union(*image_list)))
+            ys = _sorted_symbols(frozenset().union(*image_list), "output")
         else:
-            ys = tuple(sorted(set(y_alphabet)))
+            ys = _sorted_symbols(set(y_alphabet), "output")
             yset = set(ys)
             for x, img in zip(xs, image_list):
                 stray = img - yset
@@ -147,15 +155,22 @@ def equivocation(ch: Channel, m: UncertaintyFunction, x1, x2) -> Fraction:
     return m.of(ch.image(x1) & ch.image(x2))
 
 
-def _pair_table(ch: Channel, m: UncertaintyFunction, symbols) -> dict:
-    table = {}
-    for a, b in itertools.combinations(symbols, 2):
-        table[(a, b)] = m.of(ch.image(a) & ch.image(b))
-    return table
+def _pair_values(ch: Channel, m: UncertaintyFunction) -> list:
+    """Equivocations of all input pairs, in ``itertools.combinations`` order."""
+    return [m.of(a & b) for a, b in itertools.combinations(ch.images, 2)]
 
 
-def _pair_value(table: dict, a, b) -> Fraction:
-    return table[(a, b)] if (a, b) in table else table[(b, a)]
+def _delta_grid(ch: Channel, m: UncertaintyFunction, pair_values) -> list:
+    """Zero plus every size-scaled positive pair value below the noise floor:
+    the deltas at which per-size feasibility can change, in increasing order."""
+    v_min = ch.min_image_uncertainty(m)
+    grid = {Fraction(0)}
+    for e in set(pair_values):
+        if e > 0:
+            for k in range(1, len(ch.x_symbols) + 1):
+                if k * e < v_min:
+                    grid.add(k * e)
+    return sorted(grid)
 
 
 @dataclass(frozen=True)
@@ -208,116 +223,72 @@ class CapacityResult:
         return f"log2({self.count})"
 
 
-class _Quotient:
-    """Symbols grouped so that the pair table only depends on the group.
-
-    Grouping by channel image guarantees this (the pair value is the
-    uncertainty of the image intersection), and collapses the heavy symmetry
-    of product channels: feasibility questions are then answered on the
-    class graph instead of the full symbol graph.
-    """
-
-    def __init__(self, symbols, table: dict, key) -> None:
-        groups: dict = {}
-        for pos, x in enumerate(symbols):
-            groups.setdefault(key(x), []).append(pos)
-        self.symbols = symbols
-        self.table = table
-        self.members = tuple(tuple(g) for g in groups.values())
-        self.of_symbol = {}
-        for ci, g in enumerate(self.members):
-            for pos in g:
-                self.of_symbol[symbols[pos]] = ci
-        self.intra = tuple(
-            _pair_value(table, symbols[g[0]], symbols[g[1]])
-            if len(g) >= 2 else None
-            for g in self.members)
-        self.cross = {}
-        for ci, cj in itertools.combinations(range(len(self.members)), 2):
-            self.cross[(ci, cj)] = _pair_value(
-                table, symbols[self.members[ci][0]], symbols[self.members[cj][0]])
-
-    def cross_value(self, ci: int, cj: int) -> Fraction:
-        if ci == cj:
-            return self.intra[ci]
-        return self.cross[(min(ci, cj), max(ci, cj))]
-
-    def can_complete(self, chosen_classes, start: int, need: int,
-                     threshold: Fraction) -> bool:
-        """Whether `need` further symbols can be drawn from positions >= start
-        so that, together with the already chosen class multiset, every pair
-        stays within the threshold.  Exact branch-and-bound on the classes."""
-        if need <= 0:
-            return True
-        caps = []
-        for ci, g in enumerate(self.members):
-            avail = sum(1 for pos in g if pos >= start)
-            if not avail:
-                continue
-            if any(self.cross_value(ci, cj) > threshold
-                   for cj in chosen_classes if cj != ci):
-                continue
-            intra_ok = self.intra[ci] is None or self.intra[ci] <= threshold
-            if not intra_ok:
-                avail = 0 if ci in chosen_classes else 1
-            if avail:
-                caps.append((ci, avail))
-        caps.sort(key=lambda item: -item[1])
-
-        def grow(cands, size: int) -> bool:
-            if size >= need:
-                return True
-            if size + sum(cap for _, cap in cands) < need:
-                return False
-            for i, (ci, cap) in enumerate(cands):
-                rest = [(cj, cj_cap) for cj, cj_cap in cands[i + 1:]
-                        if self.cross_value(ci, cj) <= threshold]
-                if grow(rest, size + cap):
-                    return True
+def _has_clique(adj: list, cand: int, need: int) -> bool:
+    """Whether the vertex bitset ``cand`` holds a clique of ``need`` vertices:
+    branch and bound under a greedy-colouring bound (MCQ, Tomita and Seki
+    2003, on bitsets as in BBMC), since c colour classes hold no clique
+    larger than c."""
+    if need <= 0:
+        return True
+    coloured = []  # (colour, vertex), colours nondecreasing
+    uncoloured, colour = cand, 0
+    while uncoloured:
+        colour += 1
+        free = uncoloured
+        while free:
+            v = (free & -free).bit_length() - 1
+            coloured.append((colour, v))
+            uncoloured ^= 1 << v
+            free &= ~(adj[v] | 1 << v)
+    if colour == len(coloured):  # one vertex per colour: cand is a clique
+        return colour >= need
+    for c, v in reversed(coloured):
+        if c < need:
             return False
-
-        return grow(caps, 0)
-
-
-def _least_feasible_subset(symbols, table: dict, threshold: Fraction,
-                           k: int, quotient: _Quotient) -> Optional[tuple]:
-    """Lexicographically least k-subset with all pairwise values <= threshold.
-
-    Greedy include-first scan: a symbol is committed exactly when the prefix
-    still completes to a full k-subset from the remaining symbols, which the
-    class quotient decides exactly.  Returns None when no k-subset exists."""
-    if not quotient.can_complete((), 0, k, threshold):
-        return None
-    chosen: list = []
-    chosen_classes: list = []
-    for idx, x in enumerate(symbols):
-        if any(_pair_value(table, c, x) > threshold for c in chosen):
-            continue
-        trial = chosen_classes + [quotient.of_symbol[x]]
-        if quotient.can_complete(trial, idx + 1, k - len(chosen) - 1, threshold):
-            chosen.append(x)
-            chosen_classes = trial
-            if len(chosen) == k:
-                return tuple(chosen)
-    return None
+        if _has_clique(adj, cand & adj[v], need - 1):
+            return True
+        cand ^= 1 << v
+    return False
 
 
-def _capacity_from_table(symbols, table: dict, delta: Fraction,
-                         key=None) -> CapacityResult:
-    quotient = _Quotient(symbols, table, key if key is not None else lambda x: x)
+def _capacity_search(symbols, pair_values, delta: Fraction) -> CapacityResult:
+    """The engine behind every capacity search (see ``capacity``), given the
+    pair values of ``symbols`` in ``itertools.combinations`` order."""
+    n = len(symbols)
+    # Fractions are kept in lowest terms, so (numerator, denominator) is an
+    # exact key, and far cheaper to hash than the Fraction itself.
+    keys = [v.as_integer_ratio() for v in pair_values]
+    values = sorted(dict(zip(keys, pair_values)).values())
+    rank = {v.as_integer_ratio(): r for r, v in enumerate(values)}
+    rows: list = [{} for _ in values]  # rank -> {vertex: neighbours at rank}
+    for (i, j), key in zip(itertools.combinations(range(n), 2), keys):
+        row = rows[rank[key]]
+        row[i] = row.get(i, 0) | 1 << j
+        row[j] = row.get(j, 0) | 1 << i
     per_size = []
-    thresholds = []
-    witness = (symbols[0],)
-    count = 1
-    for k in range(1, len(symbols) + 1):
-        threshold = delta / k
-        found = _least_feasible_subset(symbols, table, threshold, k, quotient)
-        per_size.append((k, found is not None))
-        thresholds.append((k, threshold))
-        if found is None:
+    count, graph = 1, [0] * n
+    for k in range(1, n + 1):
+        adj = [0] * n
+        for row in rows[:bisect.bisect_right(values, delta / k)]:
+            for i, bits in row.items():
+                adj[i] |= bits
+        feasible = _has_clique(adj, (1 << n) - 1, k)
+        per_size.append((k, feasible))
+        if not feasible:
             break
-        witness, count = found, k
-    return CapacityResult(count, witness, tuple(per_size), tuple(thresholds), delta)
+        count, graph = k, adj
+    # include-first scan: commit the least remaining symbol exactly when the
+    # prefix still completes to a count-clique among the later candidates
+    witness, cand = [], (1 << n) - 1
+    while len(witness) < count:
+        v = (cand & -cand).bit_length() - 1
+        cand ^= 1 << v
+        if _has_clique(graph, cand & graph[v], count - len(witness) - 1):
+            witness.append(symbols[v])
+            cand &= graph[v]
+    thresholds = tuple((k, delta / k) for k, _ in per_size)
+    return CapacityResult(count, tuple(witness), tuple(per_size), thresholds,
+                          delta)
 
 
 def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityResult:
@@ -327,13 +298,17 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     Sizes are searched in increasing order; feasibility is monotone
     nonincreasing in the size (the threshold delta/k shrinks while the
     constraint set grows), so the search stops at the first infeasible size,
-    which also certifies count + 1 exhaustively.  The witness is the
-    lexicographically least optimal codebook.
+    which also certifies count + 1 exhaustively.  Size k is feasible when
+    the graph joining inputs with equivocation at most delta/k has a k-clique.
+    The distinct equivocations are ranked once, so each graph is built as int
+    bitsets with no Fraction compared in the search, which is a branch and
+    bound under a greedy-colouring bound.  The witness is the
+    lexicographically least optimal codebook, found once at the final size
+    by an include-first scan whose completion test is the same clique query.
     """
     _require_normalized(ch, m)
     _require_delta_finite(delta)
-    table = _pair_table(ch, m, ch.x_symbols)
-    return _capacity_from_table(ch.x_symbols, table, delta, key=ch.image)
+    return _capacity_search(ch.x_symbols, _pair_values(ch, m), delta)
 
 
 def induced_pair(ch: Channel, codebook) -> UncertainPair:
@@ -507,7 +482,7 @@ def avg_overlap_capacity(ch: Channel, m: UncertaintyFunction,
     n = len(symbols)
     if n > 20:
         raise AlphabetTooLarge(f"{n} inputs exceed the brute-force cap of 20")
-    table = _pair_table(ch, m, symbols)
+    table = dict(zip(itertools.combinations(symbols, 2), _pair_values(ch, m)))
     v_min = ch.min_image_uncertainty(m)
     best: tuple = (symbols[0],)
     chosen: list = []
@@ -520,7 +495,7 @@ def avg_overlap_capacity(ch: Channel, m: UncertaintyFunction,
             return
         for idx in range(start, n):
             x = symbols[idx]
-            grown = pair_sum + sum(_pair_value(table, c, x) for c in chosen)
+            grown = pair_sum + sum(table[c, x] for c in chosen)
             max_size = len(chosen) + 1 + (n - idx - 1)
             if grown > delta * max_size * v_min:
                 continue

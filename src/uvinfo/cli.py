@@ -3,8 +3,7 @@ worked examples.
 
 Everything on the wire is exact: ratios are "p/q" strings (decimals are
 rejected), JSON reports render Fractions the same way, and reports are
-byte-stable across runs and thread counts (workers only parallelize
-independent rows; collection order is submission order).
+byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -237,15 +235,6 @@ def _read_input(path: str) -> str:
     except (FileNotFoundError, ModuleNotFoundError):
         pass
     raise ParseError(f"no such input file: {path}")
-
-
-def _threads() -> int:
-    raw = os.environ.get("UVINFO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParseError(f"UVINFO_THREADS must be an integer, got {raw!r}") \
-            from None
 
 
 # ---------------------------------------------------------------------------
@@ -505,30 +494,13 @@ def _cmd_single_letter(spec: CommandSpec):
     return {"command": "single-letter", **_certificate_payload(cert)}, 0
 
 
-def _verify_grid(ch, m) -> list:
-    """Default delta grid: zero plus every size-scaled pairwise equivocation
-    below the noise floor (the breakpoints where feasibility can change)."""
-    import itertools as it
-    v_min = ch.min_image_uncertainty(m)
-    values = {m.of(ch.image(a) & ch.image(b))
-              for a, b in it.combinations(ch.x_symbols, 2)}
-    grid = {Fraction(0)}
-    for e in values:
-        if e <= 0:
-            continue
-        for k in range(1, len(ch.x_symbols) + 1):
-            if k * e < v_min:
-                grid.add(k * e)
-    return sorted(grid)
-
-
 def _cmd_verify(spec: CommandSpec):
     ch = parse_channel_spec(_input(spec, "channel"))
     m = parse_m_spec(spec.params["m"])
     if spec.params.get("deltas"):
         deltas = [_parse_ratio(t) for t in spec.params["deltas"].split(",")]
     else:
-        deltas = _verify_grid(ch, m)
+        deltas = chancap._delta_grid(ch, m, chancap._pair_values(ch, m))
     failures = 0
 
     coding = chancap.verify_coding_theorem(ch, m, deltas)
@@ -540,20 +512,17 @@ def _cmd_verify(spec: CommandSpec):
             "unrestricted_sup": row.unrestricted_count, "match": row.match})
         failures += 0 if row.match else 1
 
-    def tensor_row(delta):
+    tensor_rows = []
+    for delta in deltas:
         cb = chancap.capacity(ch, m, delta).witness
         pair = chancap.induced_pair(ch, cb)
         rep = memoryless.tensorization_check([pair, pair], m, delta)
-        return {"delta": delta, "codebook": list(cb), "status": rep.status,
-                "reason": rep.reason,
-                "holds": rep.holds if rep.status == "ok" else None,
-                "equality": rep.equality if rep.status == "ok" else None}
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        tensor_rows = list(pool.map(tensor_row, deltas))
-    for row in tensor_rows:
-        if row["status"] == "ok" and not row["holds"]:
-            failures += 1
+        ok = rep.status == "ok"
+        tensor_rows.append({"delta": delta, "codebook": list(cb),
+                            "status": rep.status, "reason": rep.reason,
+                            "holds": rep.holds if ok else None,
+                            "equality": rep.equality if ok else None})
+        failures += 1 if ok and not rep.holds else 0
 
     pair = chancap.induced_pair(ch, ch.x_symbols)
     m_side = CardinalityPower(len(pair.marginal_range("X")))
@@ -744,11 +713,9 @@ _EXAMPLE_CASES = (_walkers_case, _capacity_case, _sup_sequence_case,
 
 
 def _cmd_examples(spec: CommandSpec):
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(lambda fn: fn(), _EXAMPLE_CASES))
     cases = []
     failures = 0
-    for name, checks in results:
+    for name, checks in (case() for case in _EXAMPLE_CASES):
         rows = []
         for label, got, want in checks:
             ok = got == want

@@ -36,6 +36,10 @@ from .infocalc import mutual_information, overlap_family
 from .chancap import (
     Channel,
     DeltaOutOfRange,
+    _capacity_search,
+    _delta_grid,
+    _pair_values,
+    _require_normalized,
     as_codebook,
     capacity,
     distinct_image_representatives,
@@ -96,15 +100,16 @@ class ProductChannel:
         return len(self.base.y_symbols) ** self.horizon
 
     def materialize(self) -> Channel:
-        if self.input_count() > CLIQUE_SEARCH_MAX_POINTS:
-            raise HorizonTooLarge(
-                f"{self.input_count()} block inputs exceed the cap of "
-                f"{CLIQUE_SEARCH_MAX_POINTS}")
-        if self.output_count() > FAMILY_MAX_POINTS:
-            raise HorizonTooLarge(
-                f"{self.output_count()} block outputs exceed the cap of "
-                f"{FAMILY_MAX_POINTS}")
         n = self.horizon
+        for side, size, cap in (
+                ("inputs", len(self.base.x_symbols), CLIQUE_SEARCH_MAX_POINTS),
+                ("outputs", len(self.base.y_symbols), FAMILY_MAX_POINTS)):
+            # size ** n > cap for every n past cap.bit_length() (size >= 2),
+            # so a huge horizon is refused without building its power
+            if size > 1 and (n > cap.bit_length() or size ** n > cap):
+                shown = size ** n if n <= cap.bit_length() else f"{size}^{n}"
+                raise HorizonTooLarge(
+                    f"{shown} block {side} exceed the cap of {cap}")
         mapping = {}
         for block in itertools.product(self.base.x_symbols, repeat=n):
             mapping[block] = frozenset(
@@ -503,21 +508,11 @@ def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
     """The largest capacity count over 0 <= delta_1 < m(V_N), found by
     sweeping the finitely many thresholds where per-size feasibility can
     change (delta = size * equivocation), plus zero."""
-    v_min = ch.min_image_uncertainty(m)
-    values = set()
-    for a, b in itertools.combinations(ch.x_symbols, 2):
-        e = m.of(ch.image(a) & ch.image(b))
-        if e > 0:
-            values.add(e)
-    grid = {Fraction(0)}
-    for e in values:
-        for k in range(1, len(ch.x_symbols) + 1):
-            candidate = k * e
-            if candidate < v_min:
-                grid.add(candidate)
+    _require_normalized(ch, m)
+    values = _pair_values(ch, m)
     best_count, best_delta = 1, Fraction(0)
-    for delta in sorted(grid):
-        count = capacity(ch, m, delta).count
+    for delta in _delta_grid(ch, m, values):
+        count = _capacity_search(ch.x_symbols, values, delta).count
         if count > best_count:
             best_count, best_delta = count, delta
     return best_count, best_delta

@@ -7,23 +7,28 @@ form, which makes it the anchor oracle throughout.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uvinfo import (
+    CapacityResult,
     CardinalityPower,
     Channel,
+    EquivocationMatrix,
     DeltaOutOfRange,
     NotNormalized,
     UvinfoError,
     capacity,
     check_distinguishable,
     induced_pair,
+    matrix_capacity,
     mi_sup_oracle,
     verify_coding_theorem,
 )
+from uvinfo import chancap
 from uvinfo.chancap import (
     SamePoint,
     as_codebook,
@@ -33,6 +38,7 @@ from uvinfo.chancap import (
     distinct_image_representatives,
     equivocation,
 )
+from uvinfo.memoryless import ProductChannel, product_uncertainty
 
 F = Fraction
 M1 = CardinalityPower(19)
@@ -72,6 +78,12 @@ class TestChannel:
     def test_alphabet_must_cover_images(self):
         with pytest.raises(UvinfoError, match="not in the output alphabet"):
             Channel.of({1: frozenset([1, 2])}, y_alphabet=[1])
+
+    @pytest.mark.parametrize("mapping", [{1: {"a"}, "b": {"a"}},
+                                         {1: {"a", 2}}])
+    def test_incomparable_symbols_rejected(self, mapping):
+        with pytest.raises(UvinfoError, match="mutually comparable"):
+            Channel.of(mapping)
 
     def test_unknown_input_symbol(self, fig5):
         with pytest.raises(UvinfoError):
@@ -229,14 +241,33 @@ def channels(max_inputs=5, max_outputs=5):
         min_size=1, max_size=max_inputs).map(build)
 
 
-def brute_force_capacity(ch, m, delta) -> int:
-    best = 1
-    for size in range(1, len(ch.x_symbols) + 1):
-        for cb in itertools.combinations(ch.x_symbols, size):
-            if all(m.of(ch.image(a) & ch.image(b)) <= delta / size
-                   for a, b in itertools.combinations(cb, 2)):
-                best = max(best, size)
-    return best
+def brute_force_capacity(symbols, value, delta) -> CapacityResult:
+    """Exhaustive subset search over every size: the least feasible subset
+    of each size in combinations order, the largest size with one, and the
+    sizes up to the first without one."""
+    least = {}
+    for k in range(1, len(symbols) + 1):
+        least[k] = next(
+            (cb for cb in itertools.combinations(symbols, k)
+             if all(value(a, b) <= delta / k
+                    for a, b in itertools.combinations(cb, 2))), None)
+    count = max(k for k, cb in least.items() if cb is not None)
+    sizes = range(1, min(count + 1, len(symbols)) + 1)
+    return CapacityResult(count, least[count],
+                          tuple((k, least[k] is not None) for k in sizes),
+                          tuple((k, delta / k) for k in sizes), delta)
+
+
+def channel_oracle(ch, m, delta) -> CapacityResult:
+    def value(a, b):
+        return m.of(ch.image(a) & ch.image(b))
+    return brute_force_capacity(ch.x_symbols, value, delta)
+
+
+def random_channel(rng, inputs, outputs, image_sizes) -> Channel:
+    return Channel.of(
+        {x: frozenset(rng.sample(range(outputs), rng.randint(*image_sizes)))
+         for x in range(inputs)}, y_alphabet=range(outputs))
 
 
 class TestAgainstBruteForce:
@@ -244,7 +275,51 @@ class TestAgainstBruteForce:
     @settings(max_examples=120, deadline=None)
     def test_capacity_equals_subset_search(self, ch, delta):
         m = CardinalityPower(len(ch.y_symbols))
-        assert capacity(ch, m, delta).count == brute_force_capacity(ch, m, delta)
+        assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_larger_channels_where_colouring_prunes(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        ch = random_channel(rng, rng.randint(9, 10), 12, (2, 5))
+        m = CardinalityPower(12)
+        pruned = []
+        search = chancap._has_clique
+
+        def recording(adj, cand, need):
+            found = search(adj, cand, need)
+            if not found and need > 0 and cand.bit_count() >= need:
+                pruned.append(need)
+            return found
+
+        monkeypatch.setattr(chancap, "_has_clique", recording)
+        for delta in (F(0), F(1, 6), F(1, 2)):
+            assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+        # some search was refuted by the colouring bound, not by counting
+        assert pruned
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matrix_capacity_equals_subset_search(self, seed):
+        rng = random.Random(seed)
+        labels = [f"l{i}" for i in range(rng.randint(2, 8))]
+        levels = [F(0), F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1)]
+        mapping = {pair: rng.choice(levels)
+                   for pair in itertools.combinations(labels, 2)}
+        em = EquivocationMatrix.of(labels, mapping, v_min=F(3, 4))
+        for delta in (F(0), F(1, 4), F(1, 2), F(2, 3)):
+            assert matrix_capacity(em, delta) == brute_force_capacity(
+                em.labels, em.value, delta)
+
+    @pytest.mark.parametrize("images", [
+        {0: {0}, 1: {1}, 2: {2}},                   # identity
+        {0: {0, 1}, 1: {1, 2}, 2: {2, 0}},          # cycle
+        {0: {0}, 1: {0, 1}, 2: {2}},                # nested images
+    ])
+    def test_dense_products(self, images):
+        base = Channel.of(images)
+        ch = ProductChannel(base, 2).materialize()
+        m = product_uncertainty(CardinalityPower(3), 2)
+        for delta in (F(0), F(1, 9), F(1, 3), F(2, 3)):
+            assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
 
     @given(channels(), st.sampled_from([F(0), F(1, 7), F(1, 3)]),
            st.sampled_from([F(1, 2), F(3, 5), F(9, 10)]))
