@@ -25,6 +25,7 @@ from .chancap import (
     _capacity_search,
     _pair_values,
     _require_normalized,
+    _sorted_symbols,
     CapacityResult,
 )
 
@@ -216,7 +217,7 @@ class EquivocationMatrix:
 
     @staticmethod
     def of(labels, mapping: dict, v_min=1) -> "EquivocationMatrix":
-        labs = tuple(sorted(set(labels)))
+        labs = _sorted_symbols(labels, "label")
         if len(labs) < 2:
             raise UvinfoError("a matrix needs at least two labels")
         floor = ratio(v_min)

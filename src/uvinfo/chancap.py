@@ -29,9 +29,10 @@ from .uvcore import (
     UncertaintyFunction,
     UvinfoError,
     CardinalityPower,
+    format_log2,
     format_ratio,
 )
-from .infocalc import overlap_family
+from .infocalc import association_sets, overlap_family
 
 MI_SUP_MAX_SYMBOLS = 12
 
@@ -53,10 +54,12 @@ class NotNormalized(UvinfoError):
 
 
 def _sorted_symbols(symbols, side: str) -> tuple:
+    """The distinct symbols in sorted order."""
     try:
-        return tuple(sorted(symbols))
+        return tuple(sorted(set(symbols)))
     except TypeError:
-        raise UvinfoError(f"{side} symbols must be mutually comparable") from None
+        raise UvinfoError(
+            f"{side} symbols must be hashable and mutually comparable") from None
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class Channel:
         if y_alphabet is None:
             ys = _sorted_symbols(frozenset().union(*image_list), "output")
         else:
-            ys = _sorted_symbols(set(y_alphabet), "output")
+            ys = _sorted_symbols(y_alphabet, "output")
             yset = set(ys)
             for x, img in zip(xs, image_list):
                 stray = img - yset
@@ -218,9 +221,7 @@ class CapacityResult:
         return math.log2(self.count)
 
     def render_bits(self) -> str:
-        if self.count & (self.count - 1) == 0:
-            return str(self.count.bit_length() - 1)
-        return f"log2({self.count})"
+        return format_log2(self.count)
 
 
 def _has_clique(adj: list, cand: int, need: int) -> bool:
@@ -350,11 +351,14 @@ class MISupResult:
         return math.log2(self.count)
 
 
+def _uniform_x(pair: UncertainPair) -> CardinalityPower:
+    """The uniform measure on the input marginal of ``pair``."""
+    return CardinalityPower(len(pair.marginal_range("X")))
+
+
 def _output_association_values(pair: UncertainPair, m: UncertaintyFunction) -> list:
     """Distinct output-side association values of an induced pair."""
-    from .infocalc import association_sets
-    values = association_sets(pair, CardinalityPower(len(pair.marginal_range("X"))), m)
-    return sorted(values.a_yx)
+    return sorted(association_sets(pair, _uniform_x(pair), m).a_yx)
 
 
 def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,

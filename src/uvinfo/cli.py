@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -213,6 +212,8 @@ def parse_matrix_spec(text: str) -> apps.EquivocationMatrix:
     for row in entries:
         if not isinstance(row, list) or len(row) != 3:
             raise ParseError(f"bad matrix entry {row!r}")
+        if any(isinstance(label, (list, dict)) for label in row[:2]):
+            raise ParseError(f"matrix entry labels are JSON scalars: {row!r}")
         mapping[(row[0], row[1])] = _parse_ratio(row[2])
     try:
         return apps.EquivocationMatrix.of(
@@ -221,9 +222,12 @@ def parse_matrix_spec(text: str) -> apps.EquivocationMatrix:
         raise ValidationError(str(exc)) from None
 
 
-def _read_input(path: str) -> str:
-    """Read a file, falling back to the bundled data directory so the
-    shipped fixtures work by bare name (fig5.json, walkers.json)."""
+def _read_input(path: Optional[str], flag: str) -> str:
+    """Read the file given to ``--<flag>``, falling back to the bundled data
+    directory so the shipped fixtures work by bare name (fig5.json,
+    walkers.json)."""
+    if not path:
+        raise ParseError(f"missing required input --{flag}")
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -350,30 +354,30 @@ _MI_STATUS = {"associated": "Associated", "disassociated": "Disassociated",
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each returns (payload, exit_code))
+# command handlers (each reads its argparse namespace and returns
+# (payload, exit_code))
 
 
-@dataclass(frozen=True)
-class CommandSpec:
-    command: str
-    inputs: tuple   # ((role, path), ...)
-    params: dict
-    fmt: str = "text"
-
-
-def _input(spec: CommandSpec, role: str) -> str:
-    for r, path in spec.inputs:
-        if r == role:
-            return _read_input(path)
-    raise ParseError(f"missing required input --{role}")
-
-
-def _cmd_analyze(spec: CommandSpec):
-    pair, def_mx, def_my = parse_pair_spec(_input(spec, "pair"))
-    m_x = parse_m_spec(spec.params["m_x"]) if spec.params.get("m_x") else def_mx
-    m_y = parse_m_spec(spec.params["m_y"]) if spec.params.get("m_y") else def_my
+def _pair_and_measures(args):
+    """The pair of --pair with its measures: --m-x and --m-y override the
+    specs embedded in the pair file."""
+    pair, m_x, m_y = parse_pair_spec(_read_input(args.pair, "pair"))
+    if args.m_x:
+        m_x = parse_m_spec(args.m_x)
+    if args.m_y:
+        m_y = parse_m_spec(args.m_y)
     if m_x is None or m_y is None:
         raise ParseError("uncertainty specs required (flags or pair fields)")
+    return pair, m_x, m_y
+
+
+def _channel_and_measure(args):
+    return (parse_channel_spec(_read_input(args.channel, "channel")),
+            parse_m_spec(args.m))
+
+
+def _cmd_analyze(args):
+    pair, m_x, m_y = _pair_and_measures(args)
     assoc = infocalc.association_sets(pair, m_x, m_y)
     payload = {
         "command": "analyze",
@@ -382,16 +386,15 @@ def _cmd_analyze(spec: CommandSpec):
         "a_xy": sorted(assoc.a_xy),
         "a_yx": sorted(assoc.a_yx),
     }
-    d1, d2 = spec.params.get("delta1"), spec.params.get("delta2")
-    if (d1 is None) != (d2 is None):
+    if (args.delta1 is None) != (args.delta2 is None):
         raise ParseError("give both --delta1 and --delta2 or neither")
-    if d1 is not None:
-        delta1, delta2 = _parse_ratio(d1), _parse_ratio(d2)
+    if args.delta1 is not None:
+        delta1, delta2 = _parse_ratio(args.delta1), _parse_ratio(args.delta2)
         status = infocalc.classify_levels(assoc, delta1, delta2)
         payload["levels"] = {"delta1": delta1, "delta2": delta2,
                              "variant": status.variant,
                              "witness": list(status.witness)}
-        if spec.params.get("taxicab"):
+        if args.taxicab:
             fam = infocalc.taxicab_family(pair, m_x, m_y, delta1, delta2)
             payload["taxicab"] = {
                 "exists": fam.exists,
@@ -399,23 +402,19 @@ def _cmd_analyze(spec: CommandSpec):
                 "reason": fam.reason,
                 "sets": list(fam.sets),
             }
-    elif spec.params.get("taxicab"):
+    elif args.taxicab:
         raise ParseError("--taxicab needs --delta1 and --delta2")
     return payload, 0
 
 
-def _cmd_mi(spec: CommandSpec):
-    pair, def_mx, def_my = parse_pair_spec(_input(spec, "pair"))
-    m_x = parse_m_spec(spec.params["m_x"]) if spec.params.get("m_x") else def_mx
-    m_y = parse_m_spec(spec.params["m_y"]) if spec.params.get("m_y") else def_my
-    if m_x is None or m_y is None:
-        raise ParseError("uncertainty specs required (flags or pair fields)")
-    delta = _parse_ratio(spec.params["delta1"])
-    direction = spec.params.get("direction") or "XgivenY"
-    result = infocalc.mutual_information(pair, m_x, m_y, delta, direction)
+def _cmd_mi(args):
+    pair, m_x, m_y = _pair_and_measures(args)
+    delta = _parse_ratio(args.delta1)
+    result = infocalc.mutual_information(pair, m_x, m_y, delta,
+                                         args.direction)
     payload = {
         "command": "mi",
-        "direction": direction,
+        "direction": args.direction,
         "delta": delta,
         "status": _MI_STATUS[result.status],
         "count": result.count,
@@ -425,19 +424,17 @@ def _cmd_mi(spec: CommandSpec):
     return payload, 0
 
 
-def _cmd_capacity(spec: CommandSpec):
-    ch = parse_channel_spec(_input(spec, "channel"))
-    m = parse_m_spec(spec.params["m"])
-    res = chancap.capacity(ch, m, _parse_ratio(spec.params["delta"]))
+def _cmd_capacity(args):
+    ch, m = _channel_and_measure(args)
+    res = chancap.capacity(ch, m, _parse_ratio(args.delta))
     return {"command": "capacity", **_capacity_payload(res)}, 0
 
 
-def _cmd_rates(spec: CommandSpec):
-    ch = parse_channel_spec(_input(spec, "channel"))
-    m = parse_m_spec(spec.params["m"])
-    if spec.params.get("sequence"):
-        seq = _parse_sequence(spec.params["sequence"])
-        n_max = _parse_int(spec.params.get("n_max") or 1, "n-max")
+def _cmd_rates(args):
+    ch, m = _channel_and_measure(args)
+    if args.sequence:
+        seq = _parse_sequence(args.sequence)
+        n_max = _parse_int(args.n_max or 1, "n-max")
         report = memoryless.capacity_profile(ch, m, seq, n_max)
         payload = {
             "command": "rates",
@@ -453,13 +450,12 @@ def _cmd_rates(spec: CommandSpec):
             "notes": list(report.notes),
         }
         return payload, 0
-    if spec.params.get("delta") is None:
+    if args.delta is None:
         raise ParseError("rates needs --sequence (profile) or --delta")
-    n = _parse_int(spec.params.get("horizon") or 1, "horizon")
-    rate = memoryless.rate_at_horizon(
-        ch, m, _parse_ratio(spec.params["delta"]), n)
-    payload = {"command": "rates", "horizon": n,
-               "delta_n": _parse_ratio(spec.params["delta"]),
+    n = _parse_int(args.horizon or 1, "horizon")
+    delta = _parse_ratio(args.delta)
+    rate = memoryless.rate_at_horizon(ch, m, delta, n)
+    payload = {"command": "rates", "horizon": n, "delta_n": delta,
                "count": rate.count, "bits": rate.render(),
                "label": f"horizon-{n} bound"}
     return payload, 0
@@ -476,56 +472,47 @@ def _parse_sequence(text: str) -> memoryless.ConfidenceSequence:
         raise ParseError(str(exc)) from None
 
 
-def _cmd_single_letter(spec: CommandSpec):
-    ch = parse_channel_spec(_input(spec, "channel"))
-    m = parse_m_spec(spec.params["m"])
-    variant = spec.params["variant"]
+def _cmd_single_letter(args):
+    ch, m = _channel_and_measure(args)
     kwargs = {}
-    if spec.params.get("codebook"):
-        raw = [s.strip() for s in spec.params["codebook"].split(",")]
+    if args.codebook:
+        raw = [s.strip() for s in args.codebook.split(",")]
         kwargs["codebook"] = tuple(_normalize_symbols(raw))
-    for name, key in (("delta1", "delta1"), ("delta_bar", "delta_bar"),
-                      ("delta_star", "delta_star")):
-        if spec.params.get(key) is not None:
-            kwargs[name] = _parse_ratio(spec.params[key])
-    if spec.params.get("sequence"):
-        kwargs["sequence"] = _parse_sequence(spec.params["sequence"])
-    cert = memoryless.single_letter_check(ch, m, variant, **kwargs)
+    for name in ("delta1", "delta_bar", "delta_star"):
+        if getattr(args, name) is not None:
+            kwargs[name] = _parse_ratio(getattr(args, name))
+    if args.sequence:
+        kwargs["sequence"] = _parse_sequence(args.sequence)
+    cert = memoryless.single_letter_check(ch, m, args.variant, **kwargs)
     return {"command": "single-letter", **_certificate_payload(cert)}, 0
 
 
-def _cmd_verify(spec: CommandSpec):
-    ch = parse_channel_spec(_input(spec, "channel"))
-    m = parse_m_spec(spec.params["m"])
-    if spec.params.get("deltas"):
-        deltas = [_parse_ratio(t) for t in spec.params["deltas"].split(",")]
+def _cmd_verify(args):
+    ch, m = _channel_and_measure(args)
+    if args.deltas:
+        deltas = [_parse_ratio(t) for t in args.deltas.split(",")]
     else:
         deltas = chancap._delta_grid(ch, m, chancap._pair_values(ch, m))
     failures = 0
-
-    coding = chancap.verify_coding_theorem(ch, m, deltas)
-    coding_rows = []
-    for row in coding.rows:
+    coding_rows, tensor_rows = [], []
+    for row in chancap.verify_coding_theorem(ch, m, deltas).rows:
         coding_rows.append({
             "delta": row.delta, "capacity": row.capacity_count,
             "information_sup": row.sup_count,
             "unrestricted_sup": row.unrestricted_count, "match": row.match})
         failures += 0 if row.match else 1
-
-    tensor_rows = []
-    for delta in deltas:
-        cb = chancap.capacity(ch, m, delta).witness
+        cb = row.capacity_witness
         pair = chancap.induced_pair(ch, cb)
-        rep = memoryless.tensorization_check([pair, pair], m, delta)
+        rep = memoryless.tensorization_check([pair, pair], m, row.delta)
         ok = rep.status == "ok"
-        tensor_rows.append({"delta": delta, "codebook": list(cb),
+        tensor_rows.append({"delta": row.delta, "codebook": list(cb),
                             "status": rep.status, "reason": rep.reason,
                             "holds": rep.holds if ok else None,
                             "equality": rep.equality if ok else None})
         failures += 1 if ok and not rep.holds else 0
 
     pair = chancap.induced_pair(ch, ch.x_symbols)
-    m_side = CardinalityPower(len(pair.marginal_range("X")))
+    m_side = chancap._uniform_x(pair)
     assoc = infocalc.association_sets(pair, m_side, m)
     if assoc.a_xy and assoc.a_yx:
         d1 = min(assoc.a_xy) / 2
@@ -551,14 +538,14 @@ def _cmd_verify(spec: CommandSpec):
     return payload, (1 if failures else 0)
 
 
-def _cmd_hamming(spec: CommandSpec):
-    if spec.params.get("words"):
-        words = [w.strip() for w in spec.params["words"].split(",")]
+def _cmd_hamming(args):
+    if args.words:
+        words = [w.strip() for w in args.words.split(",")]
     else:
-        words = _input(spec, "codebook").split()
+        words = _read_input(args.codebook, "codebook").split()
     cb = [apps.BitString.of(w) for w in words]
-    tau = _parse_ratio(spec.params["tau"])
-    delta = _parse_ratio(spec.params.get("delta") or "0")
+    tau = _parse_ratio(args.tau)
+    delta = _parse_ratio(args.delta or "0")
     try:
         report = apps.hamming_distance_bound(cb, tau, delta)
     except apps.NotDistinguishable as exc:
@@ -579,15 +566,15 @@ def _cmd_hamming(spec: CommandSpec):
     return payload, 0
 
 
-def _cmd_classify(spec: CommandSpec):
-    delta = _parse_ratio(spec.params["delta"])
-    if spec.params.get("matrix_path"):
-        em = parse_matrix_spec(_input(spec, "matrix"))
+def _cmd_classify(args):
+    delta = _parse_ratio(args.delta)
+    if args.matrix:
+        em = parse_matrix_spec(_read_input(args.matrix, "matrix"))
         res = apps.matrix_capacity(em, delta)
         return {"command": "classify", "source": "matrix",
                 "labels": list(em.labels), "v_min": em.v_min,
                 **_capacity_payload(res)}, 0
-    text = _input(spec, "confusion")
+    text = _read_input(args.confusion, "confusion")
     try:
         ch = apps.confusion_ingest(text)
     except apps.MalformedRow as exc:
@@ -605,7 +592,7 @@ def _cmd_classify(spec: CommandSpec):
 
 
 def _walkers_case() -> tuple:
-    pair, m_x, m_y = parse_pair_spec(_read_input("walkers.json"))
+    pair, m_x, m_y = parse_pair_spec(_read_input("walkers.json", "pair"))
     assoc = infocalc.association_sets(pair, m_x, m_y)
     checks = [
         ("association X-side", sorted(assoc.a_xy),
@@ -635,7 +622,7 @@ def _walkers_case() -> tuple:
 
 
 def _fig5():
-    ch = parse_channel_spec(_read_input("fig5.json"))
+    ch = parse_channel_spec(_read_input("fig5.json", "channel"))
     return ch, CardinalityPower(19), CardinalityPower(19, 3)
 
 
@@ -712,7 +699,7 @@ _EXAMPLE_CASES = (_walkers_case, _capacity_case, _sup_sequence_case,
                   _zero_error_case, _inf_sequence_case, _vanishing_case)
 
 
-def _cmd_examples(spec: CommandSpec):
+def _cmd_examples(args):
     cases = []
     failures = 0
     for name, checks in (case() for case in _EXAMPLE_CASES):
@@ -733,52 +720,16 @@ def _cmd_examples(spec: CommandSpec):
 # argument parsing and dispatch
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "mi": _cmd_mi,
-    "capacity": _cmd_capacity,
-    "rates": _cmd_rates,
-    "single-letter": _cmd_single_letter,
-    "verify": _cmd_verify,
-    "hamming": _cmd_hamming,
-    "classify": _cmd_classify,
-    "examples": _cmd_examples,
-}
-
-
-def run_command(spec: CommandSpec) -> int:
+def run_command(args: argparse.Namespace) -> int:
     """Execute one parsed command: prints the report, returns the exit code
     (0 success, 1 verification mismatch, 2 input error)."""
-    handler = _HANDLERS.get(spec.command)
-    if handler is None:
-        print(f"error: unknown command {spec.command!r}", file=sys.stderr)
-        return 2
     try:
-        payload, code = handler(spec)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, code = args.handler(args)
     except UvinfoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, spec.fmt)
+    _emit(payload, args.format)
     return code
-
-
-class _Sub:
-    """Subparser factory that re-registers the global flags on every
-    command, so ``uvinfo capacity ... --format json`` works as well as
-    ``uvinfo --format json capacity ...`` (SUPPRESS keeps an untouched
-    subcommand flag from clobbering the global value)."""
-
-    def __init__(self, sub):
-        self._sub = sub
-
-    def add_parser(self, *args, **kwargs):
-        p = self._sub.add_parser(*args, **kwargs)
-        p.add_argument("--format", choices=("json", "text"),
-                       default=argparse.SUPPRESS)
-        return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -786,32 +737,44 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="uvinfo",
         description="exact non-stochastic information calculations")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    sub = _Sub(parser.add_subparsers(dest="command", required=True))
+    # every command takes --format too, so ``uvinfo capacity ... --format
+    # json`` works as well as ``uvinfo --format json capacity ...``;
+    # SUPPRESS keeps an untouched command flag from clobbering the global one
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"),
+                     default=argparse.SUPPRESS)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="association structure of a pair")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, parents=[fmt], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("analyze", _cmd_analyze, "association structure of a pair")
     p.add_argument("--pair", required=True)
     p.add_argument("--m-x"), p.add_argument("--m-y")
     p.add_argument("--delta1"), p.add_argument("--delta2")
     p.add_argument("--taxicab", action="store_true")
 
-    p = sub.add_parser("mi", help="delta-mutual information of a pair")
+    p = command("mi", _cmd_mi, "delta-mutual information of a pair")
     p.add_argument("--pair", required=True)
     p.add_argument("--m-x"), p.add_argument("--m-y")
     p.add_argument("--delta1", required=True)
-    p.add_argument("--direction", choices=("XgivenY", "YgivenX"))
+    p.add_argument("--direction", choices=("XgivenY", "YgivenX"),
+                   default="XgivenY")
 
-    p = sub.add_parser("capacity", help="(N, delta)-capacity of a channel")
+    p = command("capacity", _cmd_capacity, "(N, delta)-capacity of a channel")
     p.add_argument("--channel", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--delta", required=True)
 
-    p = sub.add_parser("rates", help="block rates / capacity profile")
+    p = command("rates", _cmd_rates, "block rates / capacity profile")
     p.add_argument("--channel", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--delta"), p.add_argument("--horizon")
     p.add_argument("--sequence"), p.add_argument("--n-max")
 
-    p = sub.add_parser("single-letter", help="capacity certificates")
+    p = command("single-letter", _cmd_single_letter, "capacity certificates")
     p.add_argument("--channel", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--variant", required=True,
@@ -820,48 +783,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-bar"), p.add_argument("--delta-star")
     p.add_argument("--sequence")
 
-    p = sub.add_parser("verify", help="coding-theorem / tensorization / "
-                                      "symmetry suites")
+    p = command("verify", _cmd_verify,
+                "coding-theorem / tensorization / symmetry suites")
     p.add_argument("--channel", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--deltas")
 
-    p = sub.add_parser("hamming", help="bit-flip distance bounds")
+    p = command("hamming", _cmd_hamming, "bit-flip distance bounds")
     p.add_argument("--codebook"), p.add_argument("--words")
     p.add_argument("--tau", required=True)
     p.add_argument("--delta")
 
-    p = sub.add_parser("classify", help="label capacities from confusion "
-                                        "data or a matrix")
+    p = command("classify", _cmd_classify,
+                "label capacities from confusion data or a matrix")
     p.add_argument("--confusion"), p.add_argument("--matrix")
     p.add_argument("--delta", required=True)
 
-    sub.add_parser("examples", help="replay the built-in worked examples")
+    command("examples", _cmd_examples, "replay the built-in worked examples")
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> CommandSpec:
-    inputs = []
-    for role in ("pair", "channel", "codebook", "confusion", "matrix"):
-        path = getattr(args, role, None)
-        if path:
-            inputs.append((role, path))
-    params = {}
-    for key in ("m", "m_x", "m_y", "delta", "delta1", "delta2", "deltas",
-                "horizon", "n_max", "sequence", "variant", "codebook",
-                "delta_bar", "delta_star", "direction", "taxicab", "words",
-                "tau"):
-        value = getattr(args, key, None)
-        if value not in (None, False):
-            params[key] = value
-    if getattr(args, "matrix", None):
-        params["matrix_path"] = args.matrix
-    return CommandSpec(args.command, tuple(inputs), params, args.format)
-
-
 def main(argv=None) -> None:
-    args = _build_parser().parse_args(argv)
-    sys.exit(run_command(_spec_from_args(args)))
+    sys.exit(run_command(_build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":  # pragma: no cover

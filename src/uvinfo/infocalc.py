@@ -32,6 +32,7 @@ from .uvcore import (
     UncertainPair,
     UncertaintyFunction,
     UvinfoError,
+    format_log2,
     format_ratio,
 )
 
@@ -224,7 +225,6 @@ def delta_components(pair: UncertainPair, m: UncertaintyFunction, delta: Fractio
     marginal.
     """
     profile = side_profile(pair, side)
-    total = m.of(profile.marginal)
     for value in _association_values(profile, m):
         if value <= delta:
             raise NotDisassociated(
@@ -237,9 +237,9 @@ def delta_components(pair: UncertainPair, m: UncertaintyFunction, delta: Fractio
             i = parent[i]
         return i
 
-    for i, j, inter in profile.pairs_with_overlap():
-        if m.of(inter) > delta * total or not _subset_empty(inter):
-            parent[find(i)] = find(j)
+    # every overlap exceeds delta (checked above), so ranges that meet merge
+    for i, j, _ in profile.pairs_with_overlap():
+        parent[find(i)] = find(j)
     buckets: dict[int, object] = {}
     for i, rng in enumerate(profile.ranges):
         root = find(i)
@@ -305,11 +305,7 @@ class MIResult:
         return math.log2(self.count)
 
     def render(self) -> str:
-        if self.count == 1:
-            return "0"
-        if self.count & (self.count - 1) == 0:
-            return str(self.count.bit_length() - 1)
-        return f"log2({self.count})"
+        return format_log2(self.count)
 
 
 def mutual_information(pair: UncertainPair, m_x: UncertaintyFunction,

@@ -29,6 +29,7 @@ from .uvcore import (
     UncertainPair,
     UncertaintyFunction,
     UvinfoError,
+    format_log2,
     format_ratio,
     ratio,
 )
@@ -40,6 +41,7 @@ from .chancap import (
     _delta_grid,
     _pair_values,
     _require_normalized,
+    _uniform_x,
     as_codebook,
     capacity,
     distinct_image_representatives,
@@ -138,14 +140,7 @@ class Rate:
         return self.compare(other) == 0
 
     def render(self) -> str:
-        if self.count == 1:
-            return "0"
-        c, n = self.count, self.horizon
-        # reduce 2^k counts to exact integers or integer ratios
-        if c & (c - 1) == 0:
-            k = c.bit_length() - 1
-            return str(Fraction(k, n)) if k % n else str(k // n)
-        return f"log2({c})" if n == 1 else f"log2({c})/{n}"
+        return format_log2(self.count, self.horizon)
 
 
 def rate_at_horizon(ch: Channel, m: UncertaintyFunction, delta_n: Fraction,
@@ -437,18 +432,11 @@ class SingleLetterCertificate:
 
     def render_bits(self) -> str:
         assert self.capacity_count is not None
-        c = self.capacity_count
-        if c & (c - 1) == 0:
-            return str(c.bit_length() - 1)
-        return f"log2({c})"
+        return format_log2(self.capacity_count)
 
 
 _NOTIONS = {"T12": "C_N({delta_n})^*", "Cor2": "C_N^{0*}",
             "T13": "C_N({delta_n})_*", "T14": "C_N({down 0})_*"}
-
-
-def _uniform_x(pair: UncertainPair) -> CardinalityPower:
-    return CardinalityPower(len(pair.marginal_range("X")))
 
 
 def _one_dim_family(ch: Channel, m: UncertaintyFunction, codebook,
@@ -729,8 +717,8 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
     horizon_span = rows[-1].horizon
     certificates = []
 
-    def attempt(variant, **kwargs):
-        for cb in _certificate_candidates(ch):
+    def attempt(variant, codebooks, **kwargs):
+        for cb in codebooks:
             try:
                 cert = single_letter_check(ch, m, variant, codebook=cb, **kwargs)
             except NotCapacityAchieving:
@@ -740,23 +728,17 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
         return None
 
     delta1 = seq.value_at(1)
-    for variant, applicable, kwargs in (
-            ("T12", True, {"delta1": delta1, "sequence": seq}),
-            ("Cor2", seq.is_identically_zero(), {}),
-            ("T13", True, {"delta1": delta1, "sequence": seq}),
-            ("T14", seq.vanishes(), {})):
+    # T14 finds its own codebook: one attempt, with none supplied
+    for variant, applicable, codebooks, kwargs in (
+            ("T12", True, _certificate_candidates(ch),
+             {"delta1": delta1, "sequence": seq}),
+            ("Cor2", seq.is_identically_zero(), _certificate_candidates(ch), {}),
+            ("T13", True, _certificate_candidates(ch),
+             {"delta1": delta1, "sequence": seq}),
+            ("T14", seq.vanishes(), (None,), {})):
         if not applicable:
             continue
-        if variant == "T14":
-            cert = None
-            try:
-                cert = single_letter_check(ch, m, "T14")
-            except NotCapacityAchieving:
-                cert = None
-            if cert is not None and not cert.certifies:
-                cert = None
-        else:
-            cert = attempt(variant, **kwargs)
+        cert = attempt(variant, codebooks, **kwargs)
         if cert is not None:
             certificates.append(cert)
     return ProfileReport(
@@ -784,10 +766,7 @@ class TensorizationReport:
 
     @property
     def rhs_product(self) -> int:
-        product = 1
-        for c in self.rhs_counts:
-            product *= c
-        return product
+        return math.prod(self.rhs_counts)
 
 
 def product_pair(base_pairs) -> UncertainPair:
@@ -798,9 +777,7 @@ def product_pair(base_pairs) -> UncertainPair:
         if pair.is_hybrid():
             raise UvinfoError("only finite pairs have a materialized product")
         joints.append(sorted(pair.joint))
-    size = 1
-    for j in joints:
-        size *= len(j)
+    size = math.prod(len(j) for j in joints)
     if size > FAMILY_MAX_POINTS:
         raise HorizonTooLarge(
             f"{size} product joint points exceed the cap of {FAMILY_MAX_POINTS}")
@@ -866,9 +843,7 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
     rhs_counts = tuple(
         mutual_information(pair, _uniform_x(pair), m, delta, "YgivenX").count
         for pair in base_pairs)
-    product = 1
-    for c in rhs_counts:
-        product *= c
+    product = math.prod(rhs_counts)
     holds = lhs.count <= product
     equality = (lhs.count == product) if delta == 0 else None
     return TensorizationReport("ok", "", delta, lhs.count, rhs_counts,

@@ -71,6 +71,14 @@ def format_ratio(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_log2(count: int, horizon: int = 1) -> str:
+    """Render ``log2(count) / horizon`` bits exactly: ``k`` or ``p/q`` when
+    the count is a power of two, otherwise ``log2(count)[/horizon]``."""
+    if count & (count - 1) == 0:
+        return format_ratio(Fraction(count.bit_length() - 1, horizon))
+    return f"log2({count})" if horizon == 1 else f"log2({count})/{horizon}"
+
+
 # ---------------------------------------------------------------------------
 # interval unions
 
@@ -274,6 +282,8 @@ class DiameterPlusOne(UncertaintyFunction):
             raise IncompatibleGround("diameter uncertainty needs a finite subset")
         if not subset:
             return Fraction(0)
+        if not all(isinstance(p, str) for p in subset):
+            raise IncompatibleGround("diameter uncertainty needs 0/1 string labels")
         points = sorted(subset)
         diam = 0
         for i, a in enumerate(points):

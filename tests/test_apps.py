@@ -173,6 +173,11 @@ class TestEquivocationMatrix:
         with pytest.raises(UvinfoError):
             EquivocationMatrix.of(["a", "b"], {}, v_min=0)
 
+    @pytest.mark.parametrize("labels", [[1, "a"], [["a"], "b"]])
+    def test_rejects_unsortable_labels(self, labels):
+        with pytest.raises(UvinfoError, match="mutually comparable"):
+            EquivocationMatrix.of(labels, {})
+
     def test_capacity_on_the_heavy_matrix(self):
         res = matrix_capacity(self.heavy_matrix(), F(1, 4))
         assert res.count == 2

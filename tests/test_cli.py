@@ -249,6 +249,25 @@ class TestErrorHandling:
         assert code == 2
         assert "both" in err
 
+    @pytest.mark.parametrize("matrix", [
+        {"labels": [1, "a"], "entries": []},
+        {"labels": [["a"], "b"], "entries": []},
+        {"labels": ["a", "b"], "entries": [[["a"], "b", "1/4"]]},
+    ], ids=["incomparable-labels", "unhashable-label", "unhashable-entry-label"])
+    def test_bad_matrix_labels_exit_two(self, capsys, tmp_path, matrix):
+        src = tmp_path / "matrix.json"
+        src.write_text(json.dumps(matrix))
+        code, out, err = run(["classify", "--matrix", str(src),
+                              "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_diameter_on_integer_labels_exits_two(self, capsys):
+        code, out, err = run(["capacity", "--channel", "fig5.json",
+                              "--m", "diam:3", "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestDeterminism:
     # The CLI runs single-threaded and reads no thread-count setting; a

@@ -190,6 +190,10 @@ class TestDiameterPlusOne:
         with pytest.raises(UvinfoError):
             DiameterPlusOne(3).of(frozenset(["01", "011"]))
 
+    def test_rejects_non_string_labels(self):
+        with pytest.raises(IncompatibleGround):
+            DiameterPlusOne(3).of(frozenset([1, 7]))
+
     @given(st.frozensets(st.text(alphabet="01", min_size=3, max_size=3),
                          min_size=1, max_size=8),
            st.frozensets(st.text(alphabet="01", min_size=3, max_size=3),
