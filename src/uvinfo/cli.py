@@ -223,21 +223,22 @@ def parse_matrix_spec(text: str) -> apps.EquivocationMatrix:
 
 
 def _read_input(path: Optional[str], flag: str) -> str:
-    """Read the file given to ``--<flag>``, falling back to the bundled data
-    directory so the shipped fixtures work by bare name (fig5.json,
-    walkers.json)."""
+    """Read the file given to ``--<flag>``.  A bare name with no directory
+    component that is not a file here falls back to the bundled data
+    directory, so the shipped fixtures work by name (fig5.json,
+    walkers.json); a path with a directory never does."""
     if not path:
         raise ParseError(f"missing required input --{flag}")
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    name = os.path.basename(path)
-    try:
-        bundle = resources.files("uvinfo").joinpath("data", name)
-        if bundle.is_file():
-            return bundle.read_text(encoding="utf-8")
-    except (FileNotFoundError, ModuleNotFoundError):
-        pass
+    if not os.path.dirname(path):
+        try:
+            bundle = resources.files("uvinfo").joinpath("data", path)
+            if bundle.is_file():
+                return bundle.read_text(encoding="utf-8")
+        except (FileNotFoundError, ModuleNotFoundError):
+            pass
     raise ParseError(f"no such input file: {path}")
 
 
@@ -462,10 +463,13 @@ def _cmd_rates(args):
 
 
 def _parse_sequence(text: str) -> memoryless.ConfidenceSequence:
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept inline JSON (an object, so it starts with ``{``) or a path to
+    a JSON file; anything else is a missing file, not bad JSON."""
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
+    elif not text.lstrip().startswith("{"):
+        raise ParseError(f"no such input file: {text}")
     try:
         return memoryless.parse_sequence_spec(_load_json(text))
     except UvinfoError as exc:

@@ -218,12 +218,15 @@ class CardinalityPower(UncertaintyFunction):
 
     Exponent 1 is the plain normalized counting functional; higher
     exponents keep the product rule over cartesian powers but give up
-    subadditivity.
+    subadditivity.  The value depends on ``|S|`` alone, so each size is
+    computed once and kept in a per-instance table that takes no part in
+    equality, hashing or ``repr``.
     """
 
     base_size: int
     exponent: int = 1
     kind: str = field(default="cardinality_power", init=False, repr=False)
+    _by_size: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base_size <= 0 or self.exponent <= 0:
@@ -232,7 +235,11 @@ class CardinalityPower(UncertaintyFunction):
     def of(self, subset: GroundSubset) -> Fraction:
         if not isinstance(subset, frozenset):
             raise IncompatibleGround("cardinality uncertainty needs a finite subset")
-        return Fraction(len(subset), self.base_size) ** self.exponent
+        size = len(subset)
+        value = self._by_size.get(size)
+        if value is None:
+            value = self._by_size[size] = Fraction(size, self.base_size) ** self.exponent
+        return value
 
 
 @dataclass(frozen=True)
@@ -301,6 +308,7 @@ class ExplicitWeights(UncertaintyFunction):
     weights: tuple[tuple[object, Fraction], ...]
     normalizer: Fraction
     kind: str = field(default="explicit_weights", init=False, repr=False)
+    _table: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def of_mapping(weights: Mapping, normalizer: Union[int, str, Fraction] = 1) -> "ExplicitWeights":
@@ -312,11 +320,12 @@ class ExplicitWeights(UncertaintyFunction):
             raise UvinfoError("normalizer must be positive")
         if any(w <= 0 for _, w in self.weights):
             raise UvinfoError("weights must be positive")
+        object.__setattr__(self, "_table", dict(self.weights))
 
     def of(self, subset: GroundSubset) -> Fraction:
         if not isinstance(subset, frozenset):
             raise IncompatibleGround("weighted uncertainty needs a finite subset")
-        table = dict(self.weights)
+        table = self._table
         missing = [s for s in subset if s not in table]
         if missing:
             raise IncompatibleGround(f"no weight for labels {sorted(map(repr, missing))}")

@@ -297,6 +297,15 @@ class TestAgainstBruteForce:
         # some search was refuted by the colouring bound, not by counting
         assert pruned
 
+    def test_shared_warm_measure_matches_fresh_ones(self):
+        rng = random.Random(11)
+        shared = CardinalityPower(12)
+        for _ in range(30):
+            ch = random_channel(rng, rng.randint(3, 14), 12, (1, 8))
+            for delta in (F(0), F(1, 6), F(1, 2)):
+                assert capacity(ch, shared, delta) == capacity(
+                    ch, CardinalityPower(12), delta)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matrix_capacity_equals_subset_search(self, seed):
         rng = random.Random(seed)

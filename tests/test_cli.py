@@ -229,6 +229,21 @@ class TestErrorHandling:
         assert code == 2
         assert "no such input file" in err
 
+    def test_directory_path_does_not_fall_back_to_bundle(self, capsys):
+        code, out, err = run(["capacity", "--channel", "/nowhere/fig5.json",
+                              "--m", "card:19", "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: no such input file: /nowhere/fig5.json\n"
+
+    def test_missing_sequence_file_exits_two(self, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["rates", "--channel", "fig5.json", "--m",
+                              "card:19", "--sequence", "seq.json",
+                              "--n-max", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: no such input file: seq.json\n"
+
     def test_domain_error_exits_two(self, capsys):
         code, _, err = run(["capacity", "--channel", "fig5.json",
                             "--m", "card:19", "--delta", "1"], capsys)

@@ -156,6 +156,31 @@ class TestCardinalityPower:
         s1, s2 = frozenset([0]), frozenset([1])
         assert m.of(s1 | s2) > m.of(s1) + m.of(s2)
 
+    @given(st.integers(1, 40), st.sampled_from([1, 2, 3]), st.randoms())
+    def test_size_table_matches_fresh_fractions(self, base, e, rng):
+        m = CardinalityPower(base, e)
+        subsets = [frozenset(rng.sample(range(base), k)) for k in range(base + 1)]
+        rng.shuffle(subsets)
+        for _ in range(2):
+            for s in subsets:
+                assert m.of(s) == F(len(s), base) ** e
+
+    def test_used_measure_equals_fresh_one(self):
+        used = CardinalityPower(7, 2)
+        for k in range(8):
+            used.of(frozenset(range(k)))
+        fresh = CardinalityPower(7, 2)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "CardinalityPower(base_size=7, exponent=2)"
+        assert {used, fresh} == {fresh}
+
+    def test_warm_table_still_needs_finite_subsets(self):
+        m = CardinalityPower(2)
+        m.of(frozenset([0]))
+        with pytest.raises(IncompatibleGround):
+            m.of(IntervalUnion.of([(0, 1)]))
+
 
 class TestLebesguePlusOffset:
     def test_walkers_style_values(self):
@@ -214,6 +239,14 @@ class TestExplicitWeights:
         m = ExplicitWeights.of_mapping({"a": 1})
         with pytest.raises(IncompatibleGround, match="no weight"):
             m.of(frozenset(["z"]))
+
+    def test_missing_labels_message(self):
+        m = ExplicitWeights.of_mapping({"a": 1, "b": 2})
+        assert m.of(frozenset(["a", "b"])) == 3
+        with pytest.raises(IncompatibleGround) as info:
+            m.of(frozenset(["a", "z", "y"]))
+        assert str(info.value) == """no weight for labels ["'y'", "'z'"]"""
+        assert m == ExplicitWeights.of_mapping({"a": 1, "b": 2})
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(UvinfoError):
