@@ -4,8 +4,9 @@ A channel maps each input symbol to a nonempty set of output symbols; the
 equivocation of two inputs is the (normalized) uncertainty of their image
 intersection.  Capacity is the log of the largest codebook whose pairwise
 equivocations all clear the size-dependent threshold ``delta / k``; it is
-found by a ranked bitset clique search per size and certified by refuting
-size ``count + 1``.
+found by a ranked bitset clique search whose clique carries over to later
+sizes while it survives in their graphs, and certified by refuting size
+``count + 1``.
 
 The uncertainty function must be normalized so the full output alphabet has
 uncertainty 1 (cardinality-power functions over the whole alphabet already
@@ -171,8 +172,10 @@ def _delta_grid(ch: Channel, m: UncertaintyFunction, pair_values) -> list:
     for e in set(pair_values):
         if e > 0:
             for k in range(1, len(ch.x_symbols) + 1):
-                if k * e < v_min:
-                    grid.add(k * e)
+                scaled = k * e
+                if scaled >= v_min:  # k * e only grows with k
+                    break
+                grid.add(scaled)
     return sorted(grid)
 
 
@@ -224,13 +227,13 @@ class CapacityResult:
         return format_log2(self.count)
 
 
-def _has_clique(adj: list, cand: int, need: int) -> bool:
-    """Whether the vertex bitset ``cand`` holds a clique of ``need`` vertices:
-    branch and bound under a greedy-colouring bound (MCQ, Tomita and Seki
-    2003, on bitsets as in BBMC), since c colour classes hold no clique
-    larger than c."""
+def _clique(adj: list, cand: int, need: int) -> Optional[int]:
+    """A clique of at least ``need`` vertices within the vertex bitset
+    ``cand``, as a bitset, or None when there is none: branch and bound
+    under a greedy-colouring bound (MCQ, Tomita and Seki 2003, on bitsets as
+    in BBMC), since c colour classes hold no clique larger than c."""
     if need <= 0:
-        return True
+        return 0
     coloured = []  # (colour, vertex), colours nondecreasing
     uncoloured, colour = cand, 0
     while uncoloured:
@@ -242,51 +245,102 @@ def _has_clique(adj: list, cand: int, need: int) -> bool:
             uncoloured ^= 1 << v
             free &= ~(adj[v] | 1 << v)
     if colour == len(coloured):  # one vertex per colour: cand is a clique
-        return colour >= need
+        return cand if colour >= need else None
     for c, v in reversed(coloured):
         if c < need:
-            return False
-        if _has_clique(adj, cand & adj[v], need - 1):
-            return True
+            return None
+        found = _clique(adj, cand & adj[v], need - 1)
+        if found is not None:
+            return found | 1 << v
         cand ^= 1 << v
-    return False
+    return None
+
+
+def _maximal(adj: list, clique: int, cand: int) -> int:
+    """``clique`` extended greedily, least vertex first, to a clique that is
+    maximal among the vertices of ``cand``."""
+    common, rest = cand, clique
+    while rest:
+        low = rest & -rest
+        common &= adj[low.bit_length() - 1]
+        rest ^= low
+    while common:
+        low = common & -common
+        clique |= low
+        common &= adj[low.bit_length() - 1]
+    return clique
+
+
+def _is_clique(adj: list, clique: int) -> bool:
+    """Whether the vertex bitset ``clique`` is pairwise adjacent."""
+    rest = clique
+    while rest:
+        low = rest & -rest
+        if clique & ~adj[low.bit_length() - 1] != low:
+            return False
+        rest ^= low
+    return True
 
 
 def _capacity_search(symbols, pair_values, delta: Fraction) -> CapacityResult:
     """The engine behind every capacity search (see ``capacity``), given the
     pair values of ``symbols`` in ``itertools.combinations`` order."""
     n = len(symbols)
-    # Fractions are kept in lowest terms, so (numerator, denominator) is an
-    # exact key, and far cheaper to hash than the Fraction itself.
-    keys = [v.as_integer_ratio() for v in pair_values]
-    values = sorted(dict(zip(keys, pair_values)).values())
+    # A measure usually hands out one object per distinct value, so pairs are
+    # ranked through the identity of their value; only the distinct objects
+    # are keyed by (numerator, denominator), exact since Fractions are kept
+    # in lowest terms, and far cheaper to hash than the Fraction itself.
+    objects = dict(zip(map(id, pair_values), pair_values))
+    keys = {i: v.as_integer_ratio() for i, v in objects.items()}
+    values = sorted(dict(zip(keys.values(), objects.values())).values())
     rank = {v.as_integer_ratio(): r for r, v in enumerate(values)}
-    rows: list = [{} for _ in values]  # rank -> {vertex: neighbours at rank}
-    for (i, j), key in zip(itertools.combinations(range(n), 2), keys):
-        row = rows[rank[key]]
-        row[i] = row.get(i, 0) | 1 << j
-        row[j] = row.get(j, 0) | 1 << i
+    rank_of = {i: rank[key] for i, key in keys.items()}
+    # only a value at most delta is an edge at any size
+    top = bisect.bisect_right(values, delta)
+    rows: list = [{} for _ in range(top)]  # rank -> {vertex: neighbours}
+    pair_ranks = map(rank_of.__getitem__, map(id, pair_values))
+    for (i, j), r in zip(itertools.combinations(range(n), 2), pair_ranks):
+        if r < top:
+            row = rows[r]
+            row[i] = row.get(i, 0) | 1 << j
+            row[j] = row.get(j, 0) | 1 << i
+    all_vertices = (1 << n) - 1
     per_size = []
-    count, graph = 1, [0] * n
+    cut, clique = -1, None
     for k in range(1, n + 1):
-        adj = [0] * n
-        for row in rows[:bisect.bisect_right(values, delta / k)]:
-            for i, bits in row.items():
-                adj[i] |= bits
-        feasible = _has_clique(adj, (1 << n) - 1, k)
-        per_size.append((k, feasible))
-        if not feasible:
+        size_cut = bisect.bisect_right(values, delta / k)
+        if size_cut != cut:
+            cut, adj = size_cut, [0] * n
+            for row in rows[:cut]:
+                for i, bits in row.items():
+                    adj[i] |= bits
+            if clique is not None and not _is_clique(adj, clique):
+                clique = None
+        # a clique found at an earlier size certifies this one while it
+        # survives in this size's graph
+        if clique is None or clique.bit_count() < k:
+            clique = _clique(adj, all_vertices, k)
+            if clique is not None:
+                clique = _maximal(adj, clique, all_vertices)
+        per_size.append((k, clique is not None))
+        if clique is None:
             break
-        count, graph = k, adj
+        count, graph, certificate = k, adj, clique
     # include-first scan: commit the least remaining symbol exactly when the
-    # prefix still completes to a count-clique among the later candidates
-    witness, cand = [], (1 << n) - 1
+    # prefix still completes to a count-clique among the later candidates;
+    # ``certificate`` stays such a completion, so a symbol in it needs no query
+    witness, cand = [], all_vertices
     while len(witness) < count:
         v = (cand & -cand).bit_length() - 1
         cand ^= 1 << v
-        if _has_clique(graph, cand & graph[v], count - len(witness) - 1):
-            witness.append(symbols[v])
-            cand &= graph[v]
+        if not certificate >> v & 1:
+            found = _clique(graph, cand & graph[v], count - len(witness) - 1)
+            if found is None:
+                continue
+            certificate = _maximal(graph, found, cand & graph[v])
+        witness.append(symbols[v])
+        cand &= graph[v]
+        certificate &= cand
     thresholds = tuple((k, delta / k) for k, _ in per_size)
     return CapacityResult(count, tuple(witness), tuple(per_size), thresholds,
                           delta)
@@ -303,9 +357,15 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     the graph joining inputs with equivocation at most delta/k has a k-clique.
     The distinct equivocations are ranked once, so each graph is built as int
     bitsets with no Fraction compared in the search, which is a branch and
-    bound under a greedy-colouring bound.  The witness is the
-    lexicographically least optimal codebook, found once at the final size
-    by an include-first scan whose completion test is the same clique query.
+    bound under a greedy-colouring bound; a graph is rebuilt only when
+    delta/k passes a pair value.  The clique a search finds is extended
+    greedily to a maximal one and kept as a certificate: every later size
+    whose graph still holds it whole, with at least k vertices, is feasible
+    without a search.  The witness is the lexicographically least optimal
+    codebook, found once at the final size by an include-first scan whose
+    completion test is the same clique query; the scan keeps a clique that
+    completes its prefix, so a symbol in that clique is committed without a
+    query.
     """
     _require_normalized(ch, m)
     _require_delta_finite(delta)

@@ -283,15 +283,15 @@ class TestAgainstBruteForce:
         ch = random_channel(rng, rng.randint(9, 10), 12, (2, 5))
         m = CardinalityPower(12)
         pruned = []
-        search = chancap._has_clique
+        search = chancap._clique
 
         def recording(adj, cand, need):
             found = search(adj, cand, need)
-            if not found and need > 0 and cand.bit_count() >= need:
+            if found is None and need > 0 and cand.bit_count() >= need:
                 pruned.append(need)
             return found
 
-        monkeypatch.setattr(chancap, "_has_clique", recording)
+        monkeypatch.setattr(chancap, "_clique", recording)
         for delta in (F(0), F(1, 6), F(1, 2)):
             assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
         # some search was refuted by the colouring bound, not by counting
@@ -318,6 +318,21 @@ class TestAgainstBruteForce:
             assert matrix_capacity(em, delta) == brute_force_capacity(
                 em.labels, em.value, delta)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matrix_capacity_with_unshared_values(self, seed):
+        # "p/q" strings parse to a fresh Fraction per entry, and missing
+        # pairs default to fresh zeros, so equal values are distinct objects
+        rng = random.Random(100 + seed)
+        labels = [f"l{i}" for i in range(rng.randint(2, 9))]
+        levels = ["0", "1/8", "1/4", "1/3", "1/2", "1"]
+        mapping = {pair: rng.choice(levels)
+                   for pair in itertools.combinations(labels, 2)
+                   if rng.random() < 0.8}
+        em = EquivocationMatrix.of(labels, mapping, v_min=F(3, 4))
+        for delta in (F(0), F(1, 4), F(1, 2), F(2, 3)):
+            assert matrix_capacity(em, delta) == brute_force_capacity(
+                em.labels, em.value, delta)
+
     @pytest.mark.parametrize("images", [
         {0: {0}, 1: {1}, 2: {2}},                   # identity
         {0: {0, 1}, 1: {1, 2}, 2: {2, 0}},          # cycle
@@ -329,6 +344,29 @@ class TestAgainstBruteForce:
         m = product_uncertainty(CardinalityPower(3), 2)
         for delta in (F(0), F(1, 9), F(1, 3), F(2, 3)):
             assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+
+    @given(channels(max_inputs=12, max_outputs=6),
+           st.sampled_from([F(0), F(1, 7), F(1, 3), F(3, 5)]))
+    @settings(max_examples=100, deadline=None)
+    def test_ranking_does_not_depend_on_shared_values(self, ch, delta):
+        # a measure shares one Fraction per value; the engine must rank
+        # equal values equally when every pair holds its own object
+        shared = chancap._pair_values(ch, CardinalityPower(len(ch.y_symbols)))
+        fresh = [F(v.numerator, v.denominator) for v in shared]
+        assert not any(a is b for a, b in zip(shared, fresh))
+        assert chancap._capacity_search(ch.x_symbols, fresh, delta) == \
+            chancap._capacity_search(ch.x_symbols, shared, delta)
+
+    @given(channels(max_inputs=8, max_outputs=6))
+    @settings(max_examples=60, deadline=None)
+    def test_delta_grid_is_every_scaled_value_below_the_floor(self, ch):
+        m = CardinalityPower(len(ch.y_symbols))
+        values = chancap._pair_values(ch, m)
+        v_min = ch.min_image_uncertainty(m)
+        expected = {F(0)} | {k * e for e in values if e > 0
+                             for k in range(1, len(ch.x_symbols) + 1)
+                             if k * e < v_min}
+        assert chancap._delta_grid(ch, m, values) == sorted(expected)
 
     @given(channels(), st.sampled_from([F(0), F(1, 7), F(1, 3)]),
            st.sampled_from([F(1, 2), F(3, 5), F(9, 10)]))
@@ -348,3 +386,39 @@ class TestAgainstBruteForce:
         assert report.ok
         for row in report.rows:
             assert row.capacity_count == row.sup_count == row.unrestricted_count
+
+
+class TestCertificateReuse:
+    """A clique found at one size certifies every later size while it stays a
+    clique of enough vertices in that size's graph, and the witness scan
+    commits its members without a query."""
+
+    def test_near_identity_product_needs_few_searches(self, monkeypatch):
+        # identity images except 21 -> {20, 21}: at horizon 2 the 441 blocks
+        # over symbols 0-20 are pairwise disjoint, and no 442 are
+        base = {i: {i} for i in range(22)}
+        base[21] = {20, 21}
+        ch = ProductChannel(Channel.of(base), 2).materialize()
+        m = product_uncertainty(CardinalityPower(22), 2)
+        top_level, depth = [], [0]
+        search = chancap._clique
+
+        def recording(adj, cand, need):
+            if depth[0] == 0:
+                top_level.append(need)
+            depth[0] += 1
+            try:
+                return search(adj, cand, need)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(chancap, "_clique", recording)
+        sizes = range(1, 443)
+        assert capacity(ch, m, F(0)) == CapacityResult(
+            441, tuple(itertools.product(range(21), repeat=2)),
+            tuple((k, k <= 441) for k in sizes),
+            tuple((k, F(0)) for k in sizes), F(0))
+        # one search at size 1, extended to a maximal clique of 441, one that
+        # refutes size 442 and a trivial last witness query; proving each
+        # size anew would take 442 searches, and the witness scan more
+        assert len(top_level) <= 4
