@@ -223,11 +223,12 @@ class EquivocationMatrix:
         floor = ratio(v_min)
         if not 0 < floor <= 1:
             raise UvinfoError("v_min must lie in (0, 1]")
+        known = set(labs)
         table = {}
         for (l1, l2), value in mapping.items():
             if l1 == l2:
                 raise UvinfoError(f"diagonal entry for {l1!r} is not allowed")
-            if l1 not in labs or l2 not in labs:
+            if l1 not in known or l2 not in known:
                 raise UvinfoError(f"unknown label in pair ({l1!r}, {l2!r})")
             v = ratio(value)
             if not 0 <= v <= 1:

@@ -4,9 +4,16 @@ A channel maps each input symbol to a nonempty set of output symbols; the
 equivocation of two inputs is the (normalized) uncertainty of their image
 intersection.  Capacity is the log of the largest codebook whose pairwise
 equivocations all clear the size-dependent threshold ``delta / k``; it is
-found by a ranked bitset clique search whose clique carries over to later
-sizes while it survives in their graphs, and certified by refuting size
-``count + 1``.
+found by a bitset clique search over the ranks of the distinct pair values,
+whose clique carries over to later sizes while it survives in their graphs,
+and certified by refuting size ``count + 1``.
+
+Two front ends rank the pairs for that one engine.  Under a
+``CardinalityPower`` a pair's value rises strictly with the integer
+``|N(x1) ∩ N(x2)|``, so the counts themselves are the ranks: they are read
+for all pairs at once from bit-sliced sums of output columns, with no
+``Fraction`` per pair.  Every other measure, and ``apps.matrix_capacity``,
+ranks the ``Fraction`` value of every pair.
 
 The uncertainty function must be normalized so the full output alphabet has
 uncertainty 1 (cardinality-power functions over the whole alphabet already
@@ -164,12 +171,99 @@ def _pair_values(ch: Channel, m: UncertaintyFunction) -> list:
     return [m.of(a & b) for a, b in itertools.combinations(ch.images, 2)]
 
 
-def _delta_grid(ch: Channel, m: UncertaintyFunction, pair_values) -> list:
+def _ranked_rows(n: int, pair_values, limit: Fraction) -> tuple:
+    """The ``Fraction`` front end, given the pair values of ``n`` vertices
+    in ``itertools.combinations`` order: the distinct values in increasing
+    order and, for each rank whose value is at most ``limit``, the row
+    ``{vertex: neighbours at that rank}`` with the neighbours as a bitset."""
+    # A measure usually hands out one object per distinct value, so pairs are
+    # ranked through the identity of their value; only the distinct objects
+    # are keyed by (numerator, denominator), exact since Fractions are kept
+    # in lowest terms, and far cheaper to hash than the Fraction itself.
+    objects = dict(zip(map(id, pair_values), pair_values))
+    keys = {i: v.as_integer_ratio() for i, v in objects.items()}
+    values = sorted(dict(zip(keys.values(), objects.values())).values())
+    rank = {v.as_integer_ratio(): r for r, v in enumerate(values)}
+    rank_of = {i: rank[key] for i, key in keys.items()}
+    top = bisect.bisect_right(values, limit)
+    rows = [{} for _ in range(top)]
+    pair_ranks = map(rank_of.__getitem__, map(id, pair_values))
+    for (i, j), r in zip(itertools.combinations(range(n), 2), pair_ranks):
+        if r < top:
+            row = rows[r]
+            row[i] = row.get(i, 0) | 1 << j
+            row[j] = row.get(j, 0) | 1 << i
+    return values, rows
+
+
+def _count_rows(ch: Channel) -> dict:
+    """``rows[s][i]``: the bitset of the inputs ``j != i`` with
+    ``|N(i) ∩ N(j)| = s``, for every intersection size ``s`` that some pair
+    has and every input ``i`` in such a pair.
+
+    ``col[y]`` holds the inputs whose image contains ``y``; adding the
+    columns of ``N(i)`` into a bit-sliced counter (plane ``t`` holds bit
+    ``t`` of every input's count) counts all of ``i``'s intersections at
+    once, and splitting the inputs plane by plane, highest first, sorts
+    them by count.
+    """
+    n = len(ch.x_symbols)
+    col: dict = {}
+    for i, image in enumerate(ch.images):
+        for y in image:
+            col[y] = col.get(y, 0) | 1 << i
+    rows: dict = {}
+    everyone = (1 << n) - 1
+    for i, image in enumerate(ch.images):
+        planes: list = []
+        for y in image:
+            carry = col[y]
+            for t, plane in enumerate(planes):
+                planes[t] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        groups = [(0, everyone ^ 1 << i)]
+        for t in range(len(planes) - 1, -1, -1):
+            plane, split = planes[t], []
+            for s, members in groups:
+                high = members & plane
+                if high:
+                    split.append((s | 1 << t, high))
+                if high != members:
+                    split.append((s, members ^ high))
+            groups = split
+        for s, members in groups:
+            rows.setdefault(s, {})[i] = members
+    return rows
+
+
+def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
+    """The engine's input for ``ch`` under ``m``: the distinct pair values in
+    increasing order and the rows of every rank whose value is at most
+    ``limit``, possibly of more ranks.
+
+    A ``CardinalityPower`` itself rises strictly with the intersection size,
+    so its ranks are the sizes that occur, valued by its own size table, and
+    its rows come from ``_count_rows`` with no loop over pairs.  Every other
+    measure, a subclass included, is ranked through its pair values.
+    """
+    if type(m) is CardinalityPower:
+        by_size = _count_rows(ch)
+        sizes = sorted(by_size)
+        return [m.of_size(s) for s in sizes], [by_size[s] for s in sizes]
+    return _ranked_rows(len(ch.x_symbols), _pair_values(ch, m), limit)
+
+
+def _delta_grid(ch: Channel, m: UncertaintyFunction, values) -> list:
     """Zero plus every size-scaled positive pair value below the noise floor:
-    the deltas at which per-size feasibility can change, in increasing order."""
+    the deltas at which per-size feasibility can change, in increasing order,
+    given the distinct pair values."""
     v_min = ch.min_image_uncertainty(m)
     grid = {Fraction(0)}
-    for e in set(pair_values):
+    for e in values:
         if e > 0:
             for k in range(1, len(ch.x_symbols) + 1):
                 scaled = k * e
@@ -282,28 +376,12 @@ def _is_clique(adj: list, clique: int) -> bool:
     return True
 
 
-def _capacity_search(symbols, pair_values, delta: Fraction) -> CapacityResult:
+def _search(symbols, values, rows, delta: Fraction) -> CapacityResult:
     """The engine behind every capacity search (see ``capacity``), given the
-    pair values of ``symbols`` in ``itertools.combinations`` order."""
+    distinct pair values of ``symbols`` in increasing order and, for at
+    least every rank whose value is at most ``delta``, the row
+    ``{vertex: neighbours at that rank}`` with the neighbours as a bitset."""
     n = len(symbols)
-    # A measure usually hands out one object per distinct value, so pairs are
-    # ranked through the identity of their value; only the distinct objects
-    # are keyed by (numerator, denominator), exact since Fractions are kept
-    # in lowest terms, and far cheaper to hash than the Fraction itself.
-    objects = dict(zip(map(id, pair_values), pair_values))
-    keys = {i: v.as_integer_ratio() for i, v in objects.items()}
-    values = sorted(dict(zip(keys.values(), objects.values())).values())
-    rank = {v.as_integer_ratio(): r for r, v in enumerate(values)}
-    rank_of = {i: rank[key] for i, key in keys.items()}
-    # only a value at most delta is an edge at any size
-    top = bisect.bisect_right(values, delta)
-    rows: list = [{} for _ in range(top)]  # rank -> {vertex: neighbours}
-    pair_ranks = map(rank_of.__getitem__, map(id, pair_values))
-    for (i, j), r in zip(itertools.combinations(range(n), 2), pair_ranks):
-        if r < top:
-            row = rows[r]
-            row[i] = row.get(i, 0) | 1 << j
-            row[j] = row.get(j, 0) | 1 << i
     all_vertices = (1 << n) - 1
     per_size = []
     cut, clique = -1, None
@@ -346,6 +424,13 @@ def _capacity_search(symbols, pair_values, delta: Fraction) -> CapacityResult:
                           delta)
 
 
+def _capacity_search(symbols, pair_values, delta: Fraction) -> CapacityResult:
+    """The engine run on pair values given in ``itertools.combinations``
+    order of ``symbols``, through the ``Fraction`` front end."""
+    return _search(symbols, *_ranked_rows(len(symbols), pair_values, delta),
+                   delta)
+
+
 def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityResult:
     """The exact (N, delta)-capacity: the largest codebook size with all
     pairwise equivocations at most delta/size.
@@ -358,7 +443,11 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     The distinct equivocations are ranked once, so each graph is built as int
     bitsets with no Fraction compared in the search, which is a branch and
     bound under a greedy-colouring bound; a graph is rebuilt only when
-    delta/k passes a pair value.  The clique a search finds is extended
+    delta/k passes a pair value.  Under a ``CardinalityPower`` itself the
+    rank of a pair is its intersection size, read for every pair from
+    bit-sliced sums of the output columns (which inputs see each output);
+    any other measure, a subclass included, is evaluated and ranked pair by
+    pair.  The clique a search finds is extended
     greedily to a maximal one and kept as a certificate: every later size
     whose graph still holds it whole, with at least k vertices, is feasible
     without a search.  The witness is the lexicographically least optimal
@@ -369,7 +458,7 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     """
     _require_normalized(ch, m)
     _require_delta_finite(delta)
-    return _capacity_search(ch.x_symbols, _pair_values(ch, m), delta)
+    return _search(ch.x_symbols, *_front_end(ch, m, delta), delta)
 
 
 def induced_pair(ch: Channel, codebook) -> UncertainPair:

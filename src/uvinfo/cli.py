@@ -31,6 +31,11 @@ from . import chancap
 from . import memoryless
 from . import apps
 
+# card:<base>:<exp> computes (|S| / base) ** exp exactly, at a cost that grows
+# with the exponent without bound; the CLI refuses exponents past this cap
+# before any power is built.
+CARD_MAX_EXPONENT = 64
+
 
 class ParseError(UvinfoError):
     """The input text does not parse (bad JSON, bad ratio, bad spec)."""
@@ -185,6 +190,9 @@ def parse_m_spec(text: str):
                 raise ParseError(f"bad cardinality spec {text!r}")
             base = int(parts[1])
             exp = int(parts[2]) if len(parts) == 3 else 1
+            if exp > CARD_MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds the cap of "
+                                 f"{CARD_MAX_EXPONENT}")
             return CardinalityPower(base, exp)
         if t.startswith("leb+"):
             return LebesguePlusOffset(_parse_ratio(t[4:]))
@@ -496,7 +504,7 @@ def _cmd_verify(args):
     if args.deltas:
         deltas = [_parse_ratio(t) for t in args.deltas.split(",")]
     else:
-        deltas = chancap._delta_grid(ch, m, chancap._pair_values(ch, m))
+        deltas = chancap._delta_grid(ch, m, set(chancap._pair_values(ch, m)))
     failures = 0
     coding_rows, tensor_rows = [], []
     for row in chancap.verify_coding_theorem(ch, m, deltas).rows:

@@ -37,10 +37,10 @@ from .infocalc import mutual_information, overlap_family
 from .chancap import (
     Channel,
     DeltaOutOfRange,
-    _capacity_search,
     _delta_grid,
-    _pair_values,
+    _front_end,
     _require_normalized,
+    _search,
     _uniform_x,
     as_codebook,
     capacity,
@@ -497,10 +497,12 @@ def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
     sweeping the finitely many thresholds where per-size feasibility can
     change (delta = size * equivocation), plus zero."""
     _require_normalized(ch, m)
-    values = _pair_values(ch, m)
+    # every delta of the grid is below the noise floor, so one set of rows,
+    # built once, serves them all
+    values, rows = _front_end(ch, m, ch.min_image_uncertainty(m))
     best_count, best_delta = 1, Fraction(0)
     for delta in _delta_grid(ch, m, values):
-        count = _capacity_search(ch.x_symbols, values, delta).count
+        count = _search(ch.x_symbols, values, rows, delta).count
         if count > best_count:
             best_count, best_delta = count, delta
     return best_count, best_delta

@@ -235,7 +235,10 @@ class CardinalityPower(UncertaintyFunction):
     def of(self, subset: GroundSubset) -> Fraction:
         if not isinstance(subset, frozenset):
             raise IncompatibleGround("cardinality uncertainty needs a finite subset")
-        size = len(subset)
+        return self.of_size(len(subset))
+
+    def of_size(self, size: int) -> Fraction:
+        """The uncertainty of any subset with ``size`` elements."""
         value = self._by_size.get(size)
         if value is None:
             value = self._by_size[size] = Fraction(size, self.base_size) ** self.exponent

@@ -160,10 +160,17 @@ class TestEquivocationMatrix:
         assert em.value("a", "b") == F(3, 4)
         assert em.value("b", "a") == F(3, 4)
         assert em.value("c", "d") == 0
+        with pytest.raises(UvinfoError, match=r"^unknown label pair \('a', 'z'\)$"):
+            em.value("z", "a")
+        with pytest.raises(UvinfoError, match="^no diagonal equivocation$"):
+            em.value("a", "a")
 
     def test_rejects_unknown_labels(self):
         with pytest.raises(UvinfoError):
             EquivocationMatrix.of(["a"], {("a", "z"): F(1, 2)})
+        with pytest.raises(UvinfoError,
+                           match=r"^unknown label in pair \('a', 'z'\)$"):
+            EquivocationMatrix.of(["a", "b"], {("a", "z"): F(1, 2)})
 
     def test_rejects_values_outside_unit_interval(self):
         with pytest.raises(UvinfoError):

@@ -19,6 +19,7 @@ from uvinfo import (
     Channel,
     EquivocationMatrix,
     DeltaOutOfRange,
+    ExplicitWeights,
     NotNormalized,
     UvinfoError,
     capacity,
@@ -422,3 +423,61 @@ class TestCertificateReuse:
         # refutes size 442 and a trivial last witness query; proving each
         # size anew would take 442 searches, and the witness scan more
         assert len(top_level) <= 4
+
+
+class _HeavierZero(CardinalityPower):
+    """A cardinality measure whose output 0 counts twice: its ``of`` no
+    longer depends on the size alone, so the size table must not be used."""
+
+    def of(self, subset):
+        return Fraction(len(subset) + (0 in subset), self.base_size + 1)
+
+
+def pair_loop_rows(ch) -> dict:
+    """``rows[s][i]`` built pair by pair from the image intersections."""
+    rows: dict = {}
+    for i, j in itertools.permutations(range(len(ch.x_symbols)), 2):
+        row = rows.setdefault(len(ch.images[i] & ch.images[j]), {})
+        row[i] = row.get(i, 0) | 1 << j
+    return rows
+
+
+class TestCountFrontEnd:
+    """For a CardinalityPower the engine's rows come from bit-sliced sums of
+    output columns; they and every result must match the pair loop and the
+    Fraction front end exactly."""
+
+    @given(channels(max_inputs=14, max_outputs=7))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_pair_loop(self, ch):
+        assert chancap._count_rows(ch) == pair_loop_rows(ch)
+
+    @given(channels(max_inputs=4, max_outputs=3))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_the_pair_loop_on_products(self, base):
+        ch = ProductChannel(base, 2).materialize()
+        assert chancap._count_rows(ch) == pair_loop_rows(ch)
+
+    @given(channels(max_inputs=10, max_outputs=6), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_results_match_the_fraction_front_end(self, ch, exponent):
+        m = CardinalityPower(len(ch.y_symbols), exponent)
+        pair_values = chancap._pair_values(ch, m)
+        # every grid delta sits exactly on a threshold size * value
+        for delta in chancap._delta_grid(ch, m, set(pair_values)) + [F(1, 2)]:
+            assert capacity(ch, m, delta) == chancap._capacity_search(
+                ch.x_symbols, pair_values, delta)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_other_measures_take_the_fraction_path(self, seed, monkeypatch):
+        def refuse(ch):
+            raise AssertionError("count rows built for a non-size measure")
+
+        monkeypatch.setattr(chancap, "_count_rows", refuse)
+        rng = random.Random(seed)
+        ch = random_channel(rng, rng.randint(2, 9), 6, (1, 4))
+        weights = {y: rng.randint(1, 4) for y in ch.y_symbols}
+        for m in (ExplicitWeights.of_mapping(weights, sum(weights.values())),
+                  _HeavierZero(6)):
+            for delta in (F(0), F(1, 7), F(1, 3), F(3, 5)):
+                assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)

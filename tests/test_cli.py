@@ -8,6 +8,7 @@ import pytest
 
 from uvinfo import CardinalityPower, DiameterPlusOne, LebesguePlusOffset
 from uvinfo.cli import (
+    CARD_MAX_EXPONENT,
     ParseError,
     ValidationError,
     main,
@@ -90,6 +91,7 @@ class TestMSpec:
         ("leb+10", LebesguePlusOffset(10)),
         ("leb+1/3", LebesguePlusOffset(F(1, 3))),
         ("diam:5", DiameterPlusOne(5)),
+        (f"card:19:{CARD_MAX_EXPONENT}", CardinalityPower(19, CARD_MAX_EXPONENT)),
     ])
     def test_accepted_forms(self, text, expected):
         assert parse_m_spec(text) == expected
@@ -257,6 +259,18 @@ class TestErrorHandling:
                               horizon], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: 19^{horizon} block inputs exceed the cap of 500\n"
+
+    def test_huge_cardinality_exponent_exits_two(self, capsys, monkeypatch):
+        # exact powers this large used to run past any timeout: the spec
+        # must be refused before any uncertainty value is computed
+        def refuse(self, size):
+            raise AssertionError("an uncertainty value was computed")
+        monkeypatch.setattr(CardinalityPower, "of_size", refuse)
+        code, out, err = run(["capacity", "--channel", "fig5.json", "--m",
+                              "card:19:99999999", "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: bad uncertainty spec 'card:19:99999999': "
+                       f"exponent 99999999 exceeds the cap of {CARD_MAX_EXPONENT}\n")
 
     def test_half_specified_levels_rejected(self, capsys):
         code, _, err = run(["analyze", "--pair", "walkers.json",
