@@ -12,8 +12,18 @@ Two front ends rank the pairs for that one engine.  Under a
 ``CardinalityPower`` a pair's value rises strictly with the integer
 ``|N(x1) ∩ N(x2)|``, so the counts themselves are the ranks: they are read
 for all pairs at once from bit-sliced sums of output columns, with no
-``Fraction`` per pair.  Every other measure, and ``apps.matrix_capacity``,
-ranks the ``Fraction`` value of every pair.
+``Fraction`` per pair, and counts past ``delta`` are cut off early.  Every
+other measure, and ``apps.matrix_capacity``, ranks the ``Fraction`` value of
+every pair.
+
+The cost of a colouring search depends on the order of its vertices.  The
+count front end numbers the inputs by ascending collision mass, which
+stands in for the descending degree of MCQ; the ``Fraction`` front end keeps
+the input order.  Any top-level search that visits more nodes than its
+graph has vertices is dropped, and that graph is renumbered once into
+smallest-last (degeneracy) order, where this and every later search on it
+run with no limit.  The witness scan walks the symbols in their own order
+whatever the numbering, so no answer depends on it.
 
 The uncertainty function must be normalized so the full output alphabet has
 uncertainty 1 (cardinality-power functions over the whole alphabet already
@@ -26,6 +36,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -196,26 +208,31 @@ def _ranked_rows(n: int, pair_values, limit: Fraction) -> tuple:
     return values, rows
 
 
-def _count_rows(ch: Channel) -> dict:
+def _count_rows(images, top: int) -> dict:
     """``rows[s][i]``: the bitset of the inputs ``j != i`` with
-    ``|N(i) ∩ N(j)| = s``, for every intersection size ``s`` that some pair
-    has and every input ``i`` in such a pair.
+    ``|N(i) ∩ N(j)| = s``, for every intersection size ``s <= top`` that
+    some pair has and every input ``i`` in such a pair, with the inputs
+    numbered by their place in ``images``.
 
     ``col[y]`` holds the inputs whose image contains ``y``; adding the
     columns of ``N(i)`` into a bit-sliced counter (plane ``t`` holds bit
     ``t`` of every input's count) counts all of ``i``'s intersections at
     once, and splitting the inputs plane by plane, highest first, sorts
-    them by count.
+    them by count.  The counter has just the planes that ``top`` needs: an
+    input whose count carries out of the last one is past ``top`` and
+    takes no further part.
     """
-    n = len(ch.x_symbols)
+    n = len(images)
     col: dict = {}
-    for i, image in enumerate(ch.images):
+    for i, image in enumerate(images):
         for y in image:
             col[y] = col.get(y, 0) | 1 << i
+    width = top.bit_length()
     rows: dict = {}
     everyone = (1 << n) - 1
-    for i, image in enumerate(ch.images):
+    for i, image in enumerate(images):
         planes: list = []
+        over = 1 << i
         for y in image:
             carry = col[y]
             for t, plane in enumerate(planes):
@@ -224,8 +241,11 @@ def _count_rows(ch: Channel) -> dict:
                 if not carry:
                     break
             else:
-                planes.append(carry)
-        groups = [(0, everyone ^ 1 << i)]
+                if len(planes) < width:
+                    planes.append(carry)
+                else:
+                    over |= carry
+        groups = [(0, everyone ^ over)]
         for t in range(len(planes) - 1, -1, -1):
             plane, split = planes[t], []
             for s, members in groups:
@@ -236,25 +256,41 @@ def _count_rows(ch: Channel) -> dict:
                     split.append((s, members ^ high))
             groups = split
         for s, members in groups:
-            rows.setdefault(s, {})[i] = members
+            if members and s <= top:
+                rows.setdefault(s, {})[i] = members
     return rows
 
 
 def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
-    """The engine's input for ``ch`` under ``m``: the distinct pair values in
-    increasing order and the rows of every rank whose value is at most
-    ``limit``, possibly of more ranks.
+    """The engine's input for ``ch`` under ``m``: the vertex number of each
+    input, the distinct pair values in increasing order, at least up to
+    ``limit``, and the rows of every rank whose value is at most ``limit``.
 
     A ``CardinalityPower`` itself rises strictly with the intersection size,
-    so its ranks are the sizes that occur, valued by its own size table, and
-    its rows come from ``_count_rows`` with no loop over pairs.  Every other
-    measure, a subclass included, is ranked through its pair values.
+    so its ranks are the sizes up to the largest valued at most ``limit``,
+    valued by its own size table, and its rows come from ``_count_rows``
+    with no loop over pairs.  Its inputs are numbered by ascending collision
+    mass, the sum over ``y`` in ``N(i)`` of the inputs that also see ``y``
+    (ties by index): a heavy input meets many others, so it has few
+    neighbours in every graph, and the colouring search does best with
+    such inputs last, as MCQ numbers by descending degree.  Every other
+    measure, a subclass included, is ranked through its pair values and
+    keeps the input numbering.
     """
+    n = len(ch.x_symbols)
     if type(m) is CardinalityPower:
-        by_size = _count_rows(ch)
+        hits = Counter(itertools.chain.from_iterable(ch.images))
+        mass = [sum(map(hits.__getitem__, image)) for image in ch.images]
+        order = sorted(range(n), key=mass.__getitem__)
+        numbering = sorted(range(n), key=order.__getitem__)  # the inverse
+        largest, top = max(map(len, ch.images)), 0
+        while top < largest and m.of_size(top + 1) <= limit:
+            top += 1
+        by_size = _count_rows([ch.images[i] for i in order], top)
         sizes = sorted(by_size)
-        return [m.of_size(s) for s in sizes], [by_size[s] for s in sizes]
-    return _ranked_rows(len(ch.x_symbols), _pair_values(ch, m), limit)
+        return (numbering, [m.of_size(s) for s in sizes],
+                [by_size[s] for s in sizes])
+    return (range(n), *_ranked_rows(n, _pair_values(ch, m), limit))
 
 
 def _delta_grid(ch: Channel, m: UncertaintyFunction, values) -> list:
@@ -321,13 +357,28 @@ class CapacityResult:
         return format_log2(self.count)
 
 
-def _clique(adj: list, cand: int, need: int) -> Optional[int]:
+# A top-level clique search may visit this many nodes per vertex of its
+# graph in the front end's numbering; past that it is dropped and run again,
+# with no limit, in smallest-last order.
+_STALL_NODES_PER_VERTEX = 1
+
+
+class _Stalled(Exception):
+    """A clique search ran out of nodes."""
+
+
+def _clique(adj: list, cand: int, need: int, budget: list) -> Optional[int]:
     """A clique of at least ``need`` vertices within the vertex bitset
     ``cand``, as a bitset, or None when there is none: branch and bound
     under a greedy-colouring bound (MCQ, Tomita and Seki 2003, on bitsets as
-    in BBMC), since c colour classes hold no clique larger than c."""
+    in BBMC), since c colour classes hold no clique larger than c.  Each
+    node (call) takes one from ``budget[0]``, and the search raises
+    ``_Stalled`` when none is left."""
     if need <= 0:
         return 0
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise _Stalled
     coloured = []  # (colour, vertex), colours nondecreasing
     uncoloured, colour = cand, 0
     while uncoloured:
@@ -343,11 +394,82 @@ def _clique(adj: list, cand: int, need: int) -> Optional[int]:
     for c, v in reversed(coloured):
         if c < need:
             return None
-        found = _clique(adj, cand & adj[v], need - 1)
+        found = _clique(adj, cand & adj[v], need - 1, budget)
         if found is not None:
             return found | 1 << v
         cand ^= 1 << v
     return None
+
+
+def _permutation(source: list) -> Callable[[int], int]:
+    """The map from a vertex bitset to the one whose vertex ``p`` is vertex
+    ``source[p]`` of the given one.  The bits pass through a binary string,
+    which ``itemgetter`` permutes at C speed."""
+    n = len(source)
+    pick = operator.itemgetter(*[n - 1 - source[n - 1 - k] for k in range(n)])
+    form = f"0{n}b"
+    return lambda bits: int("".join(pick(format(bits, form))), 2)
+
+
+def _smallest_last(adj: list) -> list:
+    """A smallest-last (degeneracy) order of the graph (Matula and Beck
+    1983): vertices are removed one at a time at least remaining degree and
+    numbered from the last removed, so the dense core comes first and the
+    search branches on sparse vertices first.  The remaining vertices are
+    kept in one bitset per degree; a removal moves each bucket's share of
+    its neighbours down one bucket with a single mask."""
+    n = len(adj)
+    bucket = [0] * n  # bucket[d]: the remaining vertices of degree d
+    for v, neighbours in enumerate(adj):
+        bucket[neighbours.bit_count()] |= 1 << v
+    order, remaining, low = [0] * n, (1 << n) - 1, 0
+    for place in range(n - 1, -1, -1):
+        while not bucket[low]:
+            low += 1
+        pick = bucket[low] & -bucket[low]
+        bucket[low] ^= pick
+        remaining ^= pick
+        order[place] = v = pick.bit_length() - 1
+        rest, d = adj[v] & remaining, low
+        while rest:
+            hit = bucket[d] & rest
+            if hit:
+                bucket[d] ^= hit
+                bucket[d - 1] |= hit
+                rest ^= hit
+            d += 1
+        low = max(low - 1, 0)
+    return order
+
+
+class _Graph:
+    """One graph of the engine as adjacency bitsets, and its clique query.
+
+    A query first runs on a budget of ``_STALL_NODES_PER_VERTEX`` nodes per
+    vertex.  The first query that runs out renumbers the graph once into
+    smallest-last order; it and every later query on the graph then run
+    there with no limit, their answers mapped back."""
+
+    __slots__ = ("adj", "_relabelled")
+
+    def __init__(self, adj: list):
+        self.adj = adj
+        self._relabelled = None
+
+    def clique(self, cand: int, need: int) -> Optional[int]:
+        if self._relabelled is None:
+            budget = [_STALL_NODES_PER_VERTEX * len(self.adj)]
+            try:
+                return _clique(self.adj, cand, need, budget)
+            except _Stalled:
+                order = _smallest_last(self.adj)
+                position = sorted(range(len(order)), key=order.__getitem__)
+                into = _permutation(order)
+                self._relabelled = (into, _permutation(position),
+                                    [into(self.adj[v]) for v in order])
+        into, back, adj = self._relabelled
+        found = _clique(adj, into(cand), need, [math.inf])
+        return None if found is None else back(found)
 
 
 def _maximal(adj: list, clique: int, cand: int) -> int:
@@ -376,59 +498,68 @@ def _is_clique(adj: list, clique: int) -> bool:
     return True
 
 
-def _search(symbols, values, rows, delta: Fraction) -> CapacityResult:
-    """The engine behind every capacity search (see ``capacity``), given the
-    distinct pair values of ``symbols`` in increasing order and, for at
+def _search(symbols, numbering, values, rows,
+            delta: Fraction) -> CapacityResult:
+    """The engine behind every capacity search (see ``capacity``), given
+    ``symbols`` in order with the vertex number of each, their distinct
+    pair values in increasing order, at least up to ``delta``, and, for at
     least every rank whose value is at most ``delta``, the row
     ``{vertex: neighbours at that rank}`` with the neighbours as a bitset."""
     n = len(symbols)
     all_vertices = (1 << n) - 1
-    per_size = []
-    cut, clique = -1, None
+    per_size, thresholds = [], []
+    cut, graph, clique = bisect.bisect_right(values, delta), None, None
     for k in range(1, n + 1):
-        size_cut = bisect.bisect_right(values, delta / k)
-        if size_cut != cut:
+        threshold, size_cut = delta / k, cut
+        while size_cut and values[size_cut - 1] > threshold:
+            size_cut -= 1
+        if graph is None or size_cut != cut:
             cut, adj = size_cut, [0] * n
             for row in rows[:cut]:
                 for i, bits in row.items():
                     adj[i] |= bits
+            graph = _Graph(adj)
             if clique is not None and not _is_clique(adj, clique):
                 clique = None
         # a clique found at an earlier size certifies this one while it
         # survives in this size's graph
         if clique is None or clique.bit_count() < k:
-            clique = _clique(adj, all_vertices, k)
+            clique = graph.clique(all_vertices, k)
             if clique is not None:
-                clique = _maximal(adj, clique, all_vertices)
+                clique = _maximal(graph.adj, clique, all_vertices)
         per_size.append((k, clique is not None))
+        thresholds.append((k, threshold))
         if clique is None:
             break
-        count, graph, certificate = k, adj, clique
-    # include-first scan: commit the least remaining symbol exactly when the
-    # prefix still completes to a count-clique among the later candidates;
-    # ``certificate`` stays such a completion, so a symbol in it needs no query
-    witness, cand = [], all_vertices
-    while len(witness) < count:
-        v = (cand & -cand).bit_length() - 1
+        count, final, certificate = k, graph, clique
+    # include-first scan in symbol order: commit the next symbol exactly
+    # when the prefix still completes to a count-clique among the later
+    # candidates; ``certificate`` stays such a completion, so a symbol in it
+    # needs no query
+    adj, witness, cand = final.adj, [], all_vertices
+    for symbol, v in zip(symbols, numbering):
+        if len(witness) == count:
+            break
+        if not cand >> v & 1:
+            continue
         cand ^= 1 << v
         if not certificate >> v & 1:
-            found = _clique(graph, cand & graph[v], count - len(witness) - 1)
+            found = final.clique(cand & adj[v], count - len(witness) - 1)
             if found is None:
                 continue
-            certificate = _maximal(graph, found, cand & graph[v])
-        witness.append(symbols[v])
-        cand &= graph[v]
+            certificate = _maximal(adj, found, cand & adj[v])
+        witness.append(symbol)
+        cand &= adj[v]
         certificate &= cand
-    thresholds = tuple((k, delta / k) for k, _ in per_size)
-    return CapacityResult(count, tuple(witness), tuple(per_size), thresholds,
-                          delta)
+    return CapacityResult(count, tuple(witness), tuple(per_size),
+                          tuple(thresholds), delta)
 
 
 def _capacity_search(symbols, pair_values, delta: Fraction) -> CapacityResult:
     """The engine run on pair values given in ``itertools.combinations``
     order of ``symbols``, through the ``Fraction`` front end."""
-    return _search(symbols, *_ranked_rows(len(symbols), pair_values, delta),
-                   delta)
+    return _search(symbols, range(len(symbols)),
+                   *_ranked_rows(len(symbols), pair_values, delta), delta)
 
 
 def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityResult:
@@ -445,13 +576,20 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     bound under a greedy-colouring bound; a graph is rebuilt only when
     delta/k passes a pair value.  Under a ``CardinalityPower`` itself the
     rank of a pair is its intersection size, read for every pair from
-    bit-sliced sums of the output columns (which inputs see each output);
-    any other measure, a subclass included, is evaluated and ranked pair by
-    pair.  The clique a search finds is extended
-    greedily to a maximal one and kept as a certificate: every later size
-    whose graph still holds it whole, with at least k vertices, is feasible
-    without a search.  The witness is the lexicographically least optimal
-    codebook, found once at the final size by an include-first scan whose
+    bit-sliced sums of the output columns (which inputs see each output),
+    counted no further than the largest size valued at most delta, and the
+    inputs are numbered by ascending collision mass (how many inputs share
+    each of their outputs, summed), so that inputs likely to have many
+    neighbours come first; any other measure, a subclass included, is
+    evaluated and ranked pair by pair, in input order.  A search that
+    visits more nodes than the graph has vertices is dropped; the graph is
+    renumbered once into smallest-last (degeneracy) order, and that search
+    and every later one on the graph run there with no limit.  The clique a
+    search finds is extended greedily to a maximal one and kept as a
+    certificate: every later size whose graph still holds it whole, with at
+    least k vertices, is feasible without a search.  The witness is the
+    lexicographically least optimal codebook, found once at the final size
+    by an include-first scan in symbol order, whatever the numbering, whose
     completion test is the same clique query; the scan keeps a clique that
     completes its prefix, so a symbol in that clique is committed without a
     query.

@@ -35,6 +35,9 @@ from . import apps
 # with the exponent without bound; the CLI refuses exponents past this cap
 # before any power is built.
 CARD_MAX_EXPONENT = 64
+# ... and a base whose power base ** exp passes this many bits: such values
+# are too long to render as decimal ratios.
+CARD_MAX_BITS = 4096
 
 
 class ParseError(UvinfoError):
@@ -193,6 +196,9 @@ def parse_m_spec(text: str):
             if exp > CARD_MAX_EXPONENT:
                 raise ParseError(f"exponent {exp} exceeds the cap of "
                                  f"{CARD_MAX_EXPONENT}")
+            if base.bit_length() * exp > CARD_MAX_BITS:
+                raise ParseError(f"base ** exponent exceeds the cap of "
+                                 f"{CARD_MAX_BITS} bits")
             return CardinalityPower(base, exp)
         if t.startswith("leb+"):
             return LebesguePlusOffset(_parse_ratio(t[4:]))

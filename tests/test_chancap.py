@@ -7,8 +7,10 @@ form, which makes it the anchor oracle throughout.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +41,13 @@ from uvinfo.chancap import (
     distinct_image_representatives,
     equivocation,
 )
-from uvinfo.memoryless import ProductChannel, product_uncertainty
+from uvinfo.memoryless import (
+    ProductChannel,
+    Rate,
+    _horizon_one_sup,
+    product_uncertainty,
+    rate_at_horizon,
+)
 
 F = Fraction
 M1 = CardinalityPower(19)
@@ -286,8 +294,8 @@ class TestAgainstBruteForce:
         pruned = []
         search = chancap._clique
 
-        def recording(adj, cand, need):
-            found = search(adj, cand, need)
+        def recording(adj, cand, need, budget):
+            found = search(adj, cand, need, budget)
             if found is None and need > 0 and cand.bit_count() >= need:
                 pruned.append(need)
             return found
@@ -404,12 +412,12 @@ class TestCertificateReuse:
         top_level, depth = [], [0]
         search = chancap._clique
 
-        def recording(adj, cand, need):
+        def recording(adj, cand, need, budget):
             if depth[0] == 0:
                 top_level.append(need)
             depth[0] += 1
             try:
-                return search(adj, cand, need)
+                return search(adj, cand, need, budget)
             finally:
                 depth[0] -= 1
 
@@ -442,6 +450,11 @@ def pair_loop_rows(ch) -> dict:
     return rows
 
 
+def unsaturated(ch) -> int:
+    """A size cap no intersection of ``ch`` passes."""
+    return max(map(len, ch.images))
+
+
 class TestCountFrontEnd:
     """For a CardinalityPower the engine's rows come from bit-sliced sums of
     output columns; they and every result must match the pair loop and the
@@ -450,13 +463,15 @@ class TestCountFrontEnd:
     @given(channels(max_inputs=14, max_outputs=7))
     @settings(max_examples=100, deadline=None)
     def test_rows_match_the_pair_loop(self, ch):
-        assert chancap._count_rows(ch) == pair_loop_rows(ch)
+        assert chancap._count_rows(ch.images, unsaturated(ch)) == \
+            pair_loop_rows(ch)
 
     @given(channels(max_inputs=4, max_outputs=3))
     @settings(max_examples=40, deadline=None)
     def test_rows_match_the_pair_loop_on_products(self, base):
         ch = ProductChannel(base, 2).materialize()
-        assert chancap._count_rows(ch) == pair_loop_rows(ch)
+        assert chancap._count_rows(ch.images, unsaturated(ch)) == \
+            pair_loop_rows(ch)
 
     @given(channels(max_inputs=10, max_outputs=6), st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
@@ -470,7 +485,7 @@ class TestCountFrontEnd:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_other_measures_take_the_fraction_path(self, seed, monkeypatch):
-        def refuse(ch):
+        def refuse(images, top):
             raise AssertionError("count rows built for a non-size measure")
 
         monkeypatch.setattr(chancap, "_count_rows", refuse)
@@ -481,3 +496,129 @@ class TestCountFrontEnd:
                   _HeavierZero(6)):
             for delta in (F(0), F(1, 7), F(1, 3), F(3, 5)):
                 assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+
+    @given(channels(max_inputs=14, max_outputs=7), st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_saturated_rows_match_the_pair_loop(self, ch, top):
+        assert chancap._count_rows(ch.images, top) == {
+            s: row for s, row in pair_loop_rows(ch).items() if s <= top}
+
+    @given(channels(max_inputs=14, max_outputs=7),
+           st.sampled_from([F(0), F(1, 7), F(1, 3), F(3, 5), F(1)]),
+           st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_front_end_renumbers_the_pair_loop_rows(self, ch, limit, exponent):
+        m = CardinalityPower(len(ch.y_symbols), exponent)
+        numbering, values, rows = chancap._front_end(ch, m, limit)
+        # ascending collision mass, sum_j |N(i) ∩ N(j)| over every j, ties
+        # broken by index
+        mass = [sum(len(a & b) for b in ch.images) for a in ch.images]
+        order = sorted(range(len(ch.images)), key=lambda i: (mass[i], i))
+        assert [numbering[i] for i in order] == list(range(len(order)))
+        back = chancap._permutation(numbering)
+        expected = {s: row for s, row in pair_loop_rows(ch).items()
+                    if m.of_size(s) <= limit}
+        assert values == [m.of_size(s) for s in sorted(expected)]
+        assert [{order[v]: back(bits) for v, bits in row.items()}
+                for row in rows] == [expected[s] for s in sorted(expected)]
+
+
+def under_both_budgets(call) -> tuple:
+    """``call()`` run twice: with every top-level clique search stalled at
+    its first node, so that each graph is searched in smallest-last order,
+    and with no search ever stalled; also the sizes of the graphs that the
+    first run renumbered."""
+    relabel, renumbered = chancap._smallest_last, []
+
+    def recording(adj):
+        renumbered.append(len(adj))
+        return relabel(adj)
+
+    with mock.patch.object(chancap, "_STALL_NODES_PER_VERTEX", 0), \
+            mock.patch.object(chancap, "_smallest_last", recording):
+        forced = call()
+    with mock.patch.object(chancap, "_STALL_NODES_PER_VERTEX", math.inf):
+        unlimited = call()
+    return forced, unlimited, renumbered
+
+
+class TestStalledSearchRestart:
+    """A top-level clique search that runs out of nodes is dropped and run
+    again in smallest-last order.  No result, witness included, may depend
+    on whether or where that happens."""
+
+    @given(channels(max_inputs=9, max_outputs=6),
+           st.sampled_from([F(0), F(1, 7), F(1, 3), F(3, 5)]), st.integers(1, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_random_channels(self, ch, delta, exponent):
+        m = CardinalityPower(len(ch.y_symbols), exponent)
+        forced, unlimited, renumbered = under_both_budgets(
+            lambda: capacity(ch, m, delta))
+        assert forced == unlimited == channel_oracle(ch, m, delta)
+        assert renumbered  # size 1 always asks for a clique
+
+    @given(channels(max_inputs=3, max_outputs=3),
+           st.sampled_from([F(0), F(1, 9), F(1, 3), F(2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_horizon_two_products(self, base, delta):
+        ch = ProductChannel(base, 2).materialize()
+        m = product_uncertainty(CardinalityPower(len(base.y_symbols)), 2)
+        forced, unlimited, _ = under_both_budgets(lambda: capacity(ch, m, delta))
+        assert forced == unlimited == channel_oracle(ch, m, delta)
+        rates = under_both_budgets(lambda: rate_at_horizon(
+            base, CardinalityPower(len(base.y_symbols)), delta, 2))
+        assert rates[0] == rates[1] == Rate(forced.count, 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_explicit_weights(self, seed):
+        rng = random.Random(200 + seed)
+        ch = random_channel(rng, rng.randint(2, 9), 6, (1, 4))
+        weights = {y: rng.randint(1, 4) for y in ch.y_symbols}
+        m = ExplicitWeights.of_mapping(weights, sum(weights.values()))
+        for delta in (F(0), F(1, 7), F(1, 3), F(3, 5)):
+            forced, unlimited, _ = under_both_budgets(
+                lambda: capacity(ch, m, delta))
+            assert forced == unlimited == channel_oracle(ch, m, delta)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matrix_capacity(self, seed):
+        rng = random.Random(300 + seed)
+        labels = [f"l{i}" for i in range(rng.randint(2, 9))]
+        levels = ["0", "1/8", "1/4", "1/3", "1/2", "1"]
+        mapping = {pair: rng.choice(levels)
+                   for pair in itertools.combinations(labels, 2)}
+        em = EquivocationMatrix.of(labels, mapping, v_min=F(3, 4))
+        for delta in (F(0), F(1, 4), F(1, 2), F(2, 3)):
+            forced, unlimited, _ = under_both_budgets(
+                lambda: matrix_capacity(em, delta))
+            assert forced == unlimited == brute_force_capacity(
+                em.labels, em.value, delta)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_horizon_one_sweep(self, seed):
+        rng = random.Random(400 + seed)
+        ch = random_channel(rng, rng.randint(2, 9), 6, (1, 4))
+        weights = {y: rng.randint(1, 4) for y in ch.y_symbols}
+        for m in (CardinalityPower(6),
+                  ExplicitWeights.of_mapping(weights, sum(weights.values()))):
+            best = max((channel_oracle(ch, m, d).count, -d) for d in
+                       chancap._delta_grid(ch, m, set(chancap._pair_values(ch, m))))
+            forced, unlimited, _ = under_both_budgets(
+                lambda: _horizon_one_sup(ch, m))
+            assert forced == unlimited == (best[0], -best[1])
+
+    def test_hard_horizon_three_base(self, monkeypatch):
+        # numbered in input order, the search that refutes 37 took about
+        # 59,000 nodes (6.9 s); numbered by collision mass it takes 503
+        base = Channel.of({0: {0, 4, 5}, 1: {0, 6, 8}, 2: {5, 6, 8}, 3: {2, 4},
+                           4: {3, 5}, 5: {1, 4, 5}, 6: {0, 2}}, y_alphabet=range(9))
+        nodes = []
+        search = chancap._clique
+
+        def counting(adj, cand, need, budget):
+            nodes.append(need)
+            return search(adj, cand, need, budget)
+
+        monkeypatch.setattr(chancap, "_clique", counting)
+        assert rate_at_horizon(base, CardinalityPower(9), F(1, 10), 3) == Rate(36, 3)
+        assert len(nodes) <= 5000

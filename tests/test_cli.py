@@ -8,6 +8,7 @@ import pytest
 
 from uvinfo import CardinalityPower, DiameterPlusOne, LebesguePlusOffset
 from uvinfo.cli import (
+    CARD_MAX_BITS,
     CARD_MAX_EXPONENT,
     ParseError,
     ValidationError,
@@ -92,6 +93,7 @@ class TestMSpec:
         ("leb+1/3", LebesguePlusOffset(F(1, 3))),
         ("diam:5", DiameterPlusOne(5)),
         (f"card:19:{CARD_MAX_EXPONENT}", CardinalityPower(19, CARD_MAX_EXPONENT)),
+        (f"card:{2 ** 64 - 1}:64", CardinalityPower(2 ** 64 - 1, 64)),
     ])
     def test_accepted_forms(self, text, expected):
         assert parse_m_spec(text) == expected
@@ -271,6 +273,21 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == ("error: bad uncertainty spec 'card:19:99999999': "
                        f"exponent 99999999 exceeds the cap of {CARD_MAX_EXPONENT}\n")
+
+    @pytest.mark.parametrize("spec", [
+        f"card:{10 ** 70}:64", f"card:{2 ** 64}:64", f"card:{2 ** CARD_MAX_BITS}",
+    ], ids=["ten-to-the-70", "just-past-the-cap", "exponent-one"])
+    def test_huge_cardinality_base_exits_two(self, capsys, monkeypatch, spec):
+        # m(output alphabet) = (19 / 10^70)^64 has a denominator too long
+        # to print, which used to end in a ValueError traceback
+        def refuse(self, size):
+            raise AssertionError("an uncertainty value was computed")
+        monkeypatch.setattr(CardinalityPower, "of_size", refuse)
+        code, out, err = run(["capacity", "--channel", "fig5.json", "--m",
+                              spec, "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad uncertainty spec {spec!r}: base ** exponent "
+                       f"exceeds the cap of {CARD_MAX_BITS} bits\n")
 
     def test_half_specified_levels_rejected(self, capsys):
         code, _, err = run(["analyze", "--pair", "walkers.json",
