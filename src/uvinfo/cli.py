@@ -104,6 +104,12 @@ def parse_channel_spec(text: str) -> chancap.Channel:
     if stray:
         raise ParseError(f"unknown channel field {sorted(stray)[0]!r}")
     xs = _normalize_symbols(list(raw_map.keys()))
+    seen = {}
+    for key, x in zip(raw_map, xs):
+        if x in seen:
+            raise ValidationError(
+                f"input keys {seen[x]!r} and {key!r} both read as {x!r}")
+        seen[x] = key
     y_raw = []
     for x, image in zip(xs, raw_map.values()):
         if not isinstance(image, list):

@@ -6,6 +6,11 @@ definition — association sets, delta-connected components, overlap families,
 the taxicab relation on the joint range — is evaluated by exact rational
 comparison on that reduction.
 
+Each side's conditional ranges are read in one pass over the joint relation.
+Finite (``frozenset``) and interval (:class:`~uvinfo.uvcore.IntervalUnion`)
+subsets share one algebra, ``&``, ``|`` and truthiness (nonempty is true), so
+only sorting asks which kind of ground a subset lives on.
+
 Conventions that matter and are easy to get wrong:
 
 * Association pairs range over distinct *points* of the marginal, not over
@@ -62,8 +67,8 @@ class _SideProfile:
     def pairs_with_overlap(self):
         for i in range(len(self.ranges)):
             for j in range(i + 1, len(self.ranges)):
-                inter = _intersect(self.ranges[i], self.ranges[j])
-                if not _subset_empty(inter):
+                inter = self.ranges[i] & self.ranges[j]
+                if inter:
                     yield i, j, inter
 
     def has_any_association(self) -> bool:
@@ -76,57 +81,43 @@ class _SideProfile:
         return False
 
 
-def _intersect(a, b):
-    if isinstance(a, frozenset):
-        return a & b
-    return a.intersect(b)
-
-
-def _union(a, b):
-    if isinstance(a, frozenset):
-        return a | b
-    return a.union(b)
-
-
-def _subset_empty(s) -> bool:
-    if isinstance(s, frozenset):
-        return not s
-    return s.is_empty()
-
-
 def _subset_sort_key(s):
     if isinstance(s, frozenset):
         return tuple(sorted(s))
     return tuple(s.pieces)
 
 
+def _sections(pair: UncertainPair, side: str) -> dict:
+    """The conditional ranges of ``side``, keyed by their opposite point, in
+    one pass over the joint relation (over the cells for the Y side of an
+    interval pair; its X side goes through the arrangement instead)."""
+    if pair.is_hybrid():
+        return dict(pair.cells)
+    sections: dict = {}
+    for x, y in pair.joint:
+        key, point = (y, x) if side == "X" else (x, y)
+        sections.setdefault(key, set()).add(point)
+    return {key: frozenset(points) for key, points in sections.items()}
+
+
 def side_profile(pair: UncertainPair, side: str) -> _SideProfile:
     side = side.upper()
     if pair.is_empty():
         raise EmptyPair("the joint range is empty")
-    if pair.is_hybrid():
-        if side == "X":
-            cells = pair.arrangement()
-            ranges = [c.xset for c in cells]
-            counts = [2 if c.multi_point else 1 for c in cells]
-        else:
-            groups: dict[IntervalUnion, int] = {}
-            for _, iu in pair.cells:
-                groups[iu] = min(2, groups.get(iu, 0) + 1)
-            ranges = list(groups.keys())
-            counts = [groups[r] for r in ranges]
+    marginal = pair.marginal_range(side)
+    if pair.is_hybrid() and side == "X":
+        cells = pair.arrangement()
+        ranges = [c.xset for c in cells]
+        counts = [2 if c.multi_point else 1 for c in cells]
     else:
-        opposite = "Y" if side == "X" else "X"
-        groups2: dict[frozenset, int] = {}
-        for point in pair.marginal_range(opposite):
-            rng = pair.conditional_range(side, point)
-            groups2[rng] = min(2, groups2.get(rng, 0) + 1)
-        ranges = list(groups2.keys())
-        counts = [groups2[r] for r in ranges]
+        groups: dict = {}
+        for rng in _sections(pair, side).values():
+            groups[rng] = min(2, groups.get(rng, 0) + 1)
+        ranges, counts = list(groups), list(groups.values())
     order = sorted(range(len(ranges)), key=lambda i: _subset_sort_key(ranges[i]))
     return _SideProfile(
         side,
-        pair.marginal_range(side),
+        marginal,
         tuple(ranges[i] for i in order),
         tuple(counts[i] for i in order),
     )
@@ -214,6 +205,14 @@ def classify_levels(assoc: AssociationSets, delta1: Fraction, delta2: Fraction) 
 # delta-connected components
 
 
+def _find(parent: list[int], i: int) -> int:
+    """The root of ``i`` in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def delta_components(pair: UncertainPair, m: UncertaintyFunction, delta: Fraction,
                      side: str) -> list:
     """The unique partition of the marginal into delta-connected components.
@@ -230,20 +229,13 @@ def delta_components(pair: UncertainPair, m: UncertaintyFunction, delta: Fractio
             raise NotDisassociated(
                 f"overlap ratio {format_ratio(value)} <= {format_ratio(delta)}")
     parent = list(range(len(profile.ranges)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     # every overlap exceeds delta (checked above), so ranges that meet merge
     for i, j, _ in profile.pairs_with_overlap():
-        parent[find(i)] = find(j)
+        parent[_find(parent, i)] = _find(parent, j)
     buckets: dict[int, object] = {}
     for i, rng in enumerate(profile.ranges):
-        root = find(i)
-        buckets[root] = rng if root not in buckets else _union(buckets[root], rng)
+        root = _find(parent, i)
+        buckets[root] = rng if root not in buckets else buckets[root] | rng
     return sorted(buckets.values(), key=_subset_sort_key)
 
 
@@ -349,16 +341,12 @@ def _taxicab_nodes(pair: UncertainPair):
     reduction can detect whether same-cell points end up disconnected (in
     which case no finite family exists).
     """
+    rows = _sections(pair, "Y")
     if not pair.is_hybrid():
-        ys = sorted(pair.marginal_range("Y"))
-        cols = {y: pair.conditional_range("X", y) for y in ys}
-        rows = {x: pair.conditional_range("Y", x) for x in sorted(pair.marginal_range("X"))}
-        points = [(y, cols[y], None) for y in ys]
-        return points, rows
-    cells = pair.arrangement()
+        cols = _sections(pair, "X")
+        return [(y, cols[y], None) for y in sorted(cols)], rows
     points = []
-    rows = dict(pair.cells)
-    for idx, cell in enumerate(cells):
+    for idx, cell in enumerate(pair.arrangement()):
         points.append(((idx, 0), cell.xset, cell))
         if cell.multi_point:
             points.append(((idx, 1), cell.xset, cell))
@@ -390,14 +378,8 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
     index = {node: k for k, node in enumerate(nodes)}
     parent = list(range(len(nodes)))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     def join(a, b) -> None:
-        parent[find(index[a])] = find(index[b])
+        parent[_find(parent, index[a])] = _find(parent, index[b])
 
     # A1 moves: same x across two points, gated on the x-side overlap.  The
     # two representatives of a multi-point cell are among these pairs; their
@@ -413,13 +395,13 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
         xs = sorted(xset)
         for i, x1 in enumerate(xs):
             for x2 in xs[i + 1:]:
-                inter = _intersect(rows[x1], rows[x2])
-                if not _subset_empty(inter) and m_y.of(inter) > delta2 * total_y:
+                inter = rows[x1] & rows[x2]
+                if inter and m_y.of(inter) > delta2 * total_y:
                     join((x1, pid), (x2, pid))
 
     components: dict[int, set] = {}
     for node in nodes:
-        components.setdefault(find(index[node]), set()).add(node)
+        components.setdefault(_find(parent, index[node]), set()).add(node)
     comp_list = sorted(components.values(), key=min)
 
     # a multi-point cell whose twin representatives are separated means the
@@ -427,12 +409,9 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
     for pid, xset, cell in points:
         if cell is not None and cell.multi_point and pid[1] == 0:
             for x in xset:
-                if find(index[(x, pid)]) != find(index[(x, (pid[0], 1))]):
+                if _find(parent, index[(x, pid)]) != _find(parent, index[(x, (pid[0], 1))]):
                     return TaxicabFamily((), (delta1, delta2), False,
                                          "a multi-point class splits; no finite family")
-
-    def comp_of(node):
-        return find(index[node])
 
     reason = ""
     exists = True
@@ -440,7 +419,7 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
     # the singly-connected containment property and, together with the
     # components covering everything, the contains-a-column/row property)
     for pid, xset, _ in points:
-        roots = {comp_of((x, pid)) for x in xset}
+        roots = {_find(parent, index[(x, pid)]) for x in xset}
         if len(roots) > 1:
             exists, reason = False, "a column crosses components"
             break
@@ -449,7 +428,7 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
             roots = set()
             for pid, xset, _ in points:
                 if x in xset:
-                    roots.add(comp_of((x, pid)))
+                    roots.add(_find(parent, index[(x, pid)]))
             if len(roots) > 1:
                 exists, reason = False, "a row crosses components"
                 break
@@ -486,8 +465,7 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
             for x, pid in comp:
                 if pid[1] == 1:
                     continue
-                cur = by_x.get(x, IntervalUnion.empty())
-                by_x[x] = cur.union(cell_support[pid])
+                by_x[x] = by_x.get(x, IntervalUnion.empty()) | cell_support[pid]
             sets.append(frozenset(by_x.items()))
         else:
             sets.append(frozenset(comp))

@@ -376,14 +376,17 @@ def parse_sequence_spec(obj: dict) -> ConfidenceSequence:
              "geometric": {"base", "scale", "first"},
              "constant": {"value", "first"},
              "zero": {"first"}}
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise UvinfoError(f"unknown sequence kind {kind!r}")
     stray = set(obj) - known[kind] - {"kind"}
     if stray:
         raise UvinfoError(f"unknown sequence field {sorted(stray)[0]!r}")
     first = obj.get("first")
     if kind == "explicit":
-        return ConfidenceSequence.explicit(obj.get("values", ()), first=first)
+        values = obj.get("values", [])
+        if not isinstance(values, list):
+            raise UvinfoError("an explicit sequence needs a list of values")
+        return ConfidenceSequence.explicit(values, first=first)
     if kind == "geometric":
         if "base" not in obj:
             raise UvinfoError("a geometric sequence needs a base")
@@ -441,6 +444,11 @@ _NOTIONS = {"T12": "C_N({delta_n})^*", "Cor2": "C_N^{0*}",
 
 def _one_dim_family(ch: Channel, m: UncertaintyFunction, codebook,
                     theta: Fraction):
+    # a level outside [0, 1] has no family, so the codebook is not in the
+    # feasible set (T13 reaches one when delta_1 passes m(Y) * |X|)
+    if not 0 <= theta <= 1:
+        raise NotCapacityAchieving(
+            f"level {format_ratio(theta)} for codebook {codebook} outside [0, 1]")
     pair = induced_pair(ch, codebook)
     family = overlap_family(pair, _uniform_x(pair), m, theta, "Y")
     return pair, family

@@ -90,6 +90,11 @@ class IntervalUnion:
     The canonical form keeps pieces sorted and merged (overlapping or
     touching intervals are coalesced), so equality of values is equality
     of point sets.  Degenerate pieces ``[p, p]`` are allowed.
+
+    Unions speak the subset protocol of ``frozenset``: ``a & b`` is
+    :meth:`intersect`, ``a | b`` is :meth:`union`, and a union is true
+    exactly when it holds a point, so the empty union is false (a
+    degenerate ``[p, p]`` is true).
     """
 
     pieces: tuple[tuple[Fraction, Fraction], ...]
@@ -134,6 +139,12 @@ class IntervalUnion:
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion.of(list(self.pieces) + list(other.pieces))
+
+    __and__ = intersect
+    __or__ = union
+
+    def __bool__(self) -> bool:
+        return bool(self.pieces)
 
     def covers(self, other: "IntervalUnion") -> bool:
         return other.intersect(self) == other
@@ -393,8 +404,9 @@ class UncertainPair:
             x_ground = FiniteGround.of(xs) if xs else FiniteGround((None,))
         if y_ground is None:
             y_ground = FiniteGround.of(ys) if ys else FiniteGround((None,))
+        x_labels, y_labels = set(x_ground.labels), set(y_ground.labels)
         for x, y in pairs:
-            if x not in x_ground or y not in y_ground:
+            if x not in x_labels or y not in y_labels:
                 raise UvinfoError(f"joint pair {(x, y)!r} outside the grounds")
         return UncertainPair(x_ground, y_ground, pairs, None)
 
@@ -407,9 +419,7 @@ class UncertainPair:
             raise UvinfoError("every x must have a nonempty conditional range")
         if x_ground is None:
             x_ground = FiniteGround.of(x for x, _ in items)
-        support = IntervalUnion.empty()
-        for _, iu in items:
-            support = support.union(iu)
+        support = IntervalUnion.of(p for _, iu in items for p in iu.pieces)
         if y_ground is None:
             y_ground = IntervalGround(support)
         elif not y_ground.support.covers(support):
@@ -434,10 +444,7 @@ class UncertainPair:
         if self.is_hybrid():
             if s == "X":
                 return frozenset(x for x, _ in self.cells)
-            support = IntervalUnion.empty()
-            for _, iu in self.cells:
-                support = support.union(iu)
-            return support
+            return IntervalUnion.of(p for _, iu in self.cells for p in iu.pieces)
         if s == "X":
             return frozenset(x for x, _ in self.joint)
         return frozenset(y for _, y in self.joint)
@@ -477,32 +484,27 @@ class UncertainPair:
         if not self.is_hybrid():
             raise UvinfoError("arrangement is defined for interval pairs only")
         points = sorted({p for _, iu in self.cells for p in iu.endpoints()})
-        atoms: list[tuple[Fraction, bool]] = []  # (representative, is_open_gap)
+        # (representative, closure): an endpoint is its own closure, an open
+        # gap between consecutive endpoints closes onto them
+        atoms: list[tuple[Fraction, tuple[Fraction, Fraction]]] = []
         for i, p in enumerate(points):
-            atoms.append((p, False))
+            atoms.append((p, (p, p)))
             if i + 1 < len(points):
                 q = points[i + 1]
-                atoms.append(((p + q) / 2, True))
-        groups: dict[frozenset, list[tuple[Fraction, bool]]] = {}
-        for rep, is_gap in atoms:
+                atoms.append(((p + q) / 2, (p, q)))
+        groups: dict[frozenset, list] = {}
+        for rep, closure in atoms:
             xset = frozenset(x for x, iu in self.cells if iu.contains(rep))
             if xset:
-                groups.setdefault(xset, []).append((rep, is_gap))
+                groups.setdefault(xset, []).append((rep, closure))
         out: list[ArrangementCell] = []
         for xset, members in groups.items():
-            multi = len(members) > 1 or any(is_gap for _, is_gap in members)
-            support = IntervalUnion.empty()
-            # rebuild each class's support from the atoms' closures; the
+            multi = len(members) > 1 or any(lo < hi for _, (lo, hi) in members)
+            # each class's support is the union of its atoms' closures; the
             # closure of an open gap is safe here because its endpoints
             # carry either the same section (then they merge anyway) or a
             # strictly larger one (supersets only pad the display value).
-            for rep, is_gap in members:
-                if is_gap:
-                    lo = max(p for p in points if p < rep)
-                    hi = min(p for p in points if p > rep)
-                    support = support.union(IntervalUnion.of([(lo, hi)]))
-                else:
-                    support = support.union(IntervalUnion.of([(rep, rep)]))
+            support = IntervalUnion.of(closure for _, closure in members)
             reps = tuple(rep for rep, _ in members)
             out.append(ArrangementCell(xset, reps, multi, support))
         out.sort(key=lambda c: c.reps[0])
@@ -522,15 +524,16 @@ class UncertainPair:
                 for x in self.conditional_range("X", y):
                     rebuilt.add((x, y))
             return rebuilt == set(self.joint)
+        cells = self.arrangement()
         for x, iu in self.cells:
-            for cell in self.arrangement():
-                hit = not cell.support.intersect(iu).is_empty()
+            for cell in cells:
+                hit = bool(cell.support & iu)
                 if (x in cell.xset) != hit and not cell.multi_point:
                     # single-point classes must agree exactly
                     return False
         # every cell section must list exactly the x's whose stored cell
         # contains the representative
-        for cell in self.arrangement():
+        for cell in cells:
             for rep in cell.reps:
                 if self.conditional_range("X", rep) != cell.xset:
                     return False

@@ -308,6 +308,54 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_colliding_channel_keys_exit_two(self, capsys, tmp_path):
+        # both keys read as the input 1: keeping either image would answer
+        # for a channel the file does not describe
+        src = tmp_path / "channel.json"
+        src.write_text('{"map": {"1": [1], "01": [2]}}')
+        code, out, err = run(["capacity", "--channel", str(src), "--m",
+                              "card:1", "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: input keys '1' and '01' both read as 1\n"
+
+    @pytest.mark.parametrize("values", ["5", "null", "true", "1.5", '"12"'])
+    def test_explicit_sequence_values_must_be_a_list(self, capsys, values):
+        code, out, err = run(["rates", "--channel", "fig5.json", "--m",
+                              "card:19", "--sequence",
+                              '{"kind": "explicit", "values": %s}' % values],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: an explicit sequence needs a list of values\n"
+
+    @pytest.mark.parametrize("kind", ["[]", "{}"])
+    def test_unhashable_sequence_kind_exits_two(self, capsys, kind):
+        code, out, err = run(["rates", "--channel", "fig5.json", "--m",
+                              "card:19", "--sequence", '{"kind": %s}' % kind],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown sequence kind {json.loads(kind)!r}\n"
+
+    @pytest.mark.parametrize("level", ["2/5", "18/19"])
+    def test_profile_above_the_noise_floor_reports_rows(self, capsys, level):
+        # the T13 level of a singleton codebook, delta_1 / m(Y), passes 1
+        # here; that codebook is skipped instead of aborting the profile
+        code, out, err = run(["--format", "json", "rates", "--channel",
+                              "fig5.json", "--m", "card:19", "--sequence",
+                              '{"kind": "constant", "value": "%s"}' % level],
+                             capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert [row["delta_n"] for row in report["rows"]] == [level]
+        assert report["certificates"] == []
+
+    def test_certificate_level_above_one_exits_two(self, capsys):
+        code, out, err = run(["single-letter", "--channel", "fig5.json",
+                              "--m", "card:19", "--variant", "T13",
+                              "--codebook", "1", "--delta1", "1/2",
+                              "--sequence", '{"kind": "zero"}'], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: level 19/14 for codebook (1,) outside [0, 1]\n"
+
     def test_diameter_on_integer_labels_exits_two(self, capsys):
         code, out, err = run(["capacity", "--channel", "fig5.json",
                               "--m", "diam:3", "--delta", "0"], capsys)

@@ -7,7 +7,7 @@ association values and families are known exactly in every regime.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from uvinfo import (
     CardinalityPower,
@@ -24,6 +24,7 @@ from uvinfo import (
     overlap_family,
     taxicab_family,
 )
+from uvinfo.infocalc import side_profile
 
 F = Fraction
 M_X = CardinalityPower(5)
@@ -39,6 +40,61 @@ def pair() -> UncertainPair:
         "bc": IntervalUnion.of([(20, 30)]),
         "c": IntervalUnion.of([(20, 30)]),
     })
+
+
+def per_point_profile(pair, side):
+    """A side profile built the slow way, one ``conditional_range`` scan per
+    opposite point: the reference for the one-pass sections."""
+    if pair.is_hybrid() and side == "X":
+        cells = pair.arrangement()
+        ranges = [c.xset for c in cells]
+        counts = [2 if c.multi_point else 1 for c in cells]
+    else:
+        opposite = "Y" if side == "X" else "X"
+        groups = {}
+        for point in pair.marginal_range(opposite):
+            rng = pair.conditional_range(side, point)
+            groups[rng] = min(2, groups.get(rng, 0) + 1)
+        ranges, counts = list(groups), list(groups.values())
+
+    def key(i):
+        s = ranges[i]
+        return tuple(sorted(s)) if isinstance(s, frozenset) else s.pieces
+    order = sorted(range(len(ranges)), key=key)
+    return (side, pair.marginal_range(side), tuple(ranges[i] for i in order),
+            tuple(counts[i] for i in order))
+
+
+def profile_fields(profile):
+    return profile.side, profile.marginal, profile.ranges, profile.counts
+
+
+# rows drawn from a few small subsets, so that equal sections recur on both
+# sides
+finite_rows = st.lists(st.frozensets(st.sampled_from("uvw"), min_size=1),
+                       min_size=1, max_size=8)
+small_fractions = st.builds(F, st.integers(0, 12), st.integers(1, 4))
+nonempty_unions = st.lists(
+    st.tuples(small_fractions, small_fractions).map(lambda t: (min(t), max(t))),
+    min_size=1, max_size=3).map(IntervalUnion.of)
+
+
+class TestSideProfile:
+    @given(finite_rows, st.sampled_from("XY"))
+    @example([frozenset("uv"), frozenset("uv"), frozenset("w")], "Y")
+    @example([frozenset("uv"), frozenset("uv"), frozenset("w")], "X")
+    def test_finite_matches_per_point_scan(self, rows, side):
+        pair = UncertainPair.finite(
+            (x, y) for x, row in enumerate(rows) for y in row)
+        assert profile_fields(side_profile(pair, side)) == \
+            per_point_profile(pair, side)
+
+    @given(st.lists(nonempty_unions, min_size=1, max_size=5),
+           st.sampled_from("XY"))
+    def test_interval_matches_per_point_scan(self, cells, side):
+        pair = UncertainPair.hybrid(dict(enumerate(cells)))
+        assert profile_fields(side_profile(pair, side)) == \
+            per_point_profile(pair, side)
 
 
 class TestAssociationSets:

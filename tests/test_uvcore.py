@@ -14,6 +14,7 @@ from uvinfo import (
     CardinalityPower,
     DiameterPlusOne,
     ExplicitWeights,
+    FiniteGround,
     IncompatibleGround,
     IntervalUnion,
     LebesguePlusOffset,
@@ -96,6 +97,17 @@ class TestIntervalUnion:
         big = IntervalUnion.of([(0, 10)])
         assert big.covers(IntervalUnion.of([(2, 3), (4, 5)]))
         assert not IntervalUnion.of([(2, 3)]).covers(big)
+
+    @given(interval_unions(), interval_unions())
+    def test_operators_match_the_named_methods(self, a, b):
+        assert a & b == a.intersect(b)
+        assert a | b == a.union(b)
+        assert bool(a) is not a.is_empty()
+
+    def test_truthiness(self):
+        assert not IntervalUnion.empty()
+        assert IntervalUnion.of([(F(1, 2), F(1, 2))])
+        assert not IntervalUnion.of([(0, 1)]) & IntervalUnion.of([(2, 3)])
 
     @given(interval_unions(), interval_unions())
     def test_union_measure_inclusion_exclusion_bound(self, a, b):
@@ -288,6 +300,16 @@ class TestFinitePair:
         pair = UncertainPair.finite([(1, "u"), (2, "u"), (2, "w")])
         assert pair.reassembles()
 
+    @pytest.mark.parametrize("joint,stray", [
+        ([(1, "u"), (3, "u")], (3, "u")),
+        ([(1, "u"), (2, "w")], (2, "w")),
+    ], ids=["x-outside", "y-outside"])
+    def test_joint_outside_the_grounds(self, joint, stray):
+        with pytest.raises(UvinfoError) as info:
+            UncertainPair.finite(joint, x_ground=FiniteGround.of([1, 2]),
+                                 y_ground=FiniteGround.of(["u", "v"]))
+        assert str(info.value) == f"joint pair {stray!r} outside the grounds"
+
     @given(st.frozensets(
         st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
         max_size=12))
@@ -321,6 +343,15 @@ class TestHybridPair:
 
     def test_reassembles(self):
         assert walkers_pair().reassembles()
+
+    @given(st.lists(interval_unions(min_pieces=1), min_size=1, max_size=5))
+    def test_every_interval_pair_reassembles(self, cells):
+        pair = UncertainPair.hybrid(dict(enumerate(cells)))
+        assert pair.reassembles()
+        for cell in pair.arrangement():
+            assert all(cell.support.contains(rep) for rep in cell.reps)
+            assert cell.multi_point == (len(cell.reps) > 1
+                                        or cell.support.measure() > 0)
 
     def test_empty_cell_rejected(self):
         with pytest.raises(UvinfoError):
