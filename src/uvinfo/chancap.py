@@ -8,13 +8,15 @@ found by a bitset clique search over the ranks of the distinct pair values,
 whose clique carries over to later sizes while it survives in their graphs,
 and certified by refuting size ``count + 1``.
 
-Two front ends rank the pairs for that one engine.  Under a
-``CardinalityPower`` a pair's value rises strictly with the integer
-``|N(x1) ∩ N(x2)|``, so the counts themselves are the ranks: they are read
-for all pairs at once from bit-sliced sums of output columns, with no
-``Fraction`` per pair, and counts past ``delta`` are cut off early.  Every
-other measure, and ``apps.matrix_capacity``, ranks the ``Fraction`` value of
-every pair.
+Two front ends feed that one engine, each with a builder that gives the
+graph of any cut of the ranked pair values.  Under a ``CardinalityPower`` a
+pair's value rises strictly with the integer ``|N(x1) ∩ N(x2)|``, so the
+counts themselves are the ranks: one packed table per channel holds every
+pair's count, each input's row the sum of its outputs' columns with one
+fixed-width field per input, and the graph of a size cut is one
+``bytes.translate`` of each row, with no ``Fraction`` per pair.  Every
+other measure, and ``apps.matrix_capacity``, ranks the ``Fraction`` value
+of every pair and ORs the rows of the ranks below the cut.
 
 The cost of a colouring search depends on the order of its vertices.  The
 count front end numbers the inputs by ascending collision mass, which
@@ -37,6 +39,7 @@ import bisect
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,8 +189,9 @@ def _pair_values(ch: Channel, m: UncertaintyFunction) -> list:
 def _ranked_rows(n: int, pair_values, limit: Fraction) -> tuple:
     """The ``Fraction`` front end, given the pair values of ``n`` vertices
     in ``itertools.combinations`` order: the distinct values in increasing
-    order and, for each rank whose value is at most ``limit``, the row
-    ``{vertex: neighbours at that rank}`` with the neighbours as a bitset."""
+    order and the adjacency builder of the engine, which ORs the rows
+    ``{vertex: neighbours at that rank}`` of the ranks below its cut; rows
+    are kept for every rank whose value is at most ``limit``."""
     # A measure usually hands out one object per distinct value, so pairs are
     # ranked through the identity of their value; only the distinct objects
     # are keyed by (numerator, denominator), exact since Fractions are kept
@@ -205,77 +209,93 @@ def _ranked_rows(n: int, pair_values, limit: Fraction) -> tuple:
             row = rows[r]
             row[i] = row.get(i, 0) | 1 << j
             row[j] = row.get(j, 0) | 1 << i
-    return values, rows
+
+    def adjacency(cut: int) -> list:
+        adj = [0] * n
+        for row in rows[:cut]:
+            for i, bits in row.items():
+                adj[i] |= bits
+        return adj
+
+    return values, adjacency
 
 
-def _count_rows(images, top: int) -> dict:
-    """``rows[s][i]``: the bitset of the inputs ``j != i`` with
-    ``|N(i) ∩ N(j)| = s``, for every intersection size ``s <= top`` that
-    some pair has and every input ``i`` in such a pair, with the inputs
-    numbered by their place in ``images``.
+def _count_table(images) -> tuple:
+    """The pair-count table of ``images``, with the inputs numbered by their
+    place: the field width ``w`` in bytes and, for each input ``i``, the
+    ``w``-byte big-endian fields of a row whose field ``j`` is
+    ``|N(i) ∩ N(j)|`` and whose own field ``i`` is all ones.
 
-    ``col[y]`` holds the inputs whose image contains ``y``; adding the
-    columns of ``N(i)`` into a bit-sliced counter (plane ``t`` holds bit
-    ``t`` of every input's count) counts all of ``i``'s intersections at
-    once, and splitting the inputs plane by plane, highest first, sorts
-    them by count.  The counter has just the planes that ``top`` needs: an
-    input whose count carries out of the last one is past ``top`` and
-    takes no further part.
+    ``col[y]`` has a 1 in the field of every input whose image holds ``y``,
+    so the row of ``i`` is the sum of the columns of ``N(i)``.  No field
+    sum passes the largest image, and ``w`` is wide enough for that size
+    and the all-ones mark above it, so no count carries into its neighbour
+    and no size ever reaches an input's own field.
     """
-    n = len(images)
-    col: dict = {}
+    n, largest, width = len(images), max(map(len, images)), 1
+    while largest >= 256 ** width - 1:
+        width *= 2
+    bits, full = 8 * width, 256 ** width - 1
+    cols = {y: bytearray(n * width) for y in set().union(*images)}
     for i, image in enumerate(images):
+        field = width * i
         for y in image:
-            col[y] = col.get(y, 0) | 1 << i
-    width = top.bit_length()
-    rows: dict = {}
-    everyone = (1 << n) - 1
-    for i, image in enumerate(images):
-        planes: list = []
-        over = 1 << i
-        for y in image:
-            carry = col[y]
-            for t, plane in enumerate(planes):
-                planes[t] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                if len(planes) < width:
-                    planes.append(carry)
-                else:
-                    over |= carry
-        groups = [(0, everyone ^ over)]
-        for t in range(len(planes) - 1, -1, -1):
-            plane, split = planes[t], []
-            for s, members in groups:
-                high = members & plane
-                if high:
-                    split.append((s | 1 << t, high))
-                if high != members:
-                    split.append((s, members ^ high))
-            groups = split
-        for s, members in groups:
-            if members and s <= top:
-                rows.setdefault(s, {})[i] = members
-    return rows
+            cols[y][field] = 1
+    col = {y: int.from_bytes(c, "little") for y, c in cols.items()}
+    return width, [
+        (sum(map(col.__getitem__, image)) + (full - len(image) << bits * i))
+        .to_bytes(n * width, "big") for i, image in enumerate(images)]
+
+
+def _table_sizes(width: int, rows: list, top: int) -> list:
+    """The pair intersection sizes in the table up to ``top``, in
+    increasing order; ``top`` stays below the all-ones mark."""
+    blob = b"".join(rows)
+    if width == 1:
+        return [s for s in range(top + 1) if s in blob]
+    fields = memoryview(blob).cast("HIQ"[width.bit_length() - 2])
+    counts = (int.from_bytes(f.to_bytes(width, sys.byteorder), "big")
+              for f in set(fields))
+    return sorted(s for s in counts if s <= top)
+
+
+def _at_most(width: int, rows: list, size: int) -> list:
+    """The adjacency of the table at ``size``: bit ``j`` of ``adj[i]`` is
+    set when field ``j`` of row ``i`` is at most ``size``.  A row of 1-byte
+    fields is one ``translate`` to a binary string; wider fields compare
+    their byte planes from the most significant one down."""
+    *high, last = size.to_bytes(width, "big")
+    up_to = b"1" * (last + 1) + b"0" * (255 - last)
+    if not high:
+        return [int(row.translate(up_to), 2) for row in rows]
+    adj = []
+    for row in rows:
+        below, equal = 0, -1
+        for k, d in enumerate(high):
+            plane = row[k::width]
+            below |= equal & int(plane.translate(b"1" * d + b"0" * (256 - d)), 2)
+            equal &= int(plane.translate(b"0" * d + b"1" + b"0" * (255 - d)), 2)
+        adj.append(below | equal & int(row[width - 1::width].translate(up_to), 2))
+    return adj
 
 
 def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
     """The engine's input for ``ch`` under ``m``: the vertex number of each
     input, the distinct pair values in increasing order, at least up to
-    ``limit``, and the rows of every rank whose value is at most ``limit``.
+    ``limit``, and the adjacency builder that gives, for a cut ``c``, the
+    graph joining the pairs whose value is among the first ``c``; any cut
+    of values at most ``limit`` may be asked for.
 
     A ``CardinalityPower`` itself rises strictly with the intersection size,
-    so its ranks are the sizes up to the largest valued at most ``limit``,
-    valued by its own size table, and its rows come from ``_count_rows``
-    with no loop over pairs.  Its inputs are numbered by ascending collision
-    mass, the sum over ``y`` in ``N(i)`` of the inputs that also see ``y``
-    (ties by index): a heavy input meets many others, so it has few
-    neighbours in every graph, and the colouring search does best with
-    such inputs last, as MCQ numbers by descending degree.  Every other
-    measure, a subclass included, is ranked through its pair values and
-    keeps the input numbering.
+    so its ranks are the sizes that some pair has, up to the largest valued
+    at most ``limit``, all read from one ``_count_table`` with no loop over
+    pairs; an adjacency is one ``translate`` of each row.  Its inputs are
+    numbered by ascending collision mass, the sum over ``y`` in ``N(i)`` of
+    the inputs that also see ``y`` (ties by index): a heavy input meets many
+    others, so it has few neighbours in every graph, and the colouring
+    search does best with such inputs last, as MCQ numbers by descending
+    degree.  Every other measure, a subclass included, is ranked through
+    its pair values and keeps the input numbering.
     """
     n = len(ch.x_symbols)
     if type(m) is CardinalityPower:
@@ -283,13 +303,18 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
         mass = [sum(map(hits.__getitem__, image)) for image in ch.images]
         order = sorted(range(n), key=mass.__getitem__)
         numbering = sorted(range(n), key=order.__getitem__)  # the inverse
+        width, rows = _count_table([ch.images[i] for i in order])
+        num, den = limit.as_integer_ratio()
+        e, scale = m.exponent, num * m.base_size ** m.exponent
         largest, top = max(map(len, ch.images)), 0
-        while top < largest and m.of_size(top + 1) <= limit:
+        while top < largest and (top + 1) ** e * den <= scale:
             top += 1
-        by_size = _count_rows([ch.images[i] for i in order], top)
-        sizes = sorted(by_size)
-        return (numbering, [m.of_size(s) for s in sizes],
-                [by_size[s] for s in sizes])
+        sizes = _table_sizes(width, rows, top)
+
+        def adjacency(cut: int) -> list:
+            return _at_most(width, rows, sizes[cut - 1]) if cut else [0] * n
+
+        return numbering, [m.of_size(s) for s in sizes], adjacency
     return (range(n), *_ranked_rows(n, _pair_values(ch, m), limit))
 
 
@@ -367,38 +392,60 @@ class _Stalled(Exception):
     """A clique search ran out of nodes."""
 
 
-def _clique(adj: list, cand: int, need: int, budget: list) -> Optional[int]:
+def _clique(adj: list, non: list, cand: int, need: int,
+            budget: list) -> Optional[int]:
     """A clique of at least ``need`` vertices within the vertex bitset
     ``cand``, as a bitset, or None when there is none: branch and bound
     under a greedy-colouring bound (MCQ, Tomita and Seki 2003, on bitsets as
-    in BBMC), since c colour classes hold no clique larger than c.  Each
-    node (call) takes one from ``budget[0]``, and the search raises
-    ``_Stalled`` when none is left."""
+    in BBMC), since c colour classes hold no clique larger than c.
+    ``non`` is ``_complements(adj)``.  The search runs depth first on
+    an explicit stack, so a deep clique costs no recursion.  Each node takes
+    one from ``budget[0]``, and the search raises ``_Stalled`` when none is
+    left."""
     if need <= 0:
         return 0
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise _Stalled
-    coloured = []  # (colour, vertex), colours nondecreasing
-    uncoloured, colour = cand, 0
-    while uncoloured:
-        colour += 1
-        free = uncoloured
-        while free:
-            v = (free & -free).bit_length() - 1
-            coloured.append((colour, v))
-            uncoloured ^= 1 << v
-            free &= ~(adj[v] | 1 << v)
-    if colour == len(coloured):  # one vertex per colour: cand is a clique
-        return cand if colour >= need else None
-    for c, v in reversed(coloured):
-        if c < need:
-            return None
-        found = _clique(adj, cand & adj[v], need - 1, budget)
-        if found is not None:
-            return found | 1 << v
-        cand ^= 1 << v
-    return None
+    left, frames, chosen = budget[0], [], 0
+    try:
+        while True:
+            left -= 1
+            if left < 0:
+                raise _Stalled
+            # colour cand greedily, least vertex first; a class coloured
+            # below need heads no clique of need, so only the later classes
+            # are kept for branching, each as a bitset
+            uncoloured, colour, classes = cand, 0, []
+            while uncoloured:
+                colour += 1
+                free = before = uncoloured
+                while free:
+                    low = free & -free
+                    uncoloured ^= low
+                    free &= non[low.bit_length()]
+                if colour >= need:
+                    classes.append(before ^ uncoloured)
+            # one vertex per colour: cand is a clique
+            if colour >= need and colour == cand.bit_count():
+                return chosen | cand
+            while not classes:  # back up to the last node with a branch left
+                if not frames:
+                    return None
+                cand, classes, v = frames.pop()
+                chosen ^= 1 << v
+                cand ^= 1 << v
+                need += 1
+            # branch on the last coloured vertex first
+            last = classes.pop()
+            v = last.bit_length() - 1
+            if last ^ 1 << v:
+                classes.append(last ^ 1 << v)
+            frames.append((cand, classes, v))
+            chosen |= 1 << v
+            if need == 1:
+                return chosen
+            cand &= adj[v]
+            need -= 1
+    finally:
+        budget[0] = left
 
 
 def _permutation(source: list) -> Callable[[int], int]:
@@ -442,6 +489,13 @@ def _smallest_last(adj: list) -> list:
     return order
 
 
+def _complements(adj: list) -> list:
+    """What a colour class keeps of its free vertices once it takes vertex
+    ``v``, ``~(adj[v] | 1 << v)``, at index ``v + 1``: the bit length of
+    ``1 << v``, which the colouring has at hand."""
+    return [0] + [~(bits | 1 << v) for v, bits in enumerate(adj)]
+
+
 class _Graph:
     """One graph of the engine as adjacency bitsets, and its clique query.
 
@@ -450,25 +504,29 @@ class _Graph:
     smallest-last order; it and every later query on the graph then run
     there with no limit, their answers mapped back."""
 
-    __slots__ = ("adj", "_relabelled")
+    __slots__ = ("adj", "_non", "_relabelled")
 
     def __init__(self, adj: list):
         self.adj = adj
+        self._non = None
         self._relabelled = None
 
     def clique(self, cand: int, need: int) -> Optional[int]:
         if self._relabelled is None:
+            if self._non is None:
+                self._non = _complements(self.adj)
             budget = [_STALL_NODES_PER_VERTEX * len(self.adj)]
             try:
-                return _clique(self.adj, cand, need, budget)
+                return _clique(self.adj, self._non, cand, need, budget)
             except _Stalled:
                 order = _smallest_last(self.adj)
                 position = sorted(range(len(order)), key=order.__getitem__)
                 into = _permutation(order)
-                self._relabelled = (into, _permutation(position),
-                                    [into(self.adj[v]) for v in order])
-        into, back, adj = self._relabelled
-        found = _clique(adj, into(cand), need, [math.inf])
+                adj = [into(self.adj[v]) for v in order]
+                self._relabelled = (into, _permutation(position), adj,
+                                    _complements(adj))
+        into, back, adj, non = self._relabelled
+        found = _clique(adj, non, into(cand), need, [math.inf])
         return None if found is None else back(found)
 
 
@@ -498,28 +556,30 @@ def _is_clique(adj: list, clique: int) -> bool:
     return True
 
 
-def _search(symbols, numbering, values, rows,
+def _search(symbols, numbering, values, adjacency,
             delta: Fraction) -> CapacityResult:
     """The engine behind every capacity search (see ``capacity``), given
     ``symbols`` in order with the vertex number of each, their distinct
-    pair values in increasing order, at least up to ``delta``, and, for at
-    least every rank whose value is at most ``delta``, the row
-    ``{vertex: neighbours at that rank}`` with the neighbours as a bitset."""
+    pair values in increasing order, at least up to ``delta``, and the
+    adjacency builder of the front end: ``adjacency(c)`` is the graph, as
+    one neighbour bitset per vertex, that joins the pairs whose value is
+    among the first ``c``."""
     n = len(symbols)
     all_vertices = (1 << n) - 1
     per_size, thresholds = [], []
     cut, graph, clique = bisect.bisect_right(values, delta), None, None
+    # value p/q is at most delta/k = dn/(dd k) exactly when p dd k <= dn q
+    dn, dd = delta.as_integer_ratio()
+    keys = [(p * dd, dn * q)
+            for p, q in (v.as_integer_ratio() for v in values[:cut])]
     for k in range(1, n + 1):
-        threshold, size_cut = delta / k, cut
-        while size_cut and values[size_cut - 1] > threshold:
+        size_cut = cut
+        while size_cut and keys[size_cut - 1][0] * k > keys[size_cut - 1][1]:
             size_cut -= 1
         if graph is None or size_cut != cut:
-            cut, adj = size_cut, [0] * n
-            for row in rows[:cut]:
-                for i, bits in row.items():
-                    adj[i] |= bits
-            graph = _Graph(adj)
-            if clique is not None and not _is_clique(adj, clique):
+            cut = size_cut
+            graph = _Graph(adjacency(cut))
+            if clique is not None and not _is_clique(graph.adj, clique):
                 clique = None
         # a clique found at an earlier size certifies this one while it
         # survives in this size's graph
@@ -528,7 +588,7 @@ def _search(symbols, numbering, values, rows,
             if clique is not None:
                 clique = _maximal(graph.adj, clique, all_vertices)
         per_size.append((k, clique is not None))
-        thresholds.append((k, threshold))
+        thresholds.append((k, delta / k))
         if clique is None:
             break
         count, final, certificate = k, graph, clique
@@ -573,11 +633,12 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     the graph joining inputs with equivocation at most delta/k has a k-clique.
     The distinct equivocations are ranked once, so each graph is built as int
     bitsets with no Fraction compared in the search, which is a branch and
-    bound under a greedy-colouring bound; a graph is rebuilt only when
-    delta/k passes a pair value.  Under a ``CardinalityPower`` itself the
-    rank of a pair is its intersection size, read for every pair from
-    bit-sliced sums of the output columns (which inputs see each output),
-    counted no further than the largest size valued at most delta, and the
+    bound under a greedy-colouring bound on an explicit stack; a graph is
+    rebuilt only when delta/k passes a pair value, a comparison of integers.
+    Under a ``CardinalityPower`` itself the rank of a pair is its
+    intersection size, read for every pair from one table of packed counts
+    (the row of an input is the sum of the columns of its outputs, one
+    field per input), and a graph is one byte translation of each row; the
     inputs are numbered by ascending collision mass (how many inputs share
     each of their outputs, summed), so that inputs likely to have many
     neighbours come first; any other measure, a subclass included, is

@@ -516,7 +516,8 @@ def _cmd_verify(args):
     if args.deltas:
         deltas = [_parse_ratio(t) for t in args.deltas.split(",")]
     else:
-        deltas = chancap._delta_grid(ch, m, set(chancap._pair_values(ch, m)))
+        values = chancap._front_end(ch, m, ch.min_image_uncertainty(m))[1]
+        deltas = chancap._delta_grid(ch, m, values)
     failures = 0
     coding_rows, tensor_rows = [], []
     for row in chancap.verify_coding_theorem(ch, m, deltas).rows:

@@ -505,12 +505,12 @@ def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
     sweeping the finitely many thresholds where per-size feasibility can
     change (delta = size * equivocation), plus zero."""
     _require_normalized(ch, m)
-    # every delta of the grid is below the noise floor, so one set of rows,
+    # every delta of the grid is below the noise floor, so one front end,
     # built once, serves them all
-    numbering, values, rows = _front_end(ch, m, ch.min_image_uncertainty(m))
+    numbering, values, adjacency = _front_end(ch, m, ch.min_image_uncertainty(m))
     best_count, best_delta = 1, Fraction(0)
     for delta in _delta_grid(ch, m, values):
-        count = _search(ch.x_symbols, numbering, values, rows, delta).count
+        count = _search(ch.x_symbols, numbering, values, adjacency, delta).count
         if count > best_count:
             best_count, best_delta = count, delta
     return best_count, best_delta

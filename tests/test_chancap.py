@@ -294,8 +294,8 @@ class TestAgainstBruteForce:
         pruned = []
         search = chancap._clique
 
-        def recording(adj, cand, need, budget):
-            found = search(adj, cand, need, budget)
+        def recording(adj, non, cand, need, budget):
+            found = search(adj, non, cand, need, budget)
             if found is None and need > 0 and cand.bit_count() >= need:
                 pruned.append(need)
             return found
@@ -409,17 +409,13 @@ class TestCertificateReuse:
         base[21] = {20, 21}
         ch = ProductChannel(Channel.of(base), 2).materialize()
         m = product_uncertainty(CardinalityPower(22), 2)
-        top_level, depth = [], [0]
+        top_level = []
         search = chancap._clique
 
-        def recording(adj, cand, need, budget):
-            if depth[0] == 0:
-                top_level.append(need)
-            depth[0] += 1
-            try:
-                return search(adj, cand, need, budget)
-            finally:
-                depth[0] -= 1
+        # the search keeps its own stack, so every call is a top-level one
+        def recording(adj, non, cand, need, budget):
+            top_level.append(need)
+            return search(adj, non, cand, need, budget)
 
         monkeypatch.setattr(chancap, "_clique", recording)
         sizes = range(1, 443)
@@ -450,28 +446,63 @@ def pair_loop_rows(ch) -> dict:
     return rows
 
 
-def unsaturated(ch) -> int:
-    """A size cap no intersection of ``ch`` passes."""
-    return max(map(len, ch.images))
+def table_rows(width, table) -> dict:
+    """``rows[s][i]`` read field by field from a pair-count table, whose
+    own fields must be all ones."""
+    rows: dict = {}
+    for i, row in enumerate(table):
+        fields = [int.from_bytes(row[k:k + width], "big")
+                  for k in range(0, len(row), width)][::-1]
+        assert fields[i] == 256 ** width - 1
+        for j, s in enumerate(fields):
+            if j != i:
+                bits = rows.setdefault(s, {})
+                bits[i] = bits.get(i, 0) | 1 << j
+    return rows
+
+
+def cut_adjacency(rows, sizes) -> dict:
+    """The OR of ``rows[s]`` over ``sizes``: ``{input: neighbours}``."""
+    adj: dict = {}
+    for s in sizes:
+        for i, bits in rows.get(s, {}).items():
+            adj[i] = adj.get(i, 0) | bits
+    return adj
+
+
+def every_cut_matches(ch, top) -> None:
+    """The table's sizes up to ``top``, and its adjacency at every size up
+    to ``top``, against the pair loop, in input numbering.  The adjacency
+    changes only at a size some pair has, so each such size, the one below
+    it, 0 and ``top`` cover every size."""
+    n = len(ch.images)
+    width, table = chancap._count_table(ch.images)
+    expected = pair_loop_rows(ch)
+    assert chancap._table_sizes(width, table, top) == \
+        sorted(s for s in expected if s <= top)
+    for size in {0, top, *expected, *(s - 1 for s in expected)}:
+        if 0 <= size <= top:
+            want = cut_adjacency(expected, [s for s in expected if s <= size])
+            assert chancap._at_most(width, table, size) == \
+                [want.get(i, 0) for i in range(n)]
 
 
 class TestCountFrontEnd:
-    """For a CardinalityPower the engine's rows come from bit-sliced sums of
-    output columns; they and every result must match the pair loop and the
-    Fraction front end exactly."""
+    """For a CardinalityPower the engine reads its graphs from one packed
+    table of pair counts; the table, every cut's adjacency and every result
+    must match the pair loop and the Fraction front end exactly."""
 
     @given(channels(max_inputs=14, max_outputs=7))
     @settings(max_examples=100, deadline=None)
     def test_rows_match_the_pair_loop(self, ch):
-        assert chancap._count_rows(ch.images, unsaturated(ch)) == \
-            pair_loop_rows(ch)
+        assert table_rows(*chancap._count_table(ch.images)) == pair_loop_rows(ch)
 
     @given(channels(max_inputs=4, max_outputs=3))
     @settings(max_examples=40, deadline=None)
     def test_rows_match_the_pair_loop_on_products(self, base):
         ch = ProductChannel(base, 2).materialize()
-        assert chancap._count_rows(ch.images, unsaturated(ch)) == \
-            pair_loop_rows(ch)
+        assert table_rows(*chancap._count_table(ch.images)) == pair_loop_rows(ch)
+        every_cut_matches(ch, max(map(len, ch.images)))
 
     @given(channels(max_inputs=10, max_outputs=6), st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
@@ -485,10 +516,10 @@ class TestCountFrontEnd:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_other_measures_take_the_fraction_path(self, seed, monkeypatch):
-        def refuse(images, top):
-            raise AssertionError("count rows built for a non-size measure")
+        def refuse(images):
+            raise AssertionError("count table built for a non-size measure")
 
-        monkeypatch.setattr(chancap, "_count_rows", refuse)
+        monkeypatch.setattr(chancap, "_count_table", refuse)
         rng = random.Random(seed)
         ch = random_channel(rng, rng.randint(2, 9), 6, (1, 4))
         weights = {y: rng.randint(1, 4) for y in ch.y_symbols}
@@ -500,8 +531,8 @@ class TestCountFrontEnd:
     @given(channels(max_inputs=14, max_outputs=7), st.integers(0, 7))
     @settings(max_examples=100, deadline=None)
     def test_saturated_rows_match_the_pair_loop(self, ch, top):
-        assert chancap._count_rows(ch.images, top) == {
-            s: row for s, row in pair_loop_rows(ch).items() if s <= top}
+        # a top below the largest intersection leaves the larger sizes out
+        every_cut_matches(ch, min(top, max(map(len, ch.images))))
 
     @given(channels(max_inputs=14, max_outputs=7),
            st.sampled_from([F(0), F(1, 7), F(1, 3), F(3, 5), F(1)]),
@@ -509,18 +540,62 @@ class TestCountFrontEnd:
     @settings(max_examples=100, deadline=None)
     def test_front_end_renumbers_the_pair_loop_rows(self, ch, limit, exponent):
         m = CardinalityPower(len(ch.y_symbols), exponent)
-        numbering, values, rows = chancap._front_end(ch, m, limit)
+        numbering, values, adjacency = chancap._front_end(ch, m, limit)
         # ascending collision mass, sum_j |N(i) ∩ N(j)| over every j, ties
         # broken by index
+        n = len(ch.images)
         mass = [sum(len(a & b) for b in ch.images) for a in ch.images]
-        order = sorted(range(len(ch.images)), key=lambda i: (mass[i], i))
-        assert [numbering[i] for i in order] == list(range(len(order)))
+        order = sorted(range(n), key=lambda i: (mass[i], i))
+        assert [numbering[i] for i in order] == list(range(n))
         back = chancap._permutation(numbering)
         expected = {s: row for s, row in pair_loop_rows(ch).items()
                     if m.of_size(s) <= limit}
-        assert values == [m.of_size(s) for s in sorted(expected)]
-        assert [{order[v]: back(bits) for v, bits in row.items()}
-                for row in rows] == [expected[s] for s in sorted(expected)]
+        sizes = sorted(expected)
+        assert values == [m.of_size(s) for s in sizes]
+        for cut in range(len(sizes) + 1):
+            adj = adjacency(cut)
+            want = cut_adjacency(expected, sizes[:cut])
+            assert [back(adj[numbering[i]]) for i in range(n)] == \
+                [want.get(i, 0) for i in range(n)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_fields(self, seed):
+        # images of up to 300 outputs need 2-byte fields, and sizes past
+        # 255 compare across both bytes of a field
+        rng = random.Random(500 + seed)
+        ch = random_channel(rng, rng.randint(2, 7), 300, (240, 300))
+        width, table = chancap._count_table(ch.images)
+        assert width == 2
+        assert table_rows(width, table) == pair_loop_rows(ch)
+        every_cut_matches(ch, 300)
+        expected = pair_loop_rows(ch)
+        for size in (254, 255, 256, 257):
+            want = cut_adjacency(expected, [s for s in expected if s <= size])
+            assert chancap._at_most(width, table, size) == \
+                [want.get(i, 0) for i in range(len(ch.images))]
+        m = CardinalityPower(300)
+        pair_values = chancap._pair_values(ch, m)
+        for delta in (F(0), F(1, 2), F(5, 6), F(9, 10), F(99, 100)):
+            assert capacity(ch, m, delta) == chancap._capacity_search(
+                ch.x_symbols, pair_values, delta)
+
+    @pytest.mark.parametrize("largest, width", [(254, 1), (255, 2), (65534, 2),
+                                                (65535, 4), (65537, 4)])
+    def test_field_width_leaves_room_for_the_own_mark(self, largest, width):
+        # the own field is all ones, above every count a pair can have; with
+        # 4-byte fields, 0 and 1 share 65536 outputs when largest is 65537,
+        # so a count that is larger in one byte is smaller in a later one
+        # than the sizes near 300 that input 3 has with the others
+        ch = Channel.of({0: range(largest), 1: range(1, largest),
+                         2: range(largest - 1, largest + 1),
+                         3: range(min(largest, 300))})
+        found, table = chancap._count_table(ch.images)
+        assert found == width
+        assert table_rows(width, table) == pair_loop_rows(ch)
+        every_cut_matches(ch, largest)
+        m = CardinalityPower(largest + 1)
+        for delta in (F(0), F(1, 2), F(largest - 1, largest + 1)):
+            assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
 
 
 def under_both_budgets(call) -> tuple:
@@ -594,6 +669,19 @@ class TestStalledSearchRestart:
             assert forced == unlimited == brute_force_capacity(
                 em.labels, em.value, delta)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_images(self, seed):
+        # images of up to 300 outputs: 2-byte fields in the count table
+        rng = random.Random(600 + seed)
+        ch = random_channel(rng, rng.randint(3, 8), 300, (200, 300))
+        m = CardinalityPower(300)
+        pair_values = chancap._pair_values(ch, m)
+        for delta in (F(0), F(1, 2), F(9, 10), F(99, 100)):
+            forced, unlimited, _ = under_both_budgets(
+                lambda: capacity(ch, m, delta))
+            assert forced == unlimited == chancap._capacity_search(
+                ch.x_symbols, pair_values, delta)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_horizon_one_sweep(self, seed):
         rng = random.Random(400 + seed)
@@ -615,10 +703,91 @@ class TestStalledSearchRestart:
         nodes = []
         search = chancap._clique
 
-        def counting(adj, cand, need, budget):
-            nodes.append(need)
-            return search(adj, cand, need, budget)
+        # each node takes one from the budget; an unlimited search is given
+        # a finite one so that its nodes can be counted
+        def counting(adj, non, cand, need, budget):
+            start = min(budget[0], 10 ** 9)
+            left = [start]
+            try:
+                return search(adj, non, cand, need, left)
+            finally:
+                nodes.append(start - left[0])
 
         monkeypatch.setattr(chancap, "_clique", counting)
         assert rate_at_horizon(base, CardinalityPower(9), F(1, 10), 3) == Rate(36, 3)
-        assert len(nodes) <= 5000
+        assert sum(nodes) <= 5000
+
+
+def recursive_clique(adj, cand, need, budget):
+    """The colouring search written as a recursion, one call per node: the
+    reference for the order, the answers and the budget of ``_clique``."""
+    if need <= 0:
+        return 0
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise chancap._Stalled
+    coloured, uncoloured, colour = [], cand, 0
+    while uncoloured:
+        colour += 1
+        free = uncoloured
+        while free:
+            v = (free & -free).bit_length() - 1
+            coloured.append((colour, v))
+            uncoloured ^= 1 << v
+            free &= ~(adj[v] | 1 << v)
+    if colour == len(coloured):
+        return cand if colour >= need else None
+    for c, v in reversed(coloured):
+        if c < need:
+            return None
+        found = recursive_clique(adj, cand & adj[v], need - 1, budget)
+        if found is not None:
+            return found | 1 << v
+        cand ^= 1 << v
+    return None
+
+
+def random_graph(rng, n, p) -> list:
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+class TestDeepSearch:
+    """The search keeps its own stack: the same nodes in the same order as
+    a recursion, with no depth limit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_nodes_as_the_recursion(self, seed):
+        rng = random.Random(700 + seed)
+        n = rng.randint(1, 40)
+        adj = random_graph(rng, n, rng.choice([0.3, 0.6, 0.85]))
+        non = chancap._complements(adj)
+        for _ in range(10):
+            cand = rng.getrandbits(n) | rng.choice([0, (1 << n) - 1])
+            need = rng.randint(0, n + 1)
+            budget, left = [10 ** 9], [10 ** 9]
+            found = recursive_clique(adj, cand, need, budget)
+            assert chancap._clique(adj, non, cand, need, left) == found
+            assert left == budget
+            # a budget of exactly the nodes visited is enough, and any
+            # smaller one stalls
+            nodes = 10 ** 9 - budget[0]
+            assert chancap._clique(adj, non, cand, need, [nodes]) == found
+            for limit in {0, nodes // 2, nodes - 1} if nodes else ():
+                with pytest.raises(chancap._Stalled):
+                    chancap._clique(adj, non, cand, need, [limit])
+
+    def test_cocktail_party_clique_needs_no_recursion(self):
+        # each of 2 x 1100 vertices misses only its partner: every colouring
+        # node on the way down has one branch, and the search goes 1100
+        # levels deep, past the interpreter's recursion limit
+        n = 2200
+        everyone = (1 << n) - 1
+        adj = [everyone ^ 1 << v ^ 1 << (v ^ 1) for v in range(n)]
+        found = chancap._Graph(adj).clique(everyone, 1100)
+        assert found.bit_count() == 1100 and chancap._is_clique(adj, found)
+        assert chancap._Graph(adj).clique(everyone, 1101) is None
