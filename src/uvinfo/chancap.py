@@ -14,7 +14,8 @@ pair's value rises strictly with the integer ``|N(x1) ∩ N(x2)|``, so the
 counts themselves are the ranks: one packed table per channel holds every
 pair's count, each input's row the sum of its outputs' columns with one
 fixed-width field per input, and the graph of a size cut is one
-``bytes.translate`` of each row, with no ``Fraction`` per pair.  Every
+``bytes.translate`` of each row (a few when a count needs more than one
+byte), with no ``Fraction`` per pair.  Every
 other measure, and ``apps.matrix_capacity``, ranks the ``Fraction`` value
 of every pair and ORs the rows of the ranks below the cut.
 
@@ -39,7 +40,6 @@ import bisect
 import itertools
 import math
 import operator
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,7 +241,9 @@ def _count_table(images) -> tuple:
         field = width * i
         for y in image:
             cols[y][field] = 1
-    col = {y: int.from_bytes(c, "little") for y, c in cols.items()}
+    # Each column is turned into an int as its bytearray is dropped, so at
+    # most one copy of the columns is alive at any time.
+    col = {y: int.from_bytes(cols.pop(y), "little") for y in list(cols)}
     return width, [
         (sum(map(col.__getitem__, image)) + (full - len(image) << bits * i))
         .to_bytes(n * width, "big") for i, image in enumerate(images)]
@@ -249,33 +251,41 @@ def _count_table(images) -> tuple:
 
 def _table_sizes(width: int, rows: list, top: int) -> list:
     """The pair intersection sizes in the table up to ``top``, in
-    increasing order; ``top`` stays below the all-ones mark."""
-    blob = b"".join(rows)
-    if width == 1:
-        return [s for s in range(top + 1) if s in blob]
-    fields = memoryview(blob).cast("HIQ"[width.bit_length() - 2])
-    counts = (int.from_bytes(f.to_bytes(width, sys.byteorder), "big")
-              for f in set(fields))
-    return sorted(s for s in counts if s <= top)
+    increasing order; ``top`` stays below the all-ones mark.  A size is
+    looked for only when each of its bytes is in that byte's plane, and is
+    then one ``find`` of its field in the table, skipping any match that
+    starts inside a field."""
+    table, sizes = b"".join(rows), []
+    planes = [table[k::width] for k in range(width)]
+    for s in range(top + 1):
+        field = s.to_bytes(width, "big")
+        if all(map(bytes.__contains__, planes, field)):
+            at = table.find(field)
+            while at > 0 and at % width:
+                at = table.find(field, at + 1)
+            if at >= 0:
+                sizes.append(s)
+    return sizes
 
 
 def _at_most(width: int, rows: list, size: int) -> list:
     """The adjacency of the table at ``size``: bit ``j`` of ``adj[i]`` is
-    set when field ``j`` of row ``i`` is at most ``size``.  A row of 1-byte
-    fields is one ``translate`` to a binary string; wider fields compare
-    their byte planes from the most significant one down."""
-    *high, last = size.to_bytes(width, "big")
+    set when field ``j`` of row ``i`` is at most ``size``.  Each byte plane
+    of a row is one ``translate`` to a binary string: the last plane gives
+    the fields whose last byte is at most that of ``size``, and each plane
+    above it keeps them where its byte is equal and adds the fields where
+    it is smaller."""
+    digits = size.to_bytes(width, "big")
+    last = digits[-1]
     up_to = b"1" * (last + 1) + b"0" * (255 - last)
-    if not high:
-        return [int(row.translate(up_to), 2) for row in rows]
-    adj = []
-    for row in rows:
-        below, equal = 0, -1
-        for k, d in enumerate(high):
-            plane = row[k::width]
-            below |= equal & int(plane.translate(b"1" * d + b"0" * (256 - d)), 2)
-            equal &= int(plane.translate(b"0" * d + b"1" + b"0" * (255 - d)), 2)
-        adj.append(below | equal & int(row[width - 1::width].translate(up_to), 2))
+    adj = [int(row[width - 1::width].translate(up_to), 2) for row in rows]
+    for k in range(width - 2, -1, -1):
+        d = digits[k]
+        below = b"1" * d + b"0" * (256 - d)
+        equal = b"0" * d + b"1" + b"0" * (255 - d)
+        adj = [int(plane.translate(below), 2)
+               | int(plane.translate(equal), 2) & a
+               for plane, a in zip([row[k::width] for row in rows], adj)]
     return adj
 
 
@@ -289,7 +299,7 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
     A ``CardinalityPower`` itself rises strictly with the intersection size,
     so its ranks are the sizes that some pair has, up to the largest valued
     at most ``limit``, all read from one ``_count_table`` with no loop over
-    pairs; an adjacency is one ``translate`` of each row.  Its inputs are
+    pairs; an adjacency translates the byte planes of each row.  Its inputs are
     numbered by ascending collision mass, the sum over ``y`` in ``N(i)`` of
     the inputs that also see ``y`` (ties by index): a heavy input meets many
     others, so it has few neighbours in every graph, and the colouring
