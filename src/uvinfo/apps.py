@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .uvcore import CardinalityPower, UvinfoError, format_ratio, ratio
+from .uvcore import CardinalityPower, UvinfoError, format_ratio, hamming_diameter, ratio
 from .chancap import (
     Channel,
     DeltaOutOfRange,
@@ -101,18 +101,6 @@ def _ball(center: int, radius: int, n: int) -> list:
             if (y ^ center).bit_count() <= radius]
 
 
-def _diameter(points: list, cap: int) -> int:
-    best = 0
-    for i, a in enumerate(points):
-        for b in points[i + 1:]:
-            d = (a ^ b).bit_count()
-            if d > best:
-                best = d
-                if best >= cap:
-                    return best
-    return best
-
-
 def hamming_equivocation(x1: BitString, x2: BitString, tau) -> Fraction:
     """The diameter-based equivocation of two radius-floor(tau*n) balls:
     (D + 1)/(n + 1) over the ball intersection, zero when the balls are
@@ -130,7 +118,7 @@ def hamming_equivocation(x1: BitString, x2: BitString, tau) -> Fraction:
               if (y ^ x2.bits).bit_count() <= r]
     if not shared:
         return Fraction(0)
-    return Fraction(_diameter(shared, min(2 * r, n)) + 1, n + 1)
+    return Fraction(hamming_diameter(shared, min(2 * r, n)) + 1, n + 1)
 
 
 @dataclass(frozen=True)

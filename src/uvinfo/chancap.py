@@ -697,6 +697,17 @@ def distinct_image_representatives(ch: Channel) -> tuple:
     return tuple(sorted(seen.values()))
 
 
+def _brute_force_representatives(ch: Channel) -> tuple:
+    """The distinct-image representatives, refused past the cap on a
+    search over all of their subsets."""
+    reps = distinct_image_representatives(ch)
+    if len(reps) > MI_SUP_MAX_SYMBOLS:
+        raise AlphabetTooLarge(
+            f"{len(reps)} distinct images exceed the brute-force cap "
+            f"of {MI_SUP_MAX_SYMBOLS}")
+    return reps
+
+
 @dataclass(frozen=True)
 class MISupResult:
     count: int
@@ -737,11 +748,7 @@ def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
         raise DeltaOutOfRange(
             f"need 0 <= delta < m(V_N) = {format_ratio(v_min)}, "
             f"got {format_ratio(delta)}")
-    reps = distinct_image_representatives(ch)
-    if len(reps) > MI_SUP_MAX_SYMBOLS:
-        raise AlphabetTooLarge(
-            f"{len(reps)} distinct images exceed the brute-force cap "
-            f"of {MI_SUP_MAX_SYMBOLS}")
+    reps = _brute_force_representatives(ch)
     best: Optional[MISupResult] = None
     m_x_uniform = CardinalityPower(len(ch.x_symbols))
     for size in range(1, len(reps) + 1):

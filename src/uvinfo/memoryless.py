@@ -35,8 +35,10 @@ from .uvcore import (
 )
 from .infocalc import mutual_information, overlap_family
 from .chancap import (
+    AlphabetTooLarge,
     Channel,
     DeltaOutOfRange,
+    _brute_force_representatives,
     _delta_grid,
     _front_end,
     _require_normalized,
@@ -44,7 +46,6 @@ from .chancap import (
     _uniform_x,
     as_codebook,
     capacity,
-    distinct_image_representatives,
     induced_pair,
     mi_sup_oracle,
 )
@@ -442,18 +443,6 @@ _NOTIONS = {"T12": "C_N({delta_n})^*", "Cor2": "C_N^{0*}",
             "T13": "C_N({delta_n})_*", "T14": "C_N({down 0})_*"}
 
 
-def _one_dim_family(ch: Channel, m: UncertaintyFunction, codebook,
-                    theta: Fraction):
-    # a level outside [0, 1] has no family, so the codebook is not in the
-    # feasible set (T13 reaches one when delta_1 passes m(Y) * |X|)
-    if not 0 <= theta <= 1:
-        raise NotCapacityAchieving(
-            f"level {format_ratio(theta)} for codebook {codebook} outside [0, 1]")
-    pair = induced_pair(ch, codebook)
-    family = overlap_family(pair, _uniform_x(pair), m, theta, "Y")
-    return pair, family
-
-
 def _containment_condition(ch: Channel, codebook, family) -> Condition:
     outside = [x for x in ch.x_symbols if x not in set(codebook)]
     for x in outside:
@@ -488,8 +477,22 @@ def _noise_floor_condition(delta1: Fraction, v_min: Fraction) -> Condition:
         f"{format_ratio(delta1)} vs m(V_N) = {format_ratio(v_min)}")
 
 
-def _require_achieving(theorem: str, family, expected: int, codebook,
-                       theta: Fraction) -> None:
+def _output_uncertainty(ch: Channel, m: UncertaintyFunction, codebook) -> Fraction:
+    """m(Y): the uncertainty of the union of the codebook's images."""
+    return m.of(frozenset().union(*map(ch.image, codebook)))
+
+
+def _achieving_family(theorem: str, ch: Channel, m: UncertaintyFunction,
+                      codebook, theta: Fraction, expected: int):
+    """The output-side family of the codebook's induced pair at level theta,
+    which must exist and have ``expected`` sets."""
+    # a level outside [0, 1] has no family, so the codebook is not in the
+    # feasible set (T13 reaches one when delta_1 passes m(Y) * |X|)
+    if not 0 <= theta <= 1:
+        raise NotCapacityAchieving(
+            f"level {format_ratio(theta)} for codebook {codebook} outside [0, 1]")
+    pair = induced_pair(ch, codebook)
+    family = overlap_family(pair, _uniform_x(pair), m, theta, "Y")
     if family is None:
         raise NotCapacityAchieving(
             f"{theorem}: codebook {codebook} has no overlap family at level "
@@ -498,6 +501,7 @@ def _require_achieving(theorem: str, family, expected: int, codebook,
         raise NotCapacityAchieving(
             f"{theorem}: codebook {codebook} yields {family.count} family "
             f"sets but the one-dimensional capacity count is {expected}")
+    return family
 
 
 def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
@@ -532,98 +536,81 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
     """
     if variant not in _NOTIONS:
         raise UvinfoError(f"unknown certificate variant {variant!r}")
-    if variant == "T12":
-        return _check_t12(ch, m, codebook, delta1, delta_bar, sequence)
+    if variant == "T14":
+        return _check_t14(ch, m, codebook, delta_star)
     if variant == "Cor2":
-        return _check_cor2(ch, m, codebook)
-    if variant == "T13":
-        return _check_t13(ch, m, codebook, delta1, delta_bar, sequence)
-    return _check_t14(ch, m, codebook, delta_star)
-
-
-def _check_t12(ch, m, codebook, delta1, delta_bar, sequence):
-    if codebook is None or delta1 is None or sequence is None:
-        raise UvinfoError("T12 needs a codebook, delta_1, and a sequence")
+        if codebook is None:
+            raise UvinfoError("Cor2 needs a codebook")
+        # the zero-error corollary ignores any delta_1 or delta_bar given
+        delta1, delta_bar = Fraction(0), None
+    elif codebook is None or delta1 is None or sequence is None:
+        raise UvinfoError(f"{variant} needs a codebook, delta_1, and a sequence")
     cb = as_codebook(ch, codebook)
     delta1 = ratio(delta1)
-    cap1 = capacity(ch, m, delta1)
-    pair = induced_pair(ch, cb)
-    m_out = m.of(pair.marginal_range("Y"))
-    if delta_bar is None:
-        delta_bar = (delta1 / m_out) / (1 + Fraction(1, len(cb)))
-    else:
+    expected = capacity(ch, m, delta1).count
+    if delta_bar is not None:
         delta_bar = ratio(delta_bar)
-    theta = delta_bar / len(cb)
-    _, family = _one_dim_family(ch, m, cb, theta)
-    _require_achieving("T12", family, cap1.count, cb, theta)
-    v_min = ch.min_image_uncertainty(m)
-    q = delta_bar * v_min / len(cb)
-    tail_ok, tail_note = sequence.tail_at_most_power(q)
-    level_lhs = delta_bar * (1 + Fraction(1, len(cb)))
-    level_rhs = delta1 / m_out
-    conditions = (
-        _noise_floor_condition(delta1, v_min),
-        _containment_condition(ch, cb, family),
-        Condition("level bound", level_lhs <= level_rhs,
-                  f"delta_bar(1 + 1/|X|) = {format_ratio(level_lhs)} vs "
-                  f"delta_1/m(Y) = {format_ratio(level_rhs)}"),
-        Condition("tail bound", tail_ok,
-                  f"delta_n <= ({format_ratio(q)})^n for n >= 2: {tail_note}"),
-        _product_rule_condition(m),
-        _subadditivity_condition(m),
-    )
+    return _certify(variant, ch, m, cb, expected, delta1, delta_bar, sequence)
+
+
+def _certify(variant: str, ch: Channel, m: UncertaintyFunction, cb: tuple,
+             expected: int, delta1: Fraction, delta_bar: Optional[Fraction],
+             sequence: Optional[ConfidenceSequence]) -> SingleLetterCertificate:
+    """The T12, Cor2 or T13 certificate of codebook ``cb``, whose output
+    family must have ``expected`` sets: the capacity count at delta_1 (at 0
+    for Cor2).  An unset ``delta_bar`` is the largest the level bound allows."""
+    if variant == "Cor2":
+        delta_bar = Fraction(0)
+    else:
+        m_out = _output_uncertainty(ch, m, cb)
+        level_rhs = delta1 / m_out
+        if delta_bar is None:
+            delta_bar = level_rhs
+            if variant == "T12":
+                delta_bar /= 1 + Fraction(1, len(cb))
+    family = _achieving_family(variant, ch, m, cb, delta_bar / len(cb), expected)
+    delta_hat = None
+    if variant == "Cor2":
+        conditions = (
+            _containment_condition(ch, cb, family),
+            _product_rule_condition(m),
+            _subadditivity_condition(m),
+        )
+    elif variant == "T12":
+        v_min = ch.min_image_uncertainty(m)
+        q = delta_bar * v_min / len(cb)
+        tail_ok, tail_note = sequence.tail_at_most_power(q)
+        level_lhs = delta_bar * (1 + Fraction(1, len(cb)))
+        conditions = (
+            _noise_floor_condition(delta1, v_min),
+            _containment_condition(ch, cb, family),
+            Condition("level bound", level_lhs <= level_rhs,
+                      f"delta_bar(1 + 1/|X|) = {format_ratio(level_lhs)} vs "
+                      f"delta_1/m(Y) = {format_ratio(level_rhs)}"),
+            Condition("tail bound", tail_ok,
+                      f"delta_n <= ({format_ratio(q)})^n for n >= 2: {tail_note}"),
+            _product_rule_condition(m),
+            _subadditivity_condition(m),
+        )
+    else:
+        v_min = ch.min_image_uncertainty(m)
+        delta_hat = max(m.of(s) / m_out for s in family.sets)
+        growth = delta_hat * len(cb)
+        low_ok, low_note = sequence.tail_at_least_geometric(delta_bar, growth)
+        up_ok, up_note = sequence.tail_below_one()
+        conditions = (
+            _noise_floor_condition(delta1, v_min),
+            Condition("level bound", delta_bar <= level_rhs,
+                      f"delta_bar = {format_ratio(delta_bar)} vs "
+                      f"delta_1/m(Y) = {format_ratio(level_rhs)}"),
+            Condition("tail floor", low_ok,
+                      f"delta_n >= {format_ratio(delta_bar)}*"
+                      f"({format_ratio(growth)})^(n-1) for n >= 2: {low_note}"),
+            Condition("tail below one", up_ok, up_note),
+            _product_rule_condition(m),
+        )
     count = family.count if all(c.holds for c in conditions) else None
-    return SingleLetterCertificate("T12", _NOTIONS["T12"], cb, delta_bar,
-                                   conditions, count)
-
-
-def _check_cor2(ch, m, codebook):
-    if codebook is None:
-        raise UvinfoError("Cor2 needs a codebook")
-    cb = as_codebook(ch, codebook)
-    cap0 = capacity(ch, m, Fraction(0))
-    _, family = _one_dim_family(ch, m, cb, Fraction(0))
-    _require_achieving("Cor2", family, cap0.count, cb, Fraction(0))
-    conditions = (
-        _containment_condition(ch, cb, family),
-        _product_rule_condition(m),
-        _subadditivity_condition(m),
-    )
-    count = family.count if all(c.holds for c in conditions) else None
-    return SingleLetterCertificate("Cor2", _NOTIONS["Cor2"], cb, Fraction(0),
-                                   conditions, count)
-
-
-def _check_t13(ch, m, codebook, delta1, delta_bar, sequence):
-    if codebook is None or delta1 is None or sequence is None:
-        raise UvinfoError("T13 needs a codebook, delta_1, and a sequence")
-    cb = as_codebook(ch, codebook)
-    delta1 = ratio(delta1)
-    cap1 = capacity(ch, m, delta1)
-    pair = induced_pair(ch, cb)
-    m_out = m.of(pair.marginal_range("Y"))
-    delta_bar = delta1 / m_out if delta_bar is None else ratio(delta_bar)
-    theta = delta_bar / len(cb)
-    _, family = _one_dim_family(ch, m, cb, theta)
-    _require_achieving("T13", family, cap1.count, cb, theta)
-    v_min = ch.min_image_uncertainty(m)
-    delta_hat = max(m.of(s) / m_out for s in family.sets)
-    growth = delta_hat * len(cb)
-    low_ok, low_note = sequence.tail_at_least_geometric(delta_bar, growth)
-    up_ok, up_note = sequence.tail_below_one()
-    conditions = (
-        _noise_floor_condition(delta1, v_min),
-        Condition("level bound", delta_bar <= delta1 / m_out,
-                  f"delta_bar = {format_ratio(delta_bar)} vs "
-                  f"delta_1/m(Y) = {format_ratio(delta1 / m_out)}"),
-        Condition("tail floor", low_ok,
-                  f"delta_n >= {format_ratio(delta_bar)}*"
-                  f"({format_ratio(growth)})^(n-1) for n >= 2: {low_note}"),
-        Condition("tail below one", up_ok, up_note),
-        _product_rule_condition(m),
-    )
-    count = family.count if all(c.holds for c in conditions) else None
-    return SingleLetterCertificate("T13", _NOTIONS["T13"], cb, delta_bar,
+    return SingleLetterCertificate(variant, _NOTIONS[variant], cb, delta_bar,
                                    conditions, count, delta_hat=delta_hat)
 
 
@@ -638,10 +625,8 @@ def _check_t14(ch, m, codebook, delta_star):
         if delta_star is None:
             raise UvinfoError("T14 with an explicit codebook needs delta_star")
         delta_star = ratio(delta_star)
-    theta = delta_star / len(cb)
-    pair, family = _one_dim_family(ch, m, cb, theta)
-    _require_achieving("T14", family, best_count, cb, theta)
-    m_out = m.of(pair.marginal_range("Y"))
+    family = _achieving_family("T14", ch, m, cb, delta_star / len(cb), best_count)
+    m_out = _output_uncertainty(ch, m, cb)
     delta_hat = max(m.of(s) / m_out for s in family.sets)
     spread = delta_hat * len(cb)
     conditions = (
@@ -680,10 +665,37 @@ class ProfileReport:
     notes: tuple
 
 
-def _certificate_candidates(ch: Channel):
-    reps = distinct_image_representatives(ch)
-    for size in range(1, len(reps) + 1):
-        yield from itertools.combinations(reps, size)
+def _first_certificates(ch: Channel, m: UncertaintyFunction,
+                        seq: ConfidenceSequence, reps: tuple) -> tuple:
+    """The first certifying codebook of each applicable theorem, trying the
+    subsets of ``reps`` in combination order; below the capacity count a
+    codebook has too few family sets, so the walk starts at that count."""
+    found = []
+    delta1 = seq.value_at(1)
+    for variant, applicable, level in (
+            ("T12", True, delta1),
+            ("Cor2", seq.is_identically_zero(), Fraction(0)),
+            ("T13", True, delta1)):
+        if not applicable:
+            continue
+        expected = capacity(ch, m, level).count
+        for cb in itertools.chain.from_iterable(
+                itertools.combinations(reps, size)
+                for size in range(expected, len(reps) + 1)):
+            try:
+                cert = _certify(variant, ch, m, cb, expected, level, None, seq)
+            except NotCapacityAchieving:
+                continue
+            if cert.certifies:
+                found.append(cert)
+                break
+    if seq.vanishes():
+        # T14 finds its own codebook
+        try:
+            found.append(_check_t14(ch, m, None, None))
+        except NotCapacityAchieving:
+            pass
+    return tuple(cert for cert in found if cert.certifies)
 
 
 def capacity_profile(ch: Channel, m: UncertaintyFunction,
@@ -693,10 +705,11 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
 
     Horizon rows and their inf/sup are always labeled as finite-horizon
     bounds; the infinite-horizon capacities appear only in certificates,
-    found by trying every distinct-image codebook against the applicable
+    found by trying the distinct-image codebooks against the applicable
     theorems (T12 always, the zero-error corollary when the sequence is
     identically zero, T13 always, the vanishing-limit theorem when the
-    sequence vanishes).
+    sequence vanishes).  Past ``MI_SUP_MAX_SYMBOLS`` distinct images no
+    certificate is tried, and ``notes`` says so.
     """
     if n_max < 1:
         raise UvinfoError("n_max must be a positive integer")
@@ -725,39 +738,20 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
     inf_rate = min((r.rate for r in rows), key=functools.cmp_to_key(_rate_order))
     sup_rate = max((r.rate for r in rows), key=functools.cmp_to_key(_rate_order))
     horizon_span = rows[-1].horizon
-    certificates = []
-
-    def attempt(variant, codebooks, **kwargs):
-        for cb in codebooks:
-            try:
-                cert = single_letter_check(ch, m, variant, codebook=cb, **kwargs)
-            except NotCapacityAchieving:
-                continue
-            if cert.certifies:
-                return cert
-        return None
-
-    delta1 = seq.value_at(1)
-    # T14 finds its own codebook: one attempt, with none supplied
-    for variant, applicable, codebooks, kwargs in (
-            ("T12", True, _certificate_candidates(ch),
-             {"delta1": delta1, "sequence": seq}),
-            ("Cor2", seq.is_identically_zero(), _certificate_candidates(ch), {}),
-            ("T13", True, _certificate_candidates(ch),
-             {"delta1": delta1, "sequence": seq}),
-            ("T14", seq.vanishes(), (None,), {})):
-        if not applicable:
-            continue
-        cert = attempt(variant, codebooks, **kwargs)
-        if cert is not None:
-            certificates.append(cert)
+    certificates = ()
+    try:
+        reps = _brute_force_representatives(ch)
+    except AlphabetTooLarge as exc:
+        notes.append(f"certificates skipped: {exc}")
+    else:
+        certificates = _first_certificates(ch, m, seq, reps)
     return ProfileReport(
         tuple(rows), inf_rate, sup_rate,
         f"inf over horizons 1..{horizon_span} (upper bound on the "
         "infinite-horizon inf)",
         f"sup over horizons 1..{horizon_span} (lower bound on the "
         "infinite-horizon sup)",
-        tuple(certificates), tuple(notes))
+        certificates, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -258,15 +258,16 @@ class CardinalityPower(UncertaintyFunction):
 
 @dataclass(frozen=True)
 class LebesguePlusOffset(UncertaintyFunction):
-    """``m(S) = L(S) + offset`` for nonempty interval unions, ``0`` on empty."""
+    """``m(S) = L(S) + offset`` for nonempty interval unions, ``0`` on empty;
+    the offset must be positive, or a single point would measure 0."""
 
     offset: Fraction
     kind: str = field(default="lebesgue_plus_offset", init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "offset", ratio(self.offset))
-        if self.offset < 0:
-            raise UvinfoError("offset must be nonnegative")
+        if self.offset <= 0:
+            raise UvinfoError("offset must be positive")
 
     def of(self, subset: GroundSubset) -> Fraction:
         if not isinstance(subset, IntervalUnion):
@@ -276,10 +277,19 @@ class LebesguePlusOffset(UncertaintyFunction):
         return subset.measure() + self.offset
 
 
-def hamming_distance(a: str, b: str) -> int:
-    if len(a) != len(b):
-        raise UvinfoError("Hamming distance needs equal-length strings")
-    return sum(1 for ca, cb in zip(a, b) if ca != cb)
+def hamming_diameter(points: list, cap: int) -> int:
+    """The largest Hamming distance between two bit strings held as
+    integers; the scan stops early once it reaches ``cap``, the most any
+    pair can differ by."""
+    best = 0
+    for i, a in enumerate(points):
+        for b in points[i + 1:]:
+            d = (a ^ b).bit_count()
+            if d > best:
+                best = d
+                if best >= cap:
+                    return best
+    return best
 
 
 @dataclass(frozen=True)
@@ -303,16 +313,14 @@ class DiameterPlusOne(UncertaintyFunction):
             raise IncompatibleGround("diameter uncertainty needs a finite subset")
         if not subset:
             return Fraction(0)
-        if not all(isinstance(p, str) for p in subset):
+        if not all(isinstance(p, str) and set(p) <= {"0", "1"} for p in subset):
             raise IncompatibleGround("diameter uncertainty needs 0/1 string labels")
-        points = sorted(subset)
-        diam = 0
-        for i, a in enumerate(points):
-            for b in points[i + 1:]:
-                d = hamming_distance(a, b)
-                if d > diam:
-                    diam = d
-        return Fraction(diam + 1) / self.normalizer
+        lengths = {len(p) for p in subset}
+        if len(lengths) > 1:
+            raise UvinfoError("Hamming distance needs equal-length strings")
+        # the leading "0" lets the empty string read as the integer 0
+        points = [int("0" + p, 2) for p in subset]
+        return Fraction(hamming_diameter(points, lengths.pop()) + 1) / self.normalizer
 
 
 @dataclass(frozen=True)
@@ -557,7 +565,7 @@ __all__ = [
     "UncertaintyFunction",
     "UvinfoError",
     "format_ratio",
-    "hamming_distance",
+    "hamming_diameter",
     "ratio",
     "uncertainty_of",
 ]

@@ -248,6 +248,34 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == "error: no such input file: seq.json\n"
 
+    def test_zero_lebesgue_offset_exits_two(self, capsys, tmp_path):
+        # with offset 0 the single point [1, 1] where a and b meet would
+        # measure 0, which no uncertainty function may do
+        src = tmp_path / "cells.json"
+        src.write_text('{"kind": "hybrid", "cells": {"a": [[0, 1]], '
+                       '"b": [[1, 2]], "c": [[3, 4]]}}')
+        code, out, err = run(["analyze", "--pair", str(src), "--m-x", "card:3",
+                              "--m-y", "leb+0", "--delta1", "0",
+                              "--delta2", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: bad uncertainty spec 'leb+0': "
+                       "offset must be positive\n")
+
+    def test_profile_past_the_image_cap_keeps_its_rows(self, capsys, tmp_path):
+        src = tmp_path / "channel.json"
+        src.write_text(json.dumps(
+            {"map": {str(x): [x, x + 1] for x in range(13)}}))
+        code, out, err = run(["--format", "json", "rates", "--channel",
+                              str(src), "--m", "card:14", "--sequence",
+                              '{"kind": "geometric", "base": "1/100", '
+                              '"first": "1/50"}', "--n-max", "1"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert [row["count"] for row in payload["rows"]] == [7]
+        assert payload["certificates"] == []
+        assert payload["notes"] == ["certificates skipped: 13 distinct images "
+                                    "exceed the brute-force cap of 12"]
+
     def test_domain_error_exits_two(self, capsys):
         code, _, err = run(["capacity", "--channel", "fig5.json",
                             "--m", "card:19", "--delta", "1"], capsys)

@@ -6,6 +6,9 @@ must certify, and each individually broken hypothesis must fail exactly
 its own named condition (never by weakening the reported value).
 """
 
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +26,11 @@ from uvinfo import (
     ProductChannel,
     Rate,
     UvinfoError,
+    capacity,
     capacity_profile,
     induced_pair,
+    mi_sup_oracle,
+    overlap_family,
     parse_sequence_spec,
     product_pair,
     product_uncertainty,
@@ -32,6 +38,21 @@ from uvinfo import (
     single_letter_check,
     tensorization_check,
 )
+from uvinfo import memoryless
+from uvinfo.chancap import _uniform_x, as_codebook, distinct_image_representatives
+from uvinfo.memoryless import (
+    _NOTIONS,
+    Condition,
+    ProfileReport,
+    ProfileRow,
+    SingleLetterCertificate,
+    _containment_condition,
+    _horizon_one_sup,
+    _noise_floor_condition,
+    _product_rule_condition,
+    _subadditivity_condition,
+)
+from uvinfo.uvcore import format_ratio, ratio
 
 F = Fraction
 M1 = CardinalityPower(19)
@@ -350,6 +371,294 @@ class TestCapacityProfile:
         seq = ConfidenceSequence.constant(F(3, 2))
         with pytest.raises(DeltaOutOfRange, match="outside"):
             capacity_profile(fig5, M1, seq, 1)
+
+    @pytest.mark.parametrize("seq,theorems", [
+        (ConfidenceSequence.zero(), 3),
+        (geometric_tail(), 2),
+        (ConfidenceSequence.constant(F(1, 50)), 2),
+    ])
+    def test_one_capacity_search_per_theorem(self, monkeypatch, seq, theorems):
+        # six distinct images give 63 candidate codebooks per theorem; the
+        # rows take one search per horizon and T14 takes none
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return capacity(*args)
+
+        monkeypatch.setattr(memoryless, "capacity", counting)
+        ch = Channel.of({x: frozenset([x, (x + 1) % 6, 6]) for x in range(6)})
+        capacity_profile(ch, CardinalityPower(7), seq, 2)
+        assert len(calls) == 2 + theorems
+
+
+# ---------------------------------------------------------------------------
+# the certificate search against a copy of the per-codebook loop it replaced
+
+
+def _ref_family(ch, m, codebook, theta):
+    if not 0 <= theta <= 1:
+        raise NotCapacityAchieving(
+            f"level {format_ratio(theta)} for codebook {codebook} outside [0, 1]")
+    pair = induced_pair(ch, codebook)
+    family = overlap_family(pair, _uniform_x(pair), m, theta, "Y")
+    return pair, family
+
+
+def _ref_require(theorem, family, expected, codebook, theta):
+    if family is None:
+        raise NotCapacityAchieving(
+            f"{theorem}: codebook {codebook} has no overlap family at level "
+            f"{format_ratio(theta)} (not in the feasible set)")
+    if family.count != expected:
+        raise NotCapacityAchieving(
+            f"{theorem}: codebook {codebook} yields {family.count} family "
+            f"sets but the one-dimensional capacity count is {expected}")
+
+
+def _ref_t12(ch, m, codebook, delta1, delta_bar, sequence):
+    if codebook is None or delta1 is None or sequence is None:
+        raise UvinfoError("T12 needs a codebook, delta_1, and a sequence")
+    cb = as_codebook(ch, codebook)
+    delta1 = ratio(delta1)
+    cap1 = capacity(ch, m, delta1)
+    pair = induced_pair(ch, cb)
+    m_out = m.of(pair.marginal_range("Y"))
+    if delta_bar is None:
+        delta_bar = (delta1 / m_out) / (1 + Fraction(1, len(cb)))
+    else:
+        delta_bar = ratio(delta_bar)
+    theta = delta_bar / len(cb)
+    _, family = _ref_family(ch, m, cb, theta)
+    _ref_require("T12", family, cap1.count, cb, theta)
+    v_min = ch.min_image_uncertainty(m)
+    q = delta_bar * v_min / len(cb)
+    tail_ok, tail_note = sequence.tail_at_most_power(q)
+    level_lhs = delta_bar * (1 + Fraction(1, len(cb)))
+    level_rhs = delta1 / m_out
+    conditions = (
+        _noise_floor_condition(delta1, v_min),
+        _containment_condition(ch, cb, family),
+        Condition("level bound", level_lhs <= level_rhs,
+                  f"delta_bar(1 + 1/|X|) = {format_ratio(level_lhs)} vs "
+                  f"delta_1/m(Y) = {format_ratio(level_rhs)}"),
+        Condition("tail bound", tail_ok,
+                  f"delta_n <= ({format_ratio(q)})^n for n >= 2: {tail_note}"),
+        _product_rule_condition(m),
+        _subadditivity_condition(m),
+    )
+    count = family.count if all(c.holds for c in conditions) else None
+    return SingleLetterCertificate("T12", _NOTIONS["T12"], cb, delta_bar,
+                                   conditions, count)
+
+
+def _ref_cor2(ch, m, codebook):
+    if codebook is None:
+        raise UvinfoError("Cor2 needs a codebook")
+    cb = as_codebook(ch, codebook)
+    cap0 = capacity(ch, m, Fraction(0))
+    _, family = _ref_family(ch, m, cb, Fraction(0))
+    _ref_require("Cor2", family, cap0.count, cb, Fraction(0))
+    conditions = (
+        _containment_condition(ch, cb, family),
+        _product_rule_condition(m),
+        _subadditivity_condition(m),
+    )
+    count = family.count if all(c.holds for c in conditions) else None
+    return SingleLetterCertificate("Cor2", _NOTIONS["Cor2"], cb, Fraction(0),
+                                   conditions, count)
+
+
+def _ref_t13(ch, m, codebook, delta1, delta_bar, sequence):
+    if codebook is None or delta1 is None or sequence is None:
+        raise UvinfoError("T13 needs a codebook, delta_1, and a sequence")
+    cb = as_codebook(ch, codebook)
+    delta1 = ratio(delta1)
+    cap1 = capacity(ch, m, delta1)
+    pair = induced_pair(ch, cb)
+    m_out = m.of(pair.marginal_range("Y"))
+    delta_bar = delta1 / m_out if delta_bar is None else ratio(delta_bar)
+    theta = delta_bar / len(cb)
+    _, family = _ref_family(ch, m, cb, theta)
+    _ref_require("T13", family, cap1.count, cb, theta)
+    v_min = ch.min_image_uncertainty(m)
+    delta_hat = max(m.of(s) / m_out for s in family.sets)
+    growth = delta_hat * len(cb)
+    low_ok, low_note = sequence.tail_at_least_geometric(delta_bar, growth)
+    up_ok, up_note = sequence.tail_below_one()
+    conditions = (
+        _noise_floor_condition(delta1, v_min),
+        Condition("level bound", delta_bar <= delta1 / m_out,
+                  f"delta_bar = {format_ratio(delta_bar)} vs "
+                  f"delta_1/m(Y) = {format_ratio(delta1 / m_out)}"),
+        Condition("tail floor", low_ok,
+                  f"delta_n >= {format_ratio(delta_bar)}*"
+                  f"({format_ratio(growth)})^(n-1) for n >= 2: {low_note}"),
+        Condition("tail below one", up_ok, up_note),
+        _product_rule_condition(m),
+    )
+    count = family.count if all(c.holds for c in conditions) else None
+    return SingleLetterCertificate("T13", _NOTIONS["T13"], cb, delta_bar,
+                                   conditions, count, delta_hat=delta_hat)
+
+
+def _ref_t14(ch, m, codebook, delta_star):
+    best_count, best_delta = _horizon_one_sup(ch, m)
+    if codebook is None:
+        sup = mi_sup_oracle(ch, m, best_delta)
+        cb = sup.codebook
+        delta_star = sup.delta_tilde
+    else:
+        cb = as_codebook(ch, codebook)
+        if delta_star is None:
+            raise UvinfoError("T14 with an explicit codebook needs delta_star")
+        delta_star = ratio(delta_star)
+    theta = delta_star / len(cb)
+    pair, family = _ref_family(ch, m, cb, theta)
+    _ref_require("T14", family, best_count, cb, theta)
+    m_out = m.of(pair.marginal_range("Y"))
+    delta_hat = max(m.of(s) / m_out for s in family.sets)
+    spread = delta_hat * len(cb)
+    conditions = (
+        Condition("achieves the one-dimensional sup", True,
+                  f"count {best_count} attained (sup swept below the noise "
+                  f"floor, witness level {format_ratio(best_delta)})"),
+        Condition("spread bound", spread < 1,
+                  f"delta_hat*|X| = {format_ratio(spread)} vs 1"),
+        _product_rule_condition(m),
+    )
+    count = family.count if all(c.holds for c in conditions) else None
+    return SingleLetterCertificate("T14", _NOTIONS["T14"], cb, delta_star,
+                                   conditions, count, delta_hat=delta_hat)
+
+
+def _ref_single_letter(ch, m, variant, *, codebook=None, delta1=None,
+                       delta_bar=None, sequence=None, delta_star=None):
+    if variant not in _NOTIONS:
+        raise UvinfoError(f"unknown certificate variant {variant!r}")
+    if variant == "T12":
+        return _ref_t12(ch, m, codebook, delta1, delta_bar, sequence)
+    if variant == "Cor2":
+        return _ref_cor2(ch, m, codebook)
+    if variant == "T13":
+        return _ref_t13(ch, m, codebook, delta1, delta_bar, sequence)
+    return _ref_t14(ch, m, codebook, delta_star)
+
+
+def _ref_profile(ch, m, seq, n_max):
+    if n_max < 1:
+        raise UvinfoError("n_max must be a positive integer")
+    if not 0 <= seq.value_at(1) < 1:
+        raise DeltaOutOfRange(
+            f"delta_1 = {format_ratio(seq.value_at(1))} outside [0, 1)")
+    ok, reason = seq.tail_below_one()
+    if not ok:
+        raise DeltaOutOfRange(f"sequence leaves [0, 1): {reason}")
+    rows = []
+    notes = []
+    for n in range(1, n_max + 1):
+        try:
+            rate = rate_at_horizon(ch, m, seq.value_at(n), n)
+        except HorizonTooLarge as exc:
+            notes.append(f"horizon {n} skipped: {exc}")
+            break
+        rows.append(ProfileRow(n, seq.value_at(n), rate, f"horizon-{n} bound"))
+    if not rows:
+        raise HorizonTooLarge("no horizon fits the exact-search caps")
+
+    def order(a, b):
+        return a.compare(b) or (a.horizon - b.horizon)
+
+    inf_rate = min((r.rate for r in rows), key=functools.cmp_to_key(order))
+    sup_rate = max((r.rate for r in rows), key=functools.cmp_to_key(order))
+    span = rows[-1].horizon
+    reps = distinct_image_representatives(ch)
+    every = [cb for size in range(1, len(reps) + 1)
+             for cb in itertools.combinations(reps, size)]
+    delta1 = seq.value_at(1)
+    certificates = []
+    for variant, applicable, codebooks, kwargs in (
+            ("T12", True, every, {"delta1": delta1, "sequence": seq}),
+            ("Cor2", seq.is_identically_zero(), every, {}),
+            ("T13", True, every, {"delta1": delta1, "sequence": seq}),
+            ("T14", seq.vanishes(), (None,), {})):
+        if not applicable:
+            continue
+        for cb in codebooks:
+            try:
+                cert = _ref_single_letter(ch, m, variant, codebook=cb, **kwargs)
+            except NotCapacityAchieving:
+                continue
+            if cert.certifies:
+                certificates.append(cert)
+                break
+    return ProfileReport(
+        tuple(rows), inf_rate, sup_rate,
+        f"inf over horizons 1..{span} (upper bound on the infinite-horizon inf)",
+        f"sup over horizons 1..{span} (lower bound on the infinite-horizon sup)",
+        tuple(certificates), tuple(notes))
+
+
+def _outcome(call, *args, **kwargs):
+    """A call's whole result, or the type and message of what it raised."""
+    try:
+        return call(*args, **kwargs)
+    except UvinfoError as exc:
+        return type(exc), str(exc)
+
+
+_LEVELS = [F(0), F(1, 50), F(1, 20), F(1, 9), F(1, 5), F(2, 9), F(1, 3),
+           F(1, 2), F(3, 4)]
+
+
+def _random_case(seed):
+    """A channel of 2-7 inputs on 2-6 outputs, a cardinality measure of
+    exponent 1 or 2, and a sequence of any kind."""
+    rng = random.Random(seed)
+    ny = rng.randint(2, 6)
+    mapping = {x: frozenset(rng.sample(range(ny), rng.randint(1, ny)))
+               for x in range(rng.randint(2, 7))}
+    ch = Channel.of(mapping, y_alphabet=range(ny))
+    m = CardinalityPower(ny, rng.choice((1, 2)))
+    first = rng.choice([None] + _LEVELS)
+    kind = rng.choice(("zero", "constant", "geometric", "explicit"))
+    if kind == "zero":
+        seq = ConfidenceSequence.zero(first=first)
+    elif kind == "constant":
+        seq = ConfidenceSequence.constant(rng.choice(_LEVELS), first=first)
+    elif kind == "geometric":
+        seq = ConfidenceSequence.geometric(
+            rng.choice(_LEVELS), rng.choice((F(1), F(1, 2), F(3))), first=first)
+    else:
+        seq = ConfidenceSequence.explicit(
+            rng.choices(_LEVELS, k=rng.randint(0, 3)), first=first)
+    return rng, ch, m, seq
+
+
+class TestCertificateSearchMatchesTheReference:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_profiles(self, seed):
+        _, ch, m, seq = _random_case(seed)
+        n_max = 1 + seed % 2
+        assert _outcome(capacity_profile, ch, m, seq, n_max) \
+            == _outcome(_ref_profile, ch, m, seq, n_max)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_single_letter_checks(self, seed):
+        rng, ch, m, seq = _random_case(seed)
+        codebook = tuple(rng.sample(ch.x_symbols,
+                                    rng.randint(1, len(ch.x_symbols))))
+        variant = rng.choice(("T12", "Cor2", "T13", "T14"))
+        # each argument is left out now and then, to reach every refusal
+        kwargs = {"codebook": rng.choice((codebook,) * 3 + (None,)),
+                  "delta1": rng.choice(_LEVELS * 2 + [None]),
+                  "delta_bar": rng.choice((None, None, rng.choice(_LEVELS))),
+                  "sequence": rng.choice((seq,) * 3 + (None,)),
+                  "delta_star": rng.choice((None, rng.choice(_LEVELS)))}
+        assert _outcome(single_letter_check, ch, m, variant, **kwargs) \
+            == _outcome(_ref_single_letter, ch, m, variant, **kwargs)
 
 
 # ---------------------------------------------------------------------------

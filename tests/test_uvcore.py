@@ -205,6 +205,11 @@ class TestLebesguePlusOffset:
         with pytest.raises(UvinfoError):
             LebesguePlusOffset(F(-1))
 
+    def test_zero_offset_is_refused(self):
+        # a single point would measure 0, though it is not empty
+        with pytest.raises(UvinfoError, match="positive"):
+            LebesguePlusOffset(0)
+
     def test_needs_interval_subsets(self):
         with pytest.raises(IncompatibleGround):
             LebesguePlusOffset(1).of(frozenset([1]))
@@ -226,6 +231,13 @@ class TestDiameterPlusOne:
     def test_rejects_mixed_lengths(self):
         with pytest.raises(UvinfoError):
             DiameterPlusOne(3).of(frozenset(["01", "011"]))
+
+    def test_rejects_strings_other_than_bits(self):
+        with pytest.raises(IncompatibleGround, match="0/1"):
+            DiameterPlusOne(3).of(frozenset(["01", "0a"]))
+
+    def test_empty_strings_have_diameter_zero(self):
+        assert DiameterPlusOne(3).of(frozenset([""])) == F(1, 3)
 
     def test_rejects_non_string_labels(self):
         with pytest.raises(IncompatibleGround):
