@@ -4,140 +4,104 @@ Everything is computed over rationals (`fractions.Fraction`); no floats enter
 any comparison.  The package models nonempty-range uncertain variables on
 finite or interval grounds, measures sets with uncertainty functions, and
 builds overlap families, capacities, and single-letter certificates on top.
+
+``import uvinfo`` loads no submodule: each public name (and each submodule
+named below) is imported on first use, through a module ``__getattr__``.
 """
 
-from .uvcore import (
-    CardinalityPower,
-    DiameterPlusOne,
-    ExplicitWeights,
-    FiniteGround,
-    IncompatibleGround,
-    IntervalGround,
-    IntervalUnion,
-    LebesguePlusOffset,
-    PointOutsideRange,
-    UncertainPair,
-    UncertaintyFunction,
-    UvinfoError,
-    format_ratio,
-    ratio,
-    uncertainty_of,
-)
-from .infocalc import (
-    AssociationSets,
-    EmptyPair,
-    LevelStatus,
-    MIResult,
-    NotDisassociated,
-    OverlapFamily,
-    TaxicabFamily,
-    association_sets,
-    classify_levels,
-    delta_components,
-    mutual_information,
-    overlap_family,
-    taxicab_family,
-)
-from .chancap import (
-    CapacityResult,
-    Channel,
-    DeltaOutOfRange,
-    NotNormalized,
-    capacity,
-    check_distinguishable,
-    induced_pair,
-    mi_sup_oracle,
-    verify_coding_theorem,
-)
-from .memoryless import (
-    ConfidenceSequence,
-    HorizonTooLarge,
-    NonProductUncertainty,
-    NotCapacityAchieving,
-    ProductChannel,
-    Rate,
-    SingleLetterCertificate,
-    capacity_profile,
-    parse_sequence_spec,
-    product_pair,
-    product_uncertainty,
-    rate_at_horizon,
-    single_letter_check,
-    tensorization_check,
-)
-from .apps import (
-    BitString,
-    EquivocationMatrix,
-    LengthMismatch,
-    NotDistinguishable,
-    confusion_ingest,
-    hamming_distance_bound,
-    hamming_equivocation,
-    label_uncertainty,
-    matrix_capacity,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssociationSets",
-    "BitString",
-    "CapacityResult",
-    "CardinalityPower",
-    "Channel",
-    "ConfidenceSequence",
-    "DeltaOutOfRange",
-    "DiameterPlusOne",
-    "EmptyPair",
-    "EquivocationMatrix",
-    "ExplicitWeights",
-    "FiniteGround",
-    "HorizonTooLarge",
-    "IncompatibleGround",
-    "IntervalGround",
-    "IntervalUnion",
-    "LebesguePlusOffset",
-    "LengthMismatch",
-    "LevelStatus",
-    "MIResult",
-    "NonProductUncertainty",
-    "NotCapacityAchieving",
-    "NotDisassociated",
-    "NotDistinguishable",
-    "NotNormalized",
-    "OverlapFamily",
-    "PointOutsideRange",
-    "ProductChannel",
-    "Rate",
-    "SingleLetterCertificate",
-    "TaxicabFamily",
-    "UncertainPair",
-    "UncertaintyFunction",
-    "UvinfoError",
-    "association_sets",
-    "capacity",
-    "capacity_profile",
-    "check_distinguishable",
-    "classify_levels",
-    "confusion_ingest",
-    "delta_components",
-    "format_ratio",
-    "hamming_distance_bound",
-    "hamming_equivocation",
-    "induced_pair",
-    "label_uncertainty",
-    "matrix_capacity",
-    "mi_sup_oracle",
-    "mutual_information",
-    "overlap_family",
-    "parse_sequence_spec",
-    "product_pair",
-    "product_uncertainty",
-    "rate_at_horizon",
-    "ratio",
-    "single_letter_check",
-    "taxicab_family",
-    "tensorization_check",
-    "uncertainty_of",
-    "verify_coding_theorem",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "uvcore": (
+        "CardinalityPower",
+        "DiameterPlusOne",
+        "ExplicitWeights",
+        "FiniteGround",
+        "IncompatibleGround",
+        "IntervalGround",
+        "IntervalUnion",
+        "LebesguePlusOffset",
+        "PointOutsideRange",
+        "UncertainPair",
+        "UncertaintyFunction",
+        "UvinfoError",
+        "format_ratio",
+        "ratio",
+        "uncertainty_of",
+    ),
+    "infocalc": (
+        "AssociationSets",
+        "EmptyPair",
+        "LevelStatus",
+        "MIResult",
+        "NotDisassociated",
+        "OverlapFamily",
+        "TaxicabFamily",
+        "association_sets",
+        "classify_levels",
+        "delta_components",
+        "mutual_information",
+        "overlap_family",
+        "taxicab_family",
+    ),
+    "chancap": (
+        "CapacityResult",
+        "Channel",
+        "DeltaOutOfRange",
+        "NotNormalized",
+        "capacity",
+        "check_distinguishable",
+        "induced_pair",
+        "mi_sup_oracle",
+        "verify_coding_theorem",
+    ),
+    "memoryless": (
+        "ConfidenceSequence",
+        "HorizonTooLarge",
+        "NonProductUncertainty",
+        "NotCapacityAchieving",
+        "ProductChannel",
+        "Rate",
+        "SingleLetterCertificate",
+        "capacity_profile",
+        "parse_sequence_spec",
+        "product_pair",
+        "product_uncertainty",
+        "rate_at_horizon",
+        "single_letter_check",
+        "tensorization_check",
+    ),
+    "apps": (
+        "BitString",
+        "EquivocationMatrix",
+        "LengthMismatch",
+        "NotDistinguishable",
+        "confusion_ingest",
+        "hamming_distance_bound",
+        "hamming_equivocation",
+        "label_uncertainty",
+        "matrix_capacity",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # cached here, so the next lookup never reaches this hook
+    value = globals()[name] = getattr(
+        import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

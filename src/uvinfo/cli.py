@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .uvcore import (
     CardinalityPower,
@@ -26,10 +26,11 @@ from .uvcore import (
     format_ratio,
     ratio,
 )
-from . import infocalc
-from . import chancap
-from . import memoryless
-from . import apps
+
+# infocalc, chancap, memoryless and apps are imported inside the functions
+# that use them, so each command loads only the layers it runs
+if TYPE_CHECKING:
+    from . import apps, chancap, memoryless
 
 # card:<base>:<exp> computes (|S| / base) ** exp exactly, at a cost that grows
 # with the exponent without bound; the CLI refuses exponents past this cap
@@ -94,6 +95,7 @@ def parse_channel_spec(text: str) -> chancap.Channel:
     them are integral.  The optional "outputs" field fixes the output
     alphabet; without it the alphabet is the union of the images.
     """
+    from . import chancap
     obj = _load_json(text)
     if not isinstance(obj, dict) or not isinstance(obj.get("map"), dict):
         raise ParseError("a channel spec is an object with a 'map' field")
@@ -222,6 +224,7 @@ def parse_m_spec(text: str):
 def parse_matrix_spec(text: str) -> apps.EquivocationMatrix:
     """Parse {"labels": [...], "entries": [[l1, l2, "p/q"], ...],
     "v_min": "p/q"} into an EquivocationMatrix."""
+    from . import apps
     obj = _load_json(text)
     if not isinstance(obj, dict) or not isinstance(obj.get("labels"), list):
         raise ParseError("a matrix spec is an object with a 'labels' list")
@@ -273,8 +276,6 @@ def _plain(obj):
     if isinstance(obj, IntervalUnion):
         return [[format_ratio(lo), format_ratio(hi)]
                 for lo, hi in obj.pieces]
-    if isinstance(obj, apps.BitString):
-        return str(obj)
     if isinstance(obj, frozenset):
         return sorted((_plain(v) for v in obj), key=str)
     if isinstance(obj, (list, tuple)):
@@ -398,6 +399,7 @@ def _channel_and_measure(args):
 
 
 def _cmd_analyze(args):
+    from . import infocalc
     pair, m_x, m_y = _pair_and_measures(args)
     assoc = infocalc.association_sets(pair, m_x, m_y)
     payload = {
@@ -429,6 +431,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_mi(args):
+    from . import infocalc
     pair, m_x, m_y = _pair_and_measures(args)
     delta = _parse_ratio(args.delta1)
     result = infocalc.mutual_information(pair, m_x, m_y, delta,
@@ -446,12 +449,14 @@ def _cmd_mi(args):
 
 
 def _cmd_capacity(args):
+    from . import chancap
     ch, m = _channel_and_measure(args)
     res = chancap.capacity(ch, m, _parse_ratio(args.delta))
     return {"command": "capacity", **_capacity_payload(res)}, 0
 
 
 def _cmd_rates(args):
+    from . import memoryless
     ch, m = _channel_and_measure(args)
     if args.sequence:
         seq = _parse_sequence(args.sequence)
@@ -485,6 +490,7 @@ def _cmd_rates(args):
 def _parse_sequence(text: str) -> memoryless.ConfidenceSequence:
     """Accept inline JSON (an object, so it starts with ``{``) or a path to
     a JSON file; anything else is a missing file, not bad JSON."""
+    from . import memoryless
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -497,6 +503,7 @@ def _parse_sequence(text: str) -> memoryless.ConfidenceSequence:
 
 
 def _cmd_single_letter(args):
+    from . import memoryless
     ch, m = _channel_and_measure(args)
     kwargs = {}
     if args.codebook:
@@ -512,6 +519,7 @@ def _cmd_single_letter(args):
 
 
 def _cmd_verify(args):
+    from . import chancap, infocalc, memoryless
     ch, m = _channel_and_measure(args)
     if args.deltas:
         deltas = [_parse_ratio(t) for t in args.deltas.split(",")]
@@ -564,6 +572,7 @@ def _cmd_verify(args):
 
 
 def _cmd_hamming(args):
+    from . import apps
     if args.words:
         words = [w.strip() for w in args.words.split(",")]
     else:
@@ -583,7 +592,7 @@ def _cmd_hamming(args):
         "threshold": report.threshold,
         "min_distance": report.min_distance,
         "correctable": report.correctable,
-        "pairs": [{"x1": row.pair[0], "x2": row.pair[1],
+        "pairs": [{"x1": str(row.pair[0]), "x2": str(row.pair[1]),
                    "distance": row.distance, "bound": row.bound,
                    "correctable": row.correctable}
                   for row in report.rows],
@@ -592,6 +601,7 @@ def _cmd_hamming(args):
 
 
 def _cmd_classify(args):
+    from . import apps, chancap
     delta = _parse_ratio(args.delta)
     if args.matrix:
         em = parse_matrix_spec(_read_input(args.matrix, "matrix"))
@@ -617,6 +627,7 @@ def _cmd_classify(args):
 
 
 def _walkers_case() -> tuple:
+    from . import infocalc
     pair, m_x, m_y = parse_pair_spec(_read_input("walkers.json", "pair"))
     assoc = infocalc.association_sets(pair, m_x, m_y)
     checks = [
@@ -652,6 +663,7 @@ def _fig5():
 
 
 def _capacity_case() -> tuple:
+    from . import chancap
     ch, m1, _ = _fig5()
     checks = []
     for delta, count, witness in ((Fraction(0), 2, (1, 13)),
@@ -664,6 +676,7 @@ def _capacity_case() -> tuple:
 
 
 def _sup_sequence_case() -> tuple:
+    from . import memoryless
     ch, m1, _ = _fig5()
     seq = memoryless.ConfidenceSequence.geometric(
         Fraction(7, 342), first=Fraction(2, 9))
@@ -680,6 +693,7 @@ def _sup_sequence_case() -> tuple:
 
 
 def _zero_error_case() -> tuple:
+    from . import chancap, memoryless
     ch, m1, _ = _fig5()
     cert = memoryless.single_letter_check(ch, m1, "Cor2", codebook=(1, 7, 13))
     checks = [
@@ -692,6 +706,7 @@ def _zero_error_case() -> tuple:
 
 
 def _inf_sequence_case() -> tuple:
+    from . import memoryless
     ch, _, m3 = _fig5()
     growth = 3 * Fraction(7, 19) ** 3
     seq = memoryless.ConfidenceSequence.geometric(
@@ -709,6 +724,7 @@ def _inf_sequence_case() -> tuple:
 
 
 def _vanishing_case() -> tuple:
+    from . import memoryless
     ch, _, m3 = _fig5()
     cert = memoryless.single_letter_check(ch, m3, "T14")
     checks = [
@@ -747,13 +763,21 @@ def _cmd_examples(args):
 
 def run_command(args: argparse.Namespace) -> int:
     """Execute one parsed command: prints the report, returns the exit code
-    (0 success, 1 verification mismatch, 2 input error)."""
+    (0 success, 1 verification mismatch, 2 input error, 3 internal error).
+
+    Any other exception is a fault of the program, not of the input: it is
+    reported on one stderr line and exits 3, never 1, which is reserved for
+    a mismatch.  KeyboardInterrupt and SystemExit are not ``Exception``s
+    and pass through."""
     try:
         payload, code = args.handler(args)
+        _emit(payload, args.format)
     except UvinfoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.format)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from uvinfo import CardinalityPower, DiameterPlusOne, LebesguePlusOffset
+from uvinfo import CardinalityPower, DiameterPlusOne, LebesguePlusOffset, cli
 from uvinfo.cli import (
     CARD_MAX_BITS,
     CARD_MAX_EXPONENT,
@@ -389,6 +389,26 @@ class TestErrorHandling:
                               "--m", "diam:3", "--delta", "0"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
+        # exit 1 means a verification mismatch, so a fault of the program
+        # gets its own code and one line, not a traceback
+        def broken(args):
+            raise RuntimeError("handler fault")
+        monkeypatch.setattr(cli, "_cmd_capacity", broken)
+        code, out, err = run(["capacity", "--channel", "fig5.json",
+                              "--m", "card:19", "--delta", "0"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "internal error: RuntimeError: handler fault\n"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupts_are_not_internal_errors(self, monkeypatch, exc):
+        def interrupted(args):
+            raise exc()
+        monkeypatch.setattr(cli, "_cmd_capacity", interrupted)
+        with pytest.raises(exc):
+            main(["capacity", "--channel", "fig5.json", "--m", "card:19",
+                  "--delta", "0"])
 
 
 class TestDeterminism:
