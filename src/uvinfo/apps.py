@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .uvcore import CardinalityPower, UvinfoError, format_ratio, hamming_diameter, ratio
@@ -241,14 +242,18 @@ class EquivocationMatrix:
         return EquivocationMatrix.of(ch.x_symbols, mapping,
                                      v_min=ch.min_image_uncertainty(m))
 
+    @cached_property
+    def _by_pair(self) -> dict:
+        return dict(self.entries)
+
     def value(self, l1, l2) -> Fraction:
         if l1 == l2:
             raise UvinfoError("no diagonal equivocation")
         pair = (min(l1, l2), max(l1, l2))
-        for entry, v in self.entries:
-            if entry == pair:
-                return v
-        raise UvinfoError(f"unknown label pair {pair!r}")
+        try:
+            return self._by_pair[pair]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise UvinfoError(f"unknown label pair {pair!r}") from None
 
 
 def matrix_capacity(em: EquivocationMatrix, delta) -> CapacityResult:

@@ -5,8 +5,8 @@ equivocation of two inputs is the (normalized) uncertainty of their image
 intersection.  Capacity is the log of the largest codebook whose pairwise
 equivocations all clear the size-dependent threshold ``delta / k``; it is
 found by a bitset clique search over the ranks of the distinct pair values,
-whose clique carries over to later sizes while it survives in their graphs,
-and certified by refuting size ``count + 1``.
+whose clique carries over to later sizes, cut down to what survives in their
+graphs and completed greedily, and certified by refuting size ``count + 1``.
 
 Two front ends feed that one engine, each with a builder that gives the
 graph of any cut of the ranked pair values.  Under a ``CardinalityPower`` a
@@ -509,10 +509,12 @@ def _complements(adj: list) -> list:
 class _Graph:
     """One graph of the engine as adjacency bitsets, and its clique query.
 
-    A query first runs on a budget of ``_STALL_NODES_PER_VERTEX`` nodes per
-    vertex.  The first query that runs out renumbers the graph once into
-    smallest-last order; it and every later query on the graph then run
-    there with no limit, their answers mapped back."""
+    A query first completes greedily what survives of its hint; only when
+    that falls short does a colouring search run, first on a budget of
+    ``_STALL_NODES_PER_VERTEX`` nodes per vertex.  The first search that
+    runs out renumbers the graph once into smallest-last order; it and
+    every later search on the graph then run there with no limit, their
+    answers mapped back."""
 
     __slots__ = ("adj", "_non", "_relabelled")
 
@@ -521,7 +523,18 @@ class _Graph:
         self._non = None
         self._relabelled = None
 
-    def clique(self, cand: int, need: int) -> Optional[int]:
+    def clique(self, cand: int, need: int, hint: int = 0) -> Optional[int]:
+        """A clique of at least ``need`` vertices within ``cand``, maximal
+        there, or None when there is none.  The members of ``hint`` that
+        are still a clique here (see ``_maximal``), completed greedily
+        within ``cand``, settle the query when they are enough."""
+        found = _maximal(self.adj, hint, cand)
+        if found.bit_count() >= need:
+            return found
+        found = self._branch_and_bound(cand, need)
+        return None if found is None else _maximal(self.adj, found, cand)
+
+    def _branch_and_bound(self, cand: int, need: int) -> Optional[int]:
         if self._relabelled is None:
             if self._non is None:
                 self._non = _complements(self.adj)
@@ -540,30 +553,20 @@ class _Graph:
         return None if found is None else back(found)
 
 
-def _maximal(adj: list, clique: int, cand: int) -> int:
-    """``clique`` extended greedily, least vertex first, to a clique that is
-    maximal among the vertices of ``cand``."""
-    common, rest = cand, clique
-    while rest:
-        low = rest & -rest
-        common &= adj[low.bit_length() - 1]
-        rest ^= low
-    while common:
-        low = common & -common
-        clique |= low
-        common &= adj[low.bit_length() - 1]
+def _maximal(adj: list, hint: int, cand: int) -> int:
+    """A clique that is maximal among the vertices of ``cand``, built
+    greedily, least vertex first: first from the members of ``hint`` in
+    ``cand``, each kept when it is adjacent to all kept so far, so a clique
+    ``hint`` is kept whole, then from all of ``cand``."""
+    clique, reach = 0, -1  # reach: the vertices adjacent to all kept so far
+    for pool in (hint & cand, cand):
+        common = pool & reach
+        while common:
+            low = common & -common
+            clique |= low
+            reach &= adj[low.bit_length() - 1]
+            common &= reach
     return clique
-
-
-def _is_clique(adj: list, clique: int) -> bool:
-    """Whether the vertex bitset ``clique`` is pairwise adjacent."""
-    rest = clique
-    while rest:
-        low = rest & -rest
-        if clique & ~adj[low.bit_length() - 1] != low:
-            return False
-        rest ^= low
-    return True
 
 
 def _search(symbols, numbering, values, adjacency,
@@ -577,7 +580,7 @@ def _search(symbols, numbering, values, adjacency,
     n = len(symbols)
     all_vertices = (1 << n) - 1
     per_size, thresholds = [], []
-    cut, graph, clique = bisect.bisect_right(values, delta), None, None
+    cut, graph, clique = bisect.bisect_right(values, delta), None, 0
     # value p/q is at most delta/k = dn/(dd k) exactly when p dd k <= dn q
     dn, dd = delta.as_integer_ratio()
     keys = [(p * dd, dn * q)
@@ -586,17 +589,15 @@ def _search(symbols, numbering, values, adjacency,
         size_cut = cut
         while size_cut and keys[size_cut - 1][0] * k > keys[size_cut - 1][1]:
             size_cut -= 1
-        if graph is None or size_cut != cut:
-            cut = size_cut
-            graph = _Graph(adjacency(cut))
-            if clique is not None and not _is_clique(graph.adj, clique):
-                clique = None
-        # a clique found at an earlier size certifies this one while it
-        # survives in this size's graph
-        if clique is None or clique.bit_count() < k:
-            clique = graph.clique(all_vertices, k)
-            if clique is not None:
-                clique = _maximal(graph.adj, clique, all_vertices)
+        # the maximal clique of the last size certifies this one while it has
+        # k vertices in this size's graph; a graph that drops some of its
+        # pairs keeps what is left of it, completed greedily, and searches
+        # only when that is too small
+        fresh = graph is None or size_cut != cut
+        if fresh:
+            cut, graph = size_cut, _Graph(adjacency(size_cut))
+        if fresh or clique.bit_count() < k:
+            clique = graph.clique(all_vertices, k, clique)
         per_size.append((k, clique is not None))
         thresholds.append((k, delta / k))
         if clique is None:
@@ -605,7 +606,8 @@ def _search(symbols, numbering, values, adjacency,
     # include-first scan in symbol order: commit the next symbol exactly
     # when the prefix still completes to a count-clique among the later
     # candidates; ``certificate`` stays such a completion, so a symbol in it
-    # needs no query
+    # needs no query, and its neighbours of any other symbol are the hint
+    # of that symbol's query
     adj, witness, cand = final.adj, [], all_vertices
     for symbol, v in zip(symbols, numbering):
         if len(witness) == count:
@@ -614,10 +616,11 @@ def _search(symbols, numbering, values, adjacency,
             continue
         cand ^= 1 << v
         if not certificate >> v & 1:
-            found = final.clique(cand & adj[v], count - len(witness) - 1)
+            found = final.clique(cand & adj[v], count - len(witness) - 1,
+                                 certificate & adj[v])
             if found is None:
                 continue
-            certificate = _maximal(adj, found, cand & adj[v])
+            certificate = found
         witness.append(symbol)
         cand &= adj[v]
         certificate &= cand
@@ -655,15 +658,20 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     evaluated and ranked pair by pair, in input order.  A search that
     visits more nodes than the graph has vertices is dropped; the graph is
     renumbered once into smallest-last (degeneracy) order, and that search
-    and every later one on the graph run there with no limit.  The clique a
-    search finds is extended greedily to a maximal one and kept as a
-    certificate: every later size whose graph still holds it whole, with at
-    least k vertices, is feasible without a search.  The witness is the
-    lexicographically least optimal codebook, found once at the final size
-    by an include-first scan in symbol order, whatever the numbering, whose
-    completion test is the same clique query; the scan keeps a clique that
-    completes its prefix, so a symbol in that clique is committed without a
-    query.
+    and every later one on the graph run there with no limit.  Every clique
+    is kept maximal, as a certificate that carries over from size to size.
+    A size whose graph drops pairs the certificate used repairs it: it
+    keeps each member, least vertex first, that is adjacent to all kept so
+    far, and completes the rest greedily.  A size whose certificate (after
+    any repair) has at least k vertices is feasible with no search, and
+    every query completes a clique greedily before it searches, so a search
+    runs only where greedy completion falls short, as at the refutation of
+    count + 1.  The witness is the lexicographically least optimal codebook,
+    found once at the final size by an include-first scan in symbol order,
+    whatever the numbering, whose completion test is the same clique query;
+    the scan keeps a clique that completes its prefix, so a symbol in that
+    clique is committed without a query, and the query of any other symbol
+    starts from that clique's members among its neighbours.
     """
     _require_normalized(ch, m)
     _require_delta_finite(delta)

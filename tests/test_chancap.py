@@ -423,10 +423,196 @@ class TestCertificateReuse:
             441, tuple(itertools.product(range(21), repeat=2)),
             tuple((k, k <= 441) for k in sizes),
             tuple((k, F(0)) for k in sizes), F(0))
-        # one search at size 1, extended to a maximal clique of 441, one that
-        # refutes size 442 and a trivial last witness query; proving each
-        # size anew would take 442 searches, and the witness scan more
+        # the greedy completion at size 1 finds a maximal clique of 441, so
+        # the one search refutes size 442; proving each size anew would take
+        # 442 searches, and the witness scan more
         assert len(top_level) <= 4
+
+
+def is_clique(adj, bits) -> bool:
+    """Whether the vertex bitset ``bits`` is pairwise adjacent in ``adj``."""
+    return all(bits & ~adj[v] == 1 << v for v in range(len(adj)) if bits >> v & 1)
+
+
+def subset_search(symbols, value, delta) -> CapacityResult:
+    """The least feasible codebook of each size, in combinations order, up
+    to the first size with none: no larger size has one, since every
+    k-subset of a feasible (k + 1)-codebook is feasible at delta / k.  Each
+    pair value is read once."""
+    values = {pair: value(*pair) for pair in itertools.combinations(symbols, 2)}
+    per_size, least = [], None
+    for k in range(1, len(symbols) + 1):
+        close = {pair for pair, v in values.items() if v <= delta / k}
+        found = next((cb for cb in itertools.combinations(symbols, k)
+                      if close.issuperset(itertools.combinations(cb, 2))), None)
+        per_size.append((k, found is not None))
+        if found is None:
+            break
+        least = found
+    return CapacityResult(len(least), least, tuple(per_size),
+                          tuple((k, delta / k) for k, _ in per_size), delta)
+
+
+def repaired(call) -> tuple:
+    """``call()`` and the number of its clique queries that the repair
+    settled: each had a hint that is no clique of the query's graph, and
+    none ran a colouring search."""
+    query, search = chancap._Graph.clique, chancap._clique
+    settled, searches = [], []
+
+    def counting(*args):
+        searches.append(1)
+        return search(*args)
+
+    def recording(graph, cand, need, hint=0):
+        before = len(searches)
+        found = query(graph, cand, need, hint)
+        if found is not None and len(searches) == before and \
+                not is_clique(graph.adj, hint & cand):
+            settled.append(need)
+        return found
+
+    with mock.patch.object(chancap, "_clique", counting), \
+            mock.patch.object(chancap._Graph, "clique", recording):
+        return call(), len(settled)
+
+
+def searched_afresh(call):
+    """``call()`` with every clique query answered by a colouring search
+    over its whole candidate set, with no hint and no greedy completion."""
+    def clique(graph, cand, need, hint=0):
+        found = graph._branch_and_bound(cand, need)
+        return None if found is None else chancap._maximal(graph.adj, found, cand)
+
+    with mock.patch.object(chancap._Graph, "clique", clique):
+        return call()
+
+
+def top_level_searches(call) -> tuple:
+    """``call()`` and the ``need`` of each colouring search it ran; the
+    search keeps its own stack, so every call is a top-level one."""
+    search, needs = chancap._clique, []
+
+    def recording(adj, non, cand, need, budget):
+        needs.append(need)
+        return search(adj, non, cand, need, budget)
+
+    with mock.patch.object(chancap, "_clique", recording):
+        return call(), needs
+
+
+REPAIR_DELTAS = (F(1, 3), F(1, 2))
+REPAIR_IMAGES = ((3, 8), (6, 14))
+
+
+class TestCertificateRepair:
+    """A graph that drops pairs the last certificate used keeps the rest of
+    it, completed greedily, and searches only when that is too small; no
+    result, witness included, may depend on it.  The channels are those of
+    the benchmark's tail, where the certificate breaks at most sizes."""
+
+    def test_few_searches_on_ninety_inputs(self):
+        def run():
+            counts = []
+            for seed in range(8):
+                rng = random.Random(900 + seed)
+                ch = random_channel(rng, 90, 30, REPAIR_IMAGES[seed % 2])
+                counts.append(capacity(ch, CardinalityPower(30), F(1, 2)).count)
+            return counts
+
+        counts, needs = top_level_searches(run)
+        assert counts == [15, 7] * 4
+        # 13 searches when measured (1-3 per query, the refutation of
+        # count + 1 among them); searching every size that drops a pair of
+        # the certificate took 84
+        assert len(needs) <= 16
+
+    def test_surviving_certificate_needs_no_search(self):
+        # c-f are pairwise 0 and a-b is 1/7; every other pair is 1.  Size 3
+        # searches and finds c-f; size 4 drops a-b, so a greedy completion
+        # from a alone stops at {a}, but c-f survive whole and certify size 4
+        mapping = {pair: 1 for pair in itertools.combinations("abcdef", 2)}
+        mapping.update({pair: 0 for pair in itertools.combinations("cdef", 2)})
+        mapping["a", "b"] = F(1, 7)
+        em = EquivocationMatrix.of("abcdef", mapping)
+        result, needs = top_level_searches(lambda: matrix_capacity(em, F(1, 2)))
+        assert result == brute_force_capacity(em.labels, em.value, F(1, 2))
+        assert result.witness == tuple("cdef")
+        # the searches at sizes 3 and 5, and the empty queries of a and b
+        assert needs == [3, 5, 3, 3]
+
+    def test_witness_query_starts_from_the_certificate(self):
+        # the triangles a-d-e and c-d-e, and the edge a-b; size 3 finds
+        # c-d-e, so the query of a is settled by d-e, where a greedy
+        # completion from b alone would stop at {b}
+        edges = {("a", "b"), ("a", "d"), ("a", "e"), ("c", "d"), ("c", "e"),
+                 ("d", "e")}
+        em = EquivocationMatrix.of("abcde", {
+            pair: 0 if pair in edges else 1
+            for pair in itertools.combinations("abcde", 2)})
+        result, needs = top_level_searches(lambda: matrix_capacity(em, F(1, 2)))
+        assert result == brute_force_capacity(em.labels, em.value, F(1, 2))
+        assert result.witness == tuple("ade")
+        # the searches at sizes 3 and 4, and the empty query of b
+        assert needs == [3, 4, 1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_small_channels_against_subset_search(self, seed):
+        rng = random.Random(1000 + seed)
+        ch = random_channel(rng, rng.randint(10, 20), 30, REPAIR_IMAGES[seed % 2])
+        m = CardinalityPower(30)
+
+        def value(a, b):
+            return m.of(ch.image(a) & ch.image(b))
+
+        for delta in REPAIR_DELTAS:
+            assert capacity(ch, m, delta) == subset_search(
+                ch.x_symbols, value, delta)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_large_channels_against_both_front_ends(self, seed):
+        rng = random.Random(1100 + seed)
+        ch = random_channel(rng, rng.randint(40, 90), 30, REPAIR_IMAGES[seed % 2])
+        m = CardinalityPower(30)
+        pair_values = chancap._pair_values(ch, m)
+        settled = 0
+        for delta in REPAIR_DELTAS:
+            result, used = repaired(lambda: capacity(ch, m, delta))
+            settled += used
+            assert result == chancap._capacity_search(
+                ch.x_symbols, pair_values, delta)
+            assert result == searched_afresh(lambda: capacity(ch, m, delta))
+        assert settled
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_horizon_two_products(self, seed):
+        rng = random.Random(1200 + seed)
+        base = random_channel(rng, 4, 6, (2, 4))
+        ch = ProductChannel(base, 2).materialize()
+        m = product_uncertainty(CardinalityPower(6), 2)
+
+        def value(a, b):
+            return m.of(ch.image(a) & ch.image(b))
+
+        for delta in REPAIR_DELTAS:
+            result = capacity(ch, m, delta)
+            assert result == subset_search(ch.x_symbols, value, delta)
+            assert result == searched_afresh(lambda: capacity(ch, m, delta))
+            assert rate_at_horizon(base, CardinalityPower(6), delta, 2) == \
+                Rate(result.count, 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matrix_capacity(self, seed):
+        rng = random.Random(1300 + seed)
+        labels = [f"l{i}" for i in range(rng.randint(10, 18))]
+        levels = [F(0), F(1, 30), F(1, 15), F(1, 10), F(1, 6), F(1, 4), F(1)]
+        mapping = {pair: rng.choice(levels)
+                   for pair in itertools.combinations(labels, 2)}
+        em = EquivocationMatrix.of(labels, mapping, v_min=F(3, 4))
+        for delta in REPAIR_DELTAS:
+            result = matrix_capacity(em, delta)
+            assert result == subset_search(em.labels, em.value, delta)
+            assert result == searched_afresh(lambda: matrix_capacity(em, delta))
 
 
 class _HeavierZero(CardinalityPower):
@@ -630,7 +816,10 @@ class TestStalledSearchRestart:
         forced, unlimited, renumbered = under_both_budgets(
             lambda: capacity(ch, m, delta))
         assert forced == unlimited == channel_oracle(ch, m, delta)
-        assert renumbered  # size 1 always asks for a clique
+        # a graph is renumbered when a search runs on it; the refutation of
+        # count + 1 always searches, and when every input fits, the greedy
+        # completion at size 1 finds them all and nothing searches
+        assert bool(renumbered) == (forced.count < len(ch.x_symbols))
 
     @given(channels(max_inputs=3, max_outputs=3),
            st.sampled_from([F(0), F(1, 9), F(1, 3), F(2, 3)]))
@@ -788,6 +977,11 @@ class TestDeepSearch:
         n = 2200
         everyone = (1 << n) - 1
         adj = [everyone ^ 1 << v ^ 1 << (v ^ 1) for v in range(n)]
-        found = chancap._Graph(adj).clique(everyone, 1100)
-        assert found.bit_count() == 1100 and chancap._is_clique(adj, found)
+        found = chancap._clique(adj, chancap._complements(adj), everyone, 1100,
+                                [math.inf])
+        assert found.bit_count() == 1100 and is_clique(adj, found)
+        # a query completes a clique greedily before it searches, and here
+        # that alone finds one of 1100
+        greedy = chancap._Graph(adj).clique(everyone, 1100)
+        assert greedy.bit_count() == 1100 and is_clique(adj, greedy)
         assert chancap._Graph(adj).clique(everyone, 1101) is None
