@@ -8,16 +8,17 @@ found by a bitset clique search over the ranks of the distinct pair values,
 whose clique carries over to later sizes, cut down to what survives in their
 graphs and completed greedily, and certified by refuting size ``count + 1``.
 
-Two front ends feed that one engine, each with a builder that gives the
-graph of any cut of the ranked pair values.  Under a ``CardinalityPower`` a
-pair's value rises strictly with the integer ``|N(x1) ∩ N(x2)|``, so the
-counts themselves are the ranks: one packed table per channel holds every
-pair's count, each input's row the sum of its outputs' columns with one
-fixed-width field per input, and the graph of a size cut is one
-``bytes.translate`` of each row (a few when a count needs more than one
-byte), with no ``Fraction`` per pair.  Every
-other measure, and ``apps.matrix_capacity``, ranks the ``Fraction`` value
-of every pair and ORs the rows of the ranks below the cut.
+Two front ends feed that one engine, and both hand it one packed table per
+channel: a row per vertex with a fixed-width big-endian field per vertex,
+whose field ``j`` of row ``i`` orders the pair ``{i, j}`` among the pair
+values, and the table value of each cut.  The graph of a cut is one
+``bytes.translate`` of each row (a few when a field needs more than one
+byte), in ``_at_most``.  Under a ``CardinalityPower`` a pair's value rises
+strictly with the integer ``|N(x1) ∩ N(x2)|``, so the fields are the counts
+themselves, each input's row the sum of its outputs' columns, with no
+``Fraction`` per pair.  Every other measure, and ``apps.matrix_capacity``,
+ranks the ``Fraction`` value of every pair and writes the ranks into the
+table by slice assignment.
 
 The cost of a colouring search depends on the order of its vertices.  The
 count front end numbers the inputs by ascending collision mass, which
@@ -40,6 +41,8 @@ import bisect
 import itertools
 import math
 import operator
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,38 +189,13 @@ def _pair_values(ch: Channel, m: UncertaintyFunction) -> list:
     return [m.of(a & b) for a, b in itertools.combinations(ch.images, 2)]
 
 
-def _ranked_rows(n: int, pair_values, limit: Fraction) -> tuple:
-    """The ``Fraction`` front end, given the pair values of ``n`` vertices
-    in ``itertools.combinations`` order: the distinct values in increasing
-    order and the adjacency builder of the engine, which ORs the rows
-    ``{vertex: neighbours at that rank}`` of the ranks below its cut; rows
-    are kept for every rank whose value is at most ``limit``."""
-    # A measure usually hands out one object per distinct value, so pairs are
-    # ranked through the identity of their value; only the distinct objects
-    # are keyed by (numerator, denominator), exact since Fractions are kept
-    # in lowest terms, and far cheaper to hash than the Fraction itself.
-    objects = dict(zip(map(id, pair_values), pair_values))
-    keys = {i: v.as_integer_ratio() for i, v in objects.items()}
-    values = sorted(dict(zip(keys.values(), objects.values())).values())
-    rank = {v.as_integer_ratio(): r for r, v in enumerate(values)}
-    rank_of = {i: rank[key] for i, key in keys.items()}
-    top = bisect.bisect_right(values, limit)
-    rows = [{} for _ in range(top)]
-    pair_ranks = map(rank_of.__getitem__, map(id, pair_values))
-    for (i, j), r in zip(itertools.combinations(range(n), 2), pair_ranks):
-        if r < top:
-            row = rows[r]
-            row[i] = row.get(i, 0) | 1 << j
-            row[j] = row.get(j, 0) | 1 << i
-
-    def adjacency(cut: int) -> list:
-        adj = [0] * n
-        for row in rows[:cut]:
-            for i, bits in row.items():
-                adj[i] |= bits
-        return adj
-
-    return values, adjacency
+def _field_width(largest: int) -> int:
+    """The bytes of a table field that holds every value up to ``largest``
+    below the all-ones mark of a vertex's own field."""
+    width = 1
+    while largest >= 256 ** width - 1:
+        width *= 2
+    return width
 
 
 def _count_table(images) -> tuple:
@@ -232,9 +210,7 @@ def _count_table(images) -> tuple:
     and the all-ones mark above it, so no count carries into its neighbour
     and no size ever reaches an input's own field.
     """
-    n, largest, width = len(images), max(map(len, images)), 1
-    while largest >= 256 ** width - 1:
-        width *= 2
+    n, width = len(images), _field_width(max(map(len, images)))
     bits, full = 8 * width, 256 ** width - 1
     cols = {y: bytearray(n * width) for y in set().union(*images)}
     for i, image in enumerate(images):
@@ -247,6 +223,37 @@ def _count_table(images) -> tuple:
     return width, [
         (sum(map(col.__getitem__, image)) + (full - len(image) << bits * i))
         .to_bytes(n * width, "big") for i, image in enumerate(images)]
+
+
+def _rank_table(n: int, pair_values, limit: Fraction) -> tuple:
+    """The ``Fraction`` front end, given the pair values of ``n`` vertices
+    in ``itertools.combinations`` order: the distinct values in increasing
+    order and the table ``(w, rows, range(top))`` in ``_count_table``'s
+    layout, field ``j`` of row ``i`` the rank of the value of ``{i, j}``,
+    held at ``top``, the number of values at most ``limit``.  The pairs of
+    ``i`` with the later vertices are one run of the pair list: reversed,
+    the upper part of row ``i`` (field 0 comes last), and column ``i`` of
+    the later rows, one extended-slice store; no Python loop visits a pair."""
+    # pairs are keyed by (numerator, denominator), exact in lowest terms and
+    # far cheaper to hash than the Fraction itself
+    keys = list(map(operator.methodcaller("as_integer_ratio"), pair_values))
+    values = sorted(Fraction(*key) for key in set(keys))
+    top = bisect.bisect_right(values, limit)
+    rank = {v.as_integer_ratio(): min(r, top) for r, v in enumerate(values)}
+    width = _field_width(top)
+    code = next(c for c in "BHILQ" if array(c).itemsize == width)
+    ranks = array(code, map(rank.__getitem__, keys))
+    table, start = array(code, [256 ** width - 1]) * (n * n), 0
+    for i in range(n):
+        run = ranks[start:start + n - 1 - i]
+        start += len(run)
+        table[i * n:i * n + len(run)] = run[::-1]
+        table[(i + 1) * n + len(run)::n] = run
+    if sys.byteorder == "little":
+        table.byteswap()
+    flat, size = table.tobytes(), n * width
+    return values, (width, [flat[k:k + size] for k in range(0, n * size, size)],
+                    range(top))
 
 
 def _table_sizes(width: int, rows: list, top: int) -> list:
@@ -292,20 +299,21 @@ def _at_most(width: int, rows: list, size: int) -> list:
 def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
     """The engine's input for ``ch`` under ``m``: the vertex number of each
     input, the distinct pair values in increasing order, at least up to
-    ``limit``, and the adjacency builder that gives, for a cut ``c``, the
-    graph joining the pairs whose value is among the first ``c``; any cut
-    of values at most ``limit`` may be asked for.
+    ``limit``, and the table ``(w, rows, fields)``: ``w``-byte fields as in
+    ``_count_table``, and for each cut ``c`` of values at most ``limit``,
+    ``fields[c - 1]``, the field value up to which ``_at_most`` joins the
+    pairs whose value is among the first ``c``.
 
     A ``CardinalityPower`` itself rises strictly with the intersection size,
-    so its ranks are the sizes that some pair has, up to the largest valued
+    so its fields are the sizes that some pair has, up to the largest valued
     at most ``limit``, all read from one ``_count_table`` with no loop over
-    pairs; an adjacency translates the byte planes of each row.  Its inputs are
-    numbered by ascending collision mass, the sum over ``y`` in ``N(i)`` of
-    the inputs that also see ``y`` (ties by index): a heavy input meets many
-    others, so it has few neighbours in every graph, and the colouring
-    search does best with such inputs last, as MCQ numbers by descending
-    degree.  Every other measure, a subclass included, is ranked through
-    its pair values and keeps the input numbering.
+    pairs.  Its inputs are numbered by ascending collision mass, the sum
+    over ``y`` in ``N(i)`` of the inputs that also see ``y`` (ties by
+    index): a heavy input meets many others, so it has few neighbours in
+    every graph, and the colouring search does best with such inputs last,
+    as MCQ numbers by descending degree.  Every other measure, a subclass
+    included, ranks its pair values into a ``_rank_table`` and keeps the
+    input numbering.
     """
     n = len(ch.x_symbols)
     if type(m) is CardinalityPower:
@@ -320,12 +328,8 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
         while top < largest and (top + 1) ** e * den <= scale:
             top += 1
         sizes = _table_sizes(width, rows, top)
-
-        def adjacency(cut: int) -> list:
-            return _at_most(width, rows, sizes[cut - 1]) if cut else [0] * n
-
-        return numbering, [m.of_size(s) for s in sizes], adjacency
-    return (range(n), *_ranked_rows(n, _pair_values(ch, m), limit))
+        return numbering, [m.of_size(s) for s in sizes], (width, rows, sizes)
+    return (range(n), *_rank_table(n, _pair_values(ch, m), limit))
 
 
 def _delta_grid(ch: Channel, m: UncertaintyFunction, values) -> list:
@@ -528,6 +532,8 @@ class _Graph:
         there, or None when there is none.  The members of ``hint`` that
         are still a clique here (see ``_maximal``), completed greedily
         within ``cand``, settle the query when they are enough."""
+        if cand.bit_count() < need:
+            return None
         found = _maximal(self.adj, hint, cand)
         if found.bit_count() >= need:
             return found
@@ -569,15 +575,15 @@ def _maximal(adj: list, hint: int, cand: int) -> int:
     return clique
 
 
-def _search(symbols, numbering, values, adjacency,
+def _search(symbols, numbering, values, table,
             delta: Fraction) -> CapacityResult:
     """The engine behind every capacity search (see ``capacity``), given
     ``symbols`` in order with the vertex number of each, their distinct
     pair values in increasing order, at least up to ``delta``, and the
-    adjacency builder of the front end: ``adjacency(c)`` is the graph, as
-    one neighbour bitset per vertex, that joins the pairs whose value is
-    among the first ``c``."""
-    n = len(symbols)
+    table of the front end (see ``_front_end``): the graph of cut ``c``,
+    as one neighbour bitset per vertex, is ``_at_most`` of the table at
+    ``fields[c - 1]``."""
+    n, (width, rows, fields) = len(symbols), table
     all_vertices = (1 << n) - 1
     per_size, thresholds = [], []
     cut, graph, clique = bisect.bisect_right(values, delta), None, 0
@@ -595,7 +601,9 @@ def _search(symbols, numbering, values, adjacency,
         # only when that is too small
         fresh = graph is None or size_cut != cut
         if fresh:
-            cut, graph = size_cut, _Graph(adjacency(size_cut))
+            cut = size_cut
+            graph = _Graph(_at_most(width, rows, fields[cut - 1]) if cut
+                           else [0] * n)
         if fresh or clique.bit_count() < k:
             clique = graph.clique(all_vertices, k, clique)
         per_size.append((k, clique is not None))
@@ -629,10 +637,9 @@ def _search(symbols, numbering, values, adjacency,
 
 
 def _capacity_search(symbols, pair_values, delta: Fraction) -> CapacityResult:
-    """The engine run on pair values given in ``itertools.combinations``
-    order of ``symbols``, through the ``Fraction`` front end."""
+    """The engine on the pair values of ``symbols``, in combinations order."""
     return _search(symbols, range(len(symbols)),
-                   *_ranked_rows(len(symbols), pair_values, delta), delta)
+                   *_rank_table(len(symbols), pair_values, delta), delta)
 
 
 def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityResult:
@@ -644,34 +651,18 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     constraint set grows), so the search stops at the first infeasible size,
     which also certifies count + 1 exhaustively.  Size k is feasible when
     the graph joining inputs with equivocation at most delta/k has a k-clique.
-    The distinct equivocations are ranked once, so each graph is built as int
-    bitsets with no Fraction compared in the search, which is a branch and
-    bound under a greedy-colouring bound on an explicit stack; a graph is
-    rebuilt only when delta/k passes a pair value, a comparison of integers.
-    Under a ``CardinalityPower`` itself the rank of a pair is its
-    intersection size, read for every pair from one table of packed counts
-    (the row of an input is the sum of the columns of its outputs, one
-    field per input), and a graph is one byte translation of each row; the
-    inputs are numbered by ascending collision mass (how many inputs share
-    each of their outputs, summed), so that inputs likely to have many
-    neighbours come first; any other measure, a subclass included, is
-    evaluated and ranked pair by pair, in input order.  A search that
-    visits more nodes than the graph has vertices is dropped; the graph is
-    renumbered once into smallest-last (degeneracy) order, and that search
-    and every later one on the graph run there with no limit.  Every clique
-    is kept maximal, as a certificate that carries over from size to size.
-    A size whose graph drops pairs the certificate used repairs it: it
-    keeps each member, least vertex first, that is adjacent to all kept so
-    far, and completes the rest greedily.  A size whose certificate (after
-    any repair) has at least k vertices is feasible with no search, and
-    every query completes a clique greedily before it searches, so a search
-    runs only where greedy completion falls short, as at the refutation of
-    count + 1.  The witness is the lexicographically least optimal codebook,
-    found once at the final size by an include-first scan in symbol order,
-    whatever the numbering, whose completion test is the same clique query;
-    the scan keeps a clique that completes its prefix, so a symbol in that
-    clique is committed without a query, and the query of any other symbol
-    starts from that clique's members among its neighbours.
+    The distinct equivocations are ranked once into one packed table (see
+    the module docstring), so a graph is one byte translation of each row,
+    built only when delta/k passes a pair value, and the search, a branch
+    and bound under a greedy-colouring bound, compares no Fraction.  Every
+    clique is kept maximal, as a certificate that carries over from size to
+    size: a size whose graph drops pairs it used keeps what survives of it,
+    least vertex first, and completes that greedily, and a search runs only
+    where that falls short, as at the refutation of count + 1.  The witness
+    is the lexicographically least optimal codebook, found once at the final
+    size by an include-first scan in symbol order, whatever the numbering,
+    whose completion test is the same clique query, started from the
+    members of the last certificate among the symbol's neighbours.
     """
     _require_normalized(ch, m)
     _require_delta_finite(delta)

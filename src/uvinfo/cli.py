@@ -69,13 +69,17 @@ def _parse_int(value, name: str) -> int:
 
 
 def _normalize_symbols(raw: list) -> list:
-    """Map JSON symbols to ints when every one of them is integral (so
-    witnesses print as {1, 7, 13}), otherwise to strings."""
-    def integral(v):
-        return isinstance(v, int) or (
-            isinstance(v, str) and (v.lstrip("-").isdigit() and v.lstrip("-")))
-    if raw and all(integral(v) for v in raw):
-        return [int(v) for v in raw]
+    """Map JSON symbols to ints when every one is an integer or decimal
+    digits after at most one minus sign (so witnesses print as {1, 7, 13}),
+    otherwise to strings.  A boolean would read as 1 or 0; it is refused."""
+    for v in filter(lambda v: isinstance(v, bool), raw):
+        raise ParseError(f"a boolean is not a symbol: {v!r}")
+    if raw and all(isinstance(v, int) or (isinstance(v, str)
+                   and v.removeprefix("-").isdecimal()) for v in raw):
+        try:
+            return [int(v) for v in raw]
+        except ValueError:  # more digits than int reads from a string
+            pass
     return [str(v) for v in raw]
 
 
@@ -86,6 +90,8 @@ def _load_json(text: str):
         raise ParseError(
             f"invalid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from None
+    except (ValueError, RecursionError):  # past int's digits or the stack
+        raise ParseError("invalid JSON: too many digits or too deep") from None
 
 
 def parse_channel_spec(text: str) -> chancap.Channel:

@@ -511,10 +511,10 @@ def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
     _require_normalized(ch, m)
     # every delta of the grid is below the noise floor, so one front end,
     # built once, serves them all
-    numbering, values, adjacency = _front_end(ch, m, ch.min_image_uncertainty(m))
+    numbering, values, table = _front_end(ch, m, ch.min_image_uncertainty(m))
     best_count, best_delta = 1, Fraction(0)
     for delta in _delta_grid(ch, m, values):
-        count = _search(ch.x_symbols, numbering, values, adjacency, delta).count
+        count = _search(ch.x_symbols, numbering, values, table, delta).count
         if count > best_count:
             best_count, best_delta = count, delta
     return best_count, best_delta

@@ -51,6 +51,8 @@ def ratio(value: Union[int, str, Fraction]) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):  # an int, but no number
+        raise UvinfoError(f"a boolean is not a ratio: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

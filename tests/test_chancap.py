@@ -538,8 +538,9 @@ class TestCertificateRepair:
         result, needs = top_level_searches(lambda: matrix_capacity(em, F(1, 2)))
         assert result == brute_force_capacity(em.labels, em.value, F(1, 2))
         assert result.witness == tuple("cdef")
-        # the searches at sizes 3 and 5, and the empty queries of a and b
-        assert needs == [3, 5, 3, 3]
+        # the searches at sizes 3 and 5; the queries of a and b have fewer
+        # candidates than they need and are refuted with no search
+        assert needs == [3, 5]
 
     def test_witness_query_starts_from_the_certificate(self):
         # the triangles a-d-e and c-d-e, and the edge a-b; size 3 finds
@@ -553,8 +554,9 @@ class TestCertificateRepair:
         result, needs = top_level_searches(lambda: matrix_capacity(em, F(1, 2)))
         assert result == brute_force_capacity(em.labels, em.value, F(1, 2))
         assert result.witness == tuple("ade")
-        # the searches at sizes 3 and 4, and the empty query of b
-        assert needs == [3, 4, 1]
+        # the searches at sizes 3 and 4; the query of b has no candidate
+        # and is refuted with no search
+        assert needs == [3, 4]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_small_channels_against_subset_search(self, seed):
@@ -726,7 +728,8 @@ class TestCountFrontEnd:
     @settings(max_examples=100, deadline=None)
     def test_front_end_renumbers_the_pair_loop_rows(self, ch, limit, exponent):
         m = CardinalityPower(len(ch.y_symbols), exponent)
-        numbering, values, adjacency = chancap._front_end(ch, m, limit)
+        numbering, values, (width, table, fields) = \
+            chancap._front_end(ch, m, limit)
         # ascending collision mass, sum_j |N(i) ∩ N(j)| over every j, ties
         # broken by index
         n = len(ch.images)
@@ -738,8 +741,9 @@ class TestCountFrontEnd:
                     if m.of_size(s) <= limit}
         sizes = sorted(expected)
         assert values == [m.of_size(s) for s in sizes]
-        for cut in range(len(sizes) + 1):
-            adj = adjacency(cut)
+        assert fields == sizes
+        for cut in range(1, len(sizes) + 1):
+            adj = chancap._at_most(width, table, fields[cut - 1])
             want = cut_adjacency(expected, sizes[:cut])
             assert [back(adj[numbering[i]]) for i in range(n)] == \
                 [want.get(i, 0) for i in range(n)]
@@ -782,6 +786,118 @@ class TestCountFrontEnd:
         m = CardinalityPower(largest + 1)
         for delta in (F(0), F(1, 2), F(largest - 1, largest + 1)):
             assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+
+
+class _SameCardinality(CardinalityPower):
+    """A cardinality measure that is not ``CardinalityPower`` itself, so
+    the engine ranks its pair values instead of reading counts."""
+
+
+def pair_loop_ranks(n, pair_values, limit) -> tuple:
+    """The distinct values in increasing order and ``rows[r][i]`` built
+    pair by pair from the rank ``r`` of each pair's value, ranks past the
+    values at most ``limit`` held at their number."""
+    values = sorted(set(pair_values))
+    top = sum(v <= limit for v in values)
+    rows: dict = {}
+    for (i, j), v in zip(itertools.combinations(range(n), 2), pair_values):
+        row = rows.setdefault(min(values.index(v), top), {})
+        row[i] = row.get(i, 0) | 1 << j
+        row[j] = row.get(j, 0) | 1 << i
+    return values, rows
+
+
+def every_rank_cut_matches(n, pair_values, limit) -> int:
+    """The rank table of the pair values, and its adjacency at every cut,
+    against the pair loop; returns the table's field width."""
+    values, (width, table, fields) = chancap._rank_table(n, pair_values, limit)
+    expected, rows = pair_loop_ranks(n, pair_values, limit)
+    assert values == expected
+    top = sum(v <= limit for v in values)
+    assert list(fields) == list(range(top))
+    assert len(table) == n
+    assert table_rows(width, table) == rows
+    for cut in range(1, top + 1):
+        want = cut_adjacency(rows, range(cut))
+        assert chancap._at_most(width, table, fields[cut - 1]) == \
+            [want.get(i, 0) for i in range(n)]
+    return width
+
+
+LEVELS = (F(0), F(1, 9), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
+
+
+@st.composite
+def pair_value_lists(draw, max_vertices=12):
+    """``n`` and one value per pair, every other one a fresh ``Fraction``
+    object, so that equal values are often distinct objects."""
+    n = draw(st.integers(1, max_vertices))
+    chosen = draw(st.lists(st.sampled_from(LEVELS), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2))
+    return n, [F(v) if k % 2 else v for k, v in enumerate(chosen)]
+
+
+class TestRankFrontEnd:
+    """Every other measure, and a matrix, ranks its pair values into one
+    table in the count table's layout; the table and every cut's adjacency
+    must match a pair loop, and the results those of the count table."""
+
+    @given(pair_value_lists(), st.sampled_from(LEVELS))
+    @settings(max_examples=150, deadline=None)
+    def test_every_cut_matches_the_pair_loop(self, drawn, limit):
+        # zero values and values above the limit among them
+        assert every_rank_cut_matches(*drawn, limit) == 1
+
+    def test_equal_values_in_distinct_objects_share_a_rank(self):
+        values = [F(1, 3), F(2, 6), F(1, 3), F(0), F(1, 3), F(2, 3)]
+        assert len({id(v) for v in values}) == len(values)
+        assert every_rank_cut_matches(4, values, F(1, 2)) == 1
+        _, (_, table, _) = chancap._rank_table(4, values, F(1, 2))
+        # field j of row i is the rank of {i, j}, from field 3 down to 0;
+        # 2/3 is past the limit and held at 2
+        assert table == [b"\x01\x01\x01\xff", b"\x01\x00\xff\x01",
+                         b"\x02\xff\x00\x01", b"\xff\x02\x01\x01"]
+
+    @pytest.mark.parametrize("values, limit", [
+        ([], F(1, 2)),
+        ([F(0)], F(0)),
+        ([F(1, 3)], F(0)),
+        ([F(1, 3)], F(1, 2)),
+    ])
+    def test_one_and_two_vertices(self, values, limit):
+        n = 1 if not values else 2
+        assert every_rank_cut_matches(n, values, limit) == 1
+
+    @pytest.mark.parametrize("top, width", [(254, 1), (255, 2), (300, 2)])
+    def test_wide_fields(self, top, width):
+        # 26 vertices have 325 pairs, all of distinct values: the first top
+        # are at most the limit, the rest are held at top
+        rng = random.Random(top)
+        pair_values = [F(k, 400) for k in rng.sample(range(325), 325)]
+        assert every_rank_cut_matches(26, pair_values, F(top - 1, 400)) == width
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subclass_matches_the_count_table(self, seed, monkeypatch):
+        rng = random.Random(500 + seed)
+        ch = random_channel(rng, rng.randint(2, 7), 300, (240, 300))
+        deltas = (F(0), F(1, 2), F(5, 6), F(9, 10), F(99, 100))
+        counted = [capacity(ch, CardinalityPower(300), d) for d in deltas]
+
+        def refuse(images):
+            raise AssertionError("count table built for a subclass")
+
+        monkeypatch.setattr(chancap, "_count_table", refuse)
+        assert [capacity(ch, _SameCardinality(300), d) for d in deltas] == \
+            counted
+
+    @pytest.mark.parametrize("largest", [254, 255, 65535])
+    def test_subclass_matches_the_count_table_past_a_byte(self, largest):
+        ch = Channel.of({0: range(largest), 1: range(1, largest),
+                         2: range(largest - 1, largest + 1),
+                         3: range(min(largest, 300))})
+        for delta in (F(0), F(1, 2), F(largest - 1, largest + 1)):
+            assert capacity(ch, _SameCardinality(largest + 1), delta) == \
+                capacity(ch, CardinalityPower(largest + 1), delta)
 
 
 def under_both_budgets(call) -> tuple:

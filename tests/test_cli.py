@@ -1,10 +1,13 @@
 """Command-line surface: spec parsing, report shapes, exit codes, and
 byte-stable output."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uvinfo import CardinalityPower, DiameterPlusOne, LebesguePlusOffset, cli
 from uvinfo.cli import (
@@ -55,6 +58,16 @@ class TestChannelSpec:
     def test_alphabet_violation_names_both_symbols(self):
         with pytest.raises(ValidationError, match="symbol 2 of input 1"):
             parse_channel_spec('{"map": {"1": [1, 2]}, "outputs": [1]}')
+
+    @pytest.mark.parametrize("key", ["²", "--1", "-", "1.0", "1" * 5000],
+                             ids=["superscript", "two-dashes", "dash",
+                                  "decimal", "past-the-digit-limit"])
+    def test_symbols_int_cannot_read_stay_strings(self, key):
+        # "²" is a digit, "--1" is digits after dashes, and int() reads no
+        # string of more than 4300 digits; each used to end in a ValueError
+        # and exit 3
+        ch = parse_channel_spec('{"map": {"%s": ["u"], "-3": ["v"]}}' % key)
+        assert ch.x_symbols == tuple(sorted([key, "-3"]))
 
     def test_stray_field_rejected(self):
         with pytest.raises(ParseError, match="unknown channel field"):
@@ -346,6 +359,46 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == "error: input keys '1' and '01' both read as 1\n"
 
+    @pytest.mark.parametrize("flag, spec, message", [
+        ("--matrix", {"labels": ["a", "b"], "entries": [["a", "b", True]]},
+         "a boolean is not a ratio: True"),
+        ("--matrix", {"labels": ["a", "b"], "v_min": False},
+         "a boolean is not a ratio: False"),
+        ("--sequence", {"kind": "constant", "value": False},
+         "a boolean is not a ratio: False"),
+        ("--channel", {"map": {"1": [True, 2], "2": [1, 3]}},
+         "a boolean is not a symbol: True"),
+    ], ids=["matrix-entry", "matrix-floor", "sequence-value", "channel-image"])
+    def test_json_booleans_exit_two(self, capsys, tmp_path, flag, spec,
+                                    message):
+        # a bool is an int, so true and false used to read as 1 and 0: the
+        # channel's images {1, 2} and {1, 3} met, and it still exited 0
+        src = tmp_path / "spec.json"
+        src.write_text(json.dumps(spec))
+        args = {"--matrix": ["classify", "--matrix", str(src), "--delta", "0"],
+                "--sequence": ["rates", "--channel", "fig5.json", "--m",
+                               "card:19", "--sequence", str(src)],
+                "--channel": ["capacity", "--channel", str(src), "--m",
+                              "card:3", "--delta", "0"]}[flag]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text", [
+        '{"map": {"1": [%s]}}' % ("1" * 5000),
+        '{"map": %s}' % ("[" * 100000 + "]" * 100000),
+    ], ids=["integer-past-the-digit-limit", "nesting-past-the-stack"])
+    def test_json_past_the_parser_limits_exits_two(self, capsys, tmp_path,
+                                                   text):
+        # json.loads raises ValueError and RecursionError here, not
+        # JSONDecodeError; both used to exit 3
+        src = tmp_path / "channel.json"
+        src.write_text(text)
+        code, out, err = run(["capacity", "--channel", str(src), "--m",
+                              "card:1", "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid JSON: too many digits or too deep\n"
+
     @pytest.mark.parametrize("values", ["5", "null", "true", "1.5", '"12"'])
     def test_explicit_sequence_values_must_be_a_list(self, capsys, values):
         code, out, err = run(["rates", "--channel", "fig5.json", "--m",
@@ -450,3 +503,182 @@ class TestDeterminism:
         _, plain, _ = run(tail, capsys)
         assert leading == trailing
         assert plain.startswith("command: capacity")
+
+
+# ---------------------------------------------------------------------------
+# exit contract under random input
+
+
+SYMBOLS = (st.integers(-1, 4) | st.sampled_from(["a", "1", "01", "-2", ""])
+           | st.booleans() | st.none())
+ODD_SYMBOLS = st.sampled_from(["²", "--1", "-", "01", "-2", "", True, False,
+                               None, 2.5, "a"])
+JSON = st.recursive(
+    SYMBOLS | st.sampled_from(["1/2", "0.5", "1/0", "x"]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(["map", "kind", "joint", "cells", "labels",
+                         "entries", "v_min", "value", "values", "base"]),
+        kids, max_size=4),
+    max_leaves=10)
+RATIOS = st.sampled_from(["0", "1/9", "1/5", "1/3", "1/2", "2/3"])
+BAD_RATIOS = st.sampled_from(["1", "-1/2", "3/2", "0.5", "1e2", "1/0", "x",
+                              "", " 1/4 "])
+BAD_M_SPECS = st.sampled_from([
+    "card:1", "card:3", "card:0", "card:-2", "card:x", "card:3:0",
+    "card:3:-1", "card:3:99", "card:", "card:1:2:3", "leb+1", "leb+0",
+    "leb+-1", "diam:1", "diam:3", "diam:0", "gauss:3"])
+
+
+def mostly(draw, good, bad, odds=6):
+    """``good`` drawn about ``odds - 1`` times in ``odds``, else ``bad``;
+    ``bad`` goes with the last choice, since the draws lean to the first."""
+    return draw(bad if draw(st.integers(1, odds)) == odds else good)
+
+
+@st.composite
+def channels_and_measures(draw):
+    """A channel spec and an m-spec, most often a cardinality measure on
+    its output alphabet, so that most commands run."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    images = st.lists(st.integers(0, k - 1), min_size=1, max_size=k)
+    spec = {"map": {str(x): draw(images) for x in range(n)}}
+    if draw(st.booleans()):
+        spec["outputs"] = list(range(k))
+    size = len(spec.get("outputs") or set().union(*spec["map"].values()))
+    good = st.sampled_from([f"card:{size}", f"card:{size}:2"])
+    bad_spec = st.builds(lambda a, b: {"map": {"1": [a], "2": [0, b]}},
+                         ODD_SYMBOLS, ODD_SYMBOLS) | JSON
+    return (mostly(draw, st.just(spec), bad_spec, odds=3),
+            mostly(draw, good, BAD_M_SPECS))
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.integers(1, 4))
+    joint = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)).map(list),
+                          min_size=1, max_size=6))
+    xs, ys = {x for x, _ in joint}, {y for _, y in joint}
+    finite = {"kind": "finite", "joint": joint, "m_x": f"card:{len(xs)}",
+              "m_y": f"card:{len(ys)}"}
+    piece = st.tuples(st.integers(0, 3), st.integers(1, 3)).map(
+        lambda p: [p[0], p[0] + p[1]])
+    hybrid = {"kind": "hybrid", "m_x": f"card:{n}", "m_y": "leb+1",
+              "cells": {str(x): draw(st.lists(piece, min_size=1, max_size=2))
+                        for x in range(n)}}
+    bad = st.builds(lambda a, b, mx: {"kind": "finite",
+                                      "joint": [[a, 0], [1, b]],
+                                      "m_x": mx, "m_y": "card:1"},
+                    ODD_SYMBOLS, ODD_SYMBOLS, BAD_M_SPECS) | JSON
+    return mostly(draw, st.sampled_from([finite, hybrid]), bad)
+
+
+@st.composite
+def matrices(draw):
+    labels = draw(st.lists(st.sampled_from("abcdef"), min_size=2, max_size=6,
+                           unique=True))
+    entries = [[a, b, draw(RATIOS)] for k, a in enumerate(labels)
+               for b in labels[k + 1:] if draw(st.booleans())]
+    entries.append([labels[0], labels[-1], mostly(draw, RATIOS,
+                                                  BAD_RATIOS | SYMBOLS)])
+    spec = {"labels": labels, "entries": entries,
+            "v_min": mostly(draw, st.sampled_from(["1", "3/4"]), BAD_RATIOS)}
+    return mostly(draw, st.just(spec), JSON)
+
+
+@st.composite
+def sequences(draw):
+    kind = draw(st.sampled_from(["constant", "explicit", "geometric",
+                                 "zero"]))
+    value = mostly(draw, RATIOS, BAD_RATIOS | SYMBOLS)
+    spec = {"kind": kind}
+    if kind != "zero":
+        field = {"constant": "value", "explicit": "values",
+                 "geometric": "base"}[kind]
+        spec[field] = [value] if kind == "explicit" else value
+    if draw(st.booleans()):
+        spec["first"] = mostly(draw, RATIOS, BAD_RATIOS)
+    return json.dumps(mostly(draw, st.just(spec), JSON))
+
+
+@st.composite
+def commands(draw):
+    """One command line over random specs, and the files it reads; every
+    option is written ``--name=value``, so a value may start with a dash."""
+    command = draw(st.sampled_from(["capacity", "rates", "profile",
+                                    "single-letter", "verify", "analyze",
+                                    "mi", "classify", "hamming"]))
+    files = {}
+    argv = [f"--format={draw(st.sampled_from(['json', 'text']))}"]
+    ratios = st.integers(0, 5).flatmap(
+        lambda k: BAD_RATIOS if k == 5 else RATIOS)
+
+    def maybe(option, values):  # present about five times in six
+        if draw(st.integers(0, 5)) < 5:
+            argv.append(f"--{option}={draw(values)}")
+
+    if command in ("capacity", "rates", "profile", "single-letter", "verify"):
+        files["channel.json"], m = draw(channels_and_measures())
+        argv += ["rates" if command == "profile" else command,
+                 "--channel=channel.json", f"--m={m}"]
+        if command in ("capacity", "rates"):
+            argv.append(f"--delta={draw(ratios)}")
+        counts = st.sampled_from(["1", "2", "0", "x"])  # horizon or n-max
+        if command == "rates":
+            maybe("horizon", counts)
+        if command == "profile":
+            argv.append(f"--sequence={draw(sequences())}")
+            maybe("n-max", counts)
+        if command == "single-letter":
+            variants = st.sampled_from(["T12", "Cor2", "T13", "T14"])
+            argv.append(f"--variant={draw(variants)}")
+            maybe("codebook", st.sampled_from(["0", "0,1", "0,2", "a", "9"]))
+            maybe("delta1", ratios)
+            maybe("sequence", sequences())
+        if command == "verify":
+            maybe("deltas",
+                  st.lists(ratios, min_size=1, max_size=2).map(",".join))
+    elif command in ("analyze", "mi"):
+        files["pair.json"] = draw(pairs())
+        argv += [command, "--pair=pair.json", f"--delta1={draw(ratios)}"]
+        if command == "analyze":
+            argv.append(f"--delta2={draw(ratios)}")
+            if draw(st.booleans()):
+                argv.append("--taxicab")
+    elif command == "classify":
+        files["matrix.json"] = draw(matrices())
+        argv += [command, "--matrix=matrix.json", f"--delta={draw(ratios)}"]
+    else:
+        length = draw(st.integers(1, 4))
+        word = st.text("01", min_size=length, max_size=length)
+        words = mostly(draw,
+                       st.lists(word, min_size=1, max_size=4, unique=True),
+                       st.lists(st.text("01x", max_size=5), max_size=4))
+        argv += [command, f"--words={','.join(words)}",
+                 f"--tau={draw(ratios)}", f"--delta={draw(ratios)}"]
+    return argv, files
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestExitContract:
+    """Every input ends in exit 0, 1 (a mismatch) or 2 (bad input) with one
+    error line; exit 3 is a fault of the program."""
+
+    @given(commands())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_input_exits_zero_one_or_two(self, workdir, drawn):
+        argv, files = drawn
+        for name, spec in files.items():
+            (workdir / name).write_text(json.dumps(spec))
+            argv = [a.replace(name, str(workdir / name)) for a in argv]
+        args = cli._build_parser().parse_args(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run_command(args)
+        assert code in (0, 1, 2), (argv, files, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (code == 2) == err.getvalue().startswith("error: ")
