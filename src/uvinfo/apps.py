@@ -25,6 +25,7 @@ from .chancap import (
     DeltaOutOfRange,
     _capacity_search,
     _pair_values,
+    _require_delta,
     _require_normalized,
     _sorted_symbols,
     CapacityResult,
@@ -260,10 +261,7 @@ def matrix_capacity(em: EquivocationMatrix, delta) -> CapacityResult:
     """The largest label subset with pairwise e <= delta/|subset| — the
     clique solver of the channel capacity, driven by a matrix."""
     delta = ratio(delta)
-    if not 0 <= delta < em.v_min:
-        raise DeltaOutOfRange(
-            f"need 0 <= delta < v_min = {format_ratio(em.v_min)}, "
-            f"got {format_ratio(delta)}")
+    _require_delta(delta, em.v_min, f"v_min = {format_ratio(em.v_min)}")
     return _capacity_search(em.labels, [v for _, v in em.entries], delta)
 
 

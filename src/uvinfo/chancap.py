@@ -356,13 +356,14 @@ class Distinguishability:
     violating_value: Optional[Fraction] = None
 
 
-def _require_delta_finite(delta: Fraction) -> None:
+def _require_delta(delta: Fraction, bound: Fraction = Fraction(1),
+                   shown: str = "1") -> None:
     # The strict theory restricts delta below the noise floor m(V_N); on
     # finite alphabets the search stays exact and finite for any delta < 1,
     # and values in [m(V_N), 1) are exercised by the reference material, so
-    # only [0, 1) is enforced here.
-    if not 0 <= delta < 1:
-        raise DeltaOutOfRange(f"need 0 <= delta < 1, got {format_ratio(delta)}")
+    # the capacity searches keep the default bound 1.
+    if not 0 <= delta < bound:
+        raise DeltaOutOfRange(f"need 0 <= delta < {shown}, got {format_ratio(delta)}")
 
 
 def check_distinguishable(ch: Channel, m: UncertaintyFunction, codebook,
@@ -371,7 +372,7 @@ def check_distinguishable(ch: Channel, m: UncertaintyFunction, codebook,
     reporting the first (lexicographic) violation otherwise."""
     cb = as_codebook(ch, codebook)
     _require_normalized(ch, m)
-    _require_delta_finite(delta)
+    _require_delta(delta)
     threshold = delta / len(cb)
     for x1, x2 in itertools.combinations(cb, 2):
         value = m.of(ch.image(x1) & ch.image(x2))
@@ -665,7 +666,7 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     members of the last certificate among the symbol's neighbours.
     """
     _require_normalized(ch, m)
-    _require_delta_finite(delta)
+    _require_delta(delta)
     return _search(ch.x_symbols, *_front_end(ch, m, delta), delta)
 
 
@@ -743,10 +744,7 @@ def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
     """
     _require_normalized(ch, m)
     v_min = ch.min_image_uncertainty(m)
-    if not 0 <= delta < v_min:
-        raise DeltaOutOfRange(
-            f"need 0 <= delta < m(V_N) = {format_ratio(v_min)}, "
-            f"got {format_ratio(delta)}")
+    _require_delta(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
     reps = _brute_force_representatives(ch)
     best: Optional[MISupResult] = None
     m_x_uniform = CardinalityPower(len(ch.x_symbols))

@@ -68,12 +68,16 @@ def _parse_int(value, name: str) -> int:
             from None
 
 
+def _refuse_booleans(values, what: str) -> None:
+    for v in filter(lambda v: isinstance(v, bool), values):
+        raise ParseError(f"a boolean is not a {what}: {v!r}")
+
+
 def _normalize_symbols(raw: list) -> list:
     """Map JSON symbols to ints when every one is an integer or decimal
     digits after at most one minus sign (so witnesses print as {1, 7, 13}),
     otherwise to strings.  A boolean would read as 1 or 0; it is refused."""
-    for v in filter(lambda v: isinstance(v, bool), raw):
-        raise ParseError(f"a boolean is not a symbol: {v!r}")
+    _refuse_booleans(raw, "symbol")
     if raw and all(isinstance(v, int) or (isinstance(v, str)
                    and v.removeprefix("-").isdecimal()) for v in raw):
         try:
@@ -234,6 +238,7 @@ def parse_matrix_spec(text: str) -> apps.EquivocationMatrix:
     obj = _load_json(text)
     if not isinstance(obj, dict) or not isinstance(obj.get("labels"), list):
         raise ParseError("a matrix spec is an object with a 'labels' list")
+    _refuse_booleans(obj["labels"], "label")
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise ParseError("'entries' must be a list of [l1, l2, value] rows")
@@ -243,6 +248,7 @@ def parse_matrix_spec(text: str) -> apps.EquivocationMatrix:
             raise ParseError(f"bad matrix entry {row!r}")
         if any(isinstance(label, (list, dict)) for label in row[:2]):
             raise ParseError(f"matrix entry labels are JSON scalars: {row!r}")
+        _refuse_booleans(row[:2], "label")
         mapping[(row[0], row[1])] = _parse_ratio(row[2])
     try:
         return apps.EquivocationMatrix.of(

@@ -11,8 +11,9 @@ equals the one-symbol mutual information of the certified codebook.
 
 Exactness discipline: rates are carried as (count, horizon) so that
 log2(count)/horizon comparisons reduce to integer power comparisons, and the
-"for all n" tail conditions of the certificates are decided by closed-form
-case analysis on the sequence kind rather than by sampling horizons.
+"for all n" tail conditions of the certificates are decided in closed form
+on one normal form of the sequence (listed values, then a geometric tail)
+rather than by sampling horizons.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -180,144 +182,106 @@ def information_rate_at_horizon(ch: Channel, m: UncertaintyFunction,
 # confidence sequences
 
 
+# (strict test, weak test) per relation: the strict one decides each n, the
+# weak one whether the tail's ratio against the bound ever turns against it
+_RELATIONS = {"<=": (operator.le, operator.le),
+              "<": (operator.lt, operator.le),
+              ">=": (operator.ge, operator.ge)}
+
+
 @dataclass(frozen=True)
 class ConfidenceSequence:
-    """An exact description of {delta_n}, closed under the tail analyses the
-    certificates need.
+    """An exact description of {delta_n} in one normal form: the listed
+    values delta_1..delta_L of ``head``, then delta_n = scale * base**n for
+    n > L.
 
-    Kinds: ``explicit`` (listed values, zero beyond the list), ``geometric``
-    (scale * base^n), ``constant``, and ``zero``.  ``first`` overrides
-    delta_1 — the worked sequences pair a standalone delta_1 with a geometric
-    tail for n >= 2.
+    The constructors cover the four kinds: ``explicit`` (listed values, zero
+    tail), ``geometric`` (scale * base^n), ``constant`` (base 1) and
+    ``zero``.  Each takes ``first``, which overrides delta_1 — the worked
+    sequences pair a standalone delta_1 with a geometric tail for n >= 2.
     """
 
-    kind: str
-    values: tuple = ()
-    scale: Fraction = Fraction(1)
+    head: tuple = ()
+    scale: Fraction = Fraction(0)
     base: Fraction = Fraction(0)
-    level: Fraction = Fraction(0)
-    first: Optional[Fraction] = None
+
+    @staticmethod
+    def _of(head=(), scale=Fraction(0), base=Fraction(0), first=None):
+        if first is not None:
+            head = (ratio(first),) + head[1:]
+        return ConfidenceSequence(head, scale, base)
 
     @staticmethod
     def explicit(values, first=None) -> "ConfidenceSequence":
         vals = tuple(ratio(v) for v in values)
         if any(v < 0 for v in vals):
             raise UvinfoError("sequence values must be nonnegative")
-        return ConfidenceSequence("explicit", values=vals,
-                                  first=None if first is None else ratio(first))
+        return ConfidenceSequence._of(vals, first=first)
 
     @staticmethod
     def geometric(base, scale=1, first=None) -> "ConfidenceSequence":
         b, s = ratio(base), ratio(scale)
         if b < 0 or s < 0:
             raise UvinfoError("geometric parameters must be nonnegative")
-        return ConfidenceSequence("geometric", base=b, scale=s,
-                                  first=None if first is None else ratio(first))
+        return ConfidenceSequence._of(scale=s, base=b, first=first)
 
     @staticmethod
     def constant(value, first=None) -> "ConfidenceSequence":
         v = ratio(value)
         if v < 0:
             raise UvinfoError("the constant level must be nonnegative")
-        return ConfidenceSequence("constant", level=v,
-                                  first=None if first is None else ratio(first))
+        return ConfidenceSequence._of(scale=v, base=Fraction(1), first=first)
 
     @staticmethod
     def zero(first=None) -> "ConfidenceSequence":
-        return ConfidenceSequence("zero",
-                                  first=None if first is None else ratio(first))
+        return ConfidenceSequence._of(first=first)
 
     def value_at(self, n: int) -> Fraction:
         if n < 1:
             raise UvinfoError("the horizon must be a positive integer")
-        if n == 1 and self.first is not None:
-            return self.first
-        if self.kind == "explicit":
-            return self.values[n - 1] if n <= len(self.values) else Fraction(0)
-        if self.kind == "geometric":
-            return self.scale * self.base ** n
-        if self.kind == "constant":
-            return self.level
-        return Fraction(0)
+        if n <= len(self.head):
+            return self.head[n - 1]
+        return self.scale * self.base ** n
+
+    def _decide(self, rel: str, c: Fraction, r: Fraction, start: int,
+                bound: str) -> tuple[bool, str]:
+        """Exactly decide delta_n <rel> c * r**n for every n >= start, for
+        c, r >= 0: the listed values one by one, then the tail, whose ratio
+        (scale/c) * (base/r)**n to the bound is monotone in n.  So either the
+        first tail horizon decides, or the tail fails eventually."""
+        strict, weak = _RELATIONS[rel]
+        n0 = max(start, len(self.head) + 1)
+        for n in range(start, n0):
+            if not strict(self.head[n - 1], c * r ** n):
+                v = format_ratio(self.head[n - 1])
+                return False, f"delta_{n} = {v}, not {rel} {bound}"
+        if self.scale * self.base == 0:
+            ok = strict(0, c * r)
+            return ok, "zero tail" if ok else f"zero tail, not {rel} {bound}"
+        if c * r != 0 and not weak(self.base, r):
+            side = "below" if rel == ">=" else "above"
+            return False, f"tail ratio {side} {bound}"
+        ok = strict(self.value_at(n0), c * r ** n0)
+        return ok, f"{'worst case' if ok else 'violated'} at n = {n0}"
 
     def vanishes(self) -> bool:
         """Whether delta_n -> 0 (the achievable-rate regime)."""
-        if self.kind in ("zero", "explicit"):
-            return True
-        if self.kind == "geometric":
-            return self.scale == 0 or self.base < 1
-        return self.level == 0
+        return self.scale == 0 or self.base < 1
 
     def is_identically_zero(self) -> bool:
-        if self.first not in (None, 0):
-            return False
-        if self.kind == "explicit":
-            return all(v == 0 for v in self.values)
-        if self.kind == "geometric":
-            return self.scale == 0 or self.base == 0
-        if self.kind == "constant":
-            return self.level == 0
-        return True
+        return not any(self.head) and self.scale * self.base == 0
 
     def within_noise_floor(self, v_min: Fraction) -> tuple[bool, str]:
-        """Exactly decide 0 <= delta_n < v_min**n for every n, by kind."""
+        """Exactly decide 0 <= delta_n < v_min**n for every n."""
         if not 0 < v_min <= 1:
             raise UvinfoError("the noise floor must lie in (0, 1]")
-        first = self.value_at(1)
-        if not 0 <= first < v_min:
-            return False, (f"delta_1 = {format_ratio(first)} outside "
-                           f"[0, {format_ratio(v_min)})")
-        if self.kind == "explicit":
-            for i, v in enumerate(self.values[1:], start=2):
-                if not 0 <= v < v_min ** i:
-                    return False, f"delta_{i} = {format_ratio(v)} outside range"
-            return True, "all listed values inside, zero beyond the list"
-        if self.kind == "zero":
-            return True, "identically zero"
-        if self.kind == "constant":
-            if self.level == 0:
-                return True, "identically zero"
-            if v_min == 1:
-                ok = self.level < 1
-                return ok, "constant against a unit floor"
-            return False, "a positive constant leaves [0, v_min^n) eventually"
-        # geometric tail for n >= 2
-        if self.scale == 0 or self.base == 0:
-            return True, "zero tail"
-        r = self.base / v_min
-        if r < 1:
-            ok = self.scale * self.base ** 2 < v_min ** 2
-            return ok, "worst case at n = 2" if ok else "violated at n = 2"
-        if r == 1:
-            ok = self.scale < 1
-            return ok, "ratio 1 needs scale < 1"
-        return False, "tail ratio above the noise floor"
+        if self.value_at(1) < 0:
+            return False, f"delta_1 = {format_ratio(self.value_at(1))}, not >= 0"
+        return self._decide("<", 1, v_min, 1, "the noise floor")
 
     def tail_at_most_power(self, q: Fraction) -> tuple[bool, str]:
         """Exactly decide delta_n <= q**n for all n >= 2."""
-        if self.kind in ("zero",) or self.is_identically_zero():
-            return True, "zero tail"
-        if self.kind == "explicit":
-            for i, v in enumerate(self.values[1:], start=2):
-                if v > q ** i:
-                    return False, f"delta_{i} = {format_ratio(v)} > q^{i}"
-            return True, "listed tail below q^n, zero beyond the list"
-        if self.kind == "constant":
-            if self.level == 0:
-                return True, "zero tail"
-            if q >= 1:
-                ok = self.level <= q * q
-                return ok, "worst case at n = 2"
-            return False, "a positive constant exceeds q^n eventually"
-        if self.scale == 0 or self.base == 0:
-            return True, "zero tail"
-        if q == 0:
-            return False, "positive tail against q = 0"
-        r = self.base / q
-        if r <= 1:
-            ok = self.scale * self.base ** 2 <= q * q
-            return ok, "worst case at n = 2" if ok else "violated at n = 2"
-        return False, "tail grows relative to q^n"
+        return self._decide("<=", 1, q, 2, "q^n")
 
     def tail_at_least_geometric(self, floor_scale: Fraction,
                                 floor_base: Fraction) -> tuple[bool, str]:
@@ -325,46 +289,12 @@ class ConfidenceSequence:
         n >= 2."""
         if floor_scale == 0 or floor_base == 0:
             return True, "zero floor"
-        if self.kind == "zero" or self.is_identically_zero():
-            return False, "zero tail against a positive floor"
-        if self.kind == "explicit":
-            for i, v in enumerate(self.values[1:], start=2):
-                if v < floor_scale * floor_base ** (i - 1):
-                    return False, f"delta_{i} below the floor"
-            # beyond the listed prefix the sequence is zero, which cannot
-            # stay above a positive geometric floor
-            return False, "zero beyond the list falls below the floor"
-        if self.kind == "constant":
-            if floor_base <= 1:
-                ok = self.level >= floor_scale * floor_base
-                return ok, "worst case at n = 2"
-            return False, "the floor grows without bound"
-        if self.base >= floor_base:
-            ok = self.scale * self.base ** 2 >= floor_scale * floor_base
-            return ok, "worst case at n = 2" if ok else "violated at n = 2"
-        return False, "the floor eventually overtakes the tail"
+        return self._decide(">=", floor_scale / floor_base, floor_base, 2,
+                            "the floor")
 
     def tail_below_one(self) -> tuple[bool, str]:
         """Exactly decide delta_n < 1 for all n >= 2."""
-        if self.kind == "zero" or self.is_identically_zero():
-            return True, "zero tail"
-        if self.kind == "explicit":
-            for i, v in enumerate(self.values[1:], start=2):
-                if v >= 1:
-                    return False, f"delta_{i} >= 1"
-            return True, "all listed values below 1"
-        if self.kind == "constant":
-            ok = self.level < 1
-            return ok, "constant level"
-        if self.scale == 0 or self.base == 0:
-            return True, "zero tail"
-        if self.base < 1:
-            ok = self.scale * self.base ** 2 < 1
-            return ok, "worst case at n = 2" if ok else "violated at n = 2"
-        if self.base == 1:
-            ok = self.scale < 1
-            return ok, "flat tail"
-        return False, "growing tail reaches 1"
+        return self._decide("<", 1, 1, 2, "1")
 
 
 def parse_sequence_spec(obj: dict) -> ConfidenceSequence:

@@ -188,6 +188,25 @@ class TestCapacity:
         assert res.witness == (0, 3, 6)
 
 
+class TestDeltaDomain:
+    @pytest.mark.parametrize("call, message", [
+        (lambda ch: capacity(ch, M1, F(-1, 2)),
+         "need 0 <= delta < 1, got -1/2"),
+        (lambda ch: check_distinguishable(ch, M1, (1, 13), F(1)),
+         "need 0 <= delta < 1, got 1"),
+        (lambda ch: mi_sup_oracle(ch, M1, F(7, 19)),
+         "need 0 <= delta < m(V_N) = 7/19, got 7/19"),
+        (lambda ch: matrix_capacity(
+            EquivocationMatrix.of(["a", "b"], {}, v_min=F(1, 2)), F(3, 4)),
+         "need 0 <= delta < v_min = 1/2, got 3/4"),
+    ], ids=["capacity", "check-distinguishable", "mi-sup-oracle",
+            "matrix-capacity"])
+    def test_messages(self, fig5, call, message):
+        with pytest.raises(DeltaOutOfRange) as info:
+            call(fig5)
+        assert str(info.value) == message
+
+
 class TestInducedPair:
     def test_joint_is_the_graph_of_the_restriction(self, fig5):
         pair = induced_pair(fig5, (1, 13))

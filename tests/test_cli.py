@@ -182,6 +182,22 @@ class TestCommands:
         assert payload["inf"]["bits"] == "1"
         assert [c["theorem"] for c in payload["certificates"]] == ["T12"]
 
+    @pytest.mark.parametrize("seq", [
+        '{"kind": "explicit", "values": ["0", "0"]}',
+        '{"kind": "explicit", "values": ["1/2", "0"], "first": "0"}',
+    ], ids=["listed-zeros", "first-overrides-a-listed-value"])
+    def test_rates_zero_sequence_gets_the_zero_error_certificate(self, capsys,
+                                                                 seq):
+        # both sequences are zero at every n; the second used to lose Cor2
+        # because the listed delta_1 was read under `first`
+        code, out, _ = run(["--format", "json", "rates", "--channel",
+                            "fig5.json", "--m", "card:19", "--sequence", seq,
+                            "--n-max", "1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert [c["theorem"] for c in payload["certificates"]] \
+            == ["T12", "Cor2", "T13"]
+
     def test_single_letter_certificate(self, capsys):
         code, out, _ = run(["--format", "json", "single-letter", "--channel",
                             "fig5.json", "--m", "card:19:3",
@@ -368,7 +384,17 @@ class TestErrorHandling:
          "a boolean is not a ratio: False"),
         ("--channel", {"map": {"1": [True, 2], "2": [1, 3]}},
          "a boolean is not a symbol: True"),
-    ], ids=["matrix-entry", "matrix-floor", "sequence-value", "channel-image"])
+        ("--matrix", {"labels": [1, 2, 3], "entries": [[True, 2, "1/2"]]},
+         "a boolean is not a label: True"),
+        ("--matrix", {"labels": [1, 2, 3], "entries": [[1, False, "1/2"]]},
+         "a boolean is not a label: False"),
+        ("--matrix", {"labels": [True, 2], "entries": []},
+         "a boolean is not a label: True"),
+        ("--matrix", {"labels": [True, 1]},
+         "a boolean is not a label: True"),
+    ], ids=["matrix-entry", "matrix-floor", "sequence-value", "channel-image",
+            "matrix-entry-first-label", "matrix-entry-second-label",
+            "matrix-label", "matrix-labels-collide"])
     def test_json_booleans_exit_two(self, capsys, tmp_path, flag, spec,
                                     message):
         # a bool is an int, so true and false used to read as 1 and 0: the

@@ -6,6 +6,7 @@ must certify, and each individually broken hypothesis must fail exactly
 its own named condition (never by weakening the reported value).
 """
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -240,6 +241,195 @@ class TestConfidenceSequence:
         assert ConfidenceSequence.constant(F(5, 6)).tail_below_one()[0]
         assert not ConfidenceSequence.constant(F(1)).tail_below_one()[0]
         assert not ConfidenceSequence.geometric(F(3, 2)).tail_below_one()[0]
+
+    def test_notes_name_the_horizon_or_the_bound(self):
+        assert geometric_tail().tail_at_most_power(F(0)) \
+            == (False, "violated at n = 2")
+        assert ConfidenceSequence.explicit(["1/2", "1"]).tail_below_one() \
+            == (False, "delta_2 = 1, not < 1")
+        assert ConfidenceSequence.constant(F(1, 2)).tail_at_least_geometric(
+            F(1, 4), F(2)) == (False, "tail ratio below the floor")
+
+    def test_first_zero_over_a_listed_value_is_identically_zero(self):
+        seq = ConfidenceSequence.explicit(["1/2", "0"], first="0")
+        assert [seq.value_at(n) for n in (1, 2, 3)] == [0, 0, 0]
+        assert seq.is_identically_zero()
+
+
+@dataclasses.dataclass(frozen=True)
+class PerKindSequence:
+    """A confidence sequence decided the slow way, by a case split on its
+    kind: the reference for the one normal form and its single rule."""
+
+    kind: str
+    values: tuple = ()
+    scale: Fraction = Fraction(1)
+    base: Fraction = Fraction(0)
+    level: Fraction = Fraction(0)
+    first: object = None
+
+    def value_at(self, n):
+        if n == 1 and self.first is not None:
+            return self.first
+        if self.kind == "explicit":
+            return self.values[n - 1] if n <= len(self.values) else Fraction(0)
+        if self.kind == "geometric":
+            return self.scale * self.base ** n
+        if self.kind == "constant":
+            return self.level
+        return Fraction(0)
+
+    def vanishes(self):
+        if self.kind in ("zero", "explicit"):
+            return True
+        if self.kind == "geometric":
+            return self.scale == 0 or self.base < 1
+        return self.level == 0
+
+    def is_identically_zero(self):
+        if self.first not in (None, 0):
+            return False
+        if self.kind == "explicit":
+            return all(v == 0 for v in self.values)
+        if self.kind == "geometric":
+            return self.scale == 0 or self.base == 0
+        if self.kind == "constant":
+            return self.level == 0
+        return True
+
+    def within_noise_floor(self, v_min):
+        first = self.value_at(1)
+        if not 0 <= first < v_min:
+            return False
+        if self.kind == "explicit":
+            return all(0 <= v < v_min ** i
+                       for i, v in enumerate(self.values[1:], start=2))
+        if self.kind == "zero":
+            return True
+        if self.kind == "constant":
+            if self.level == 0:
+                return True
+            return v_min == 1 and self.level < 1
+        if self.scale == 0 or self.base == 0:
+            return True
+        r = self.base / v_min
+        if r < 1:
+            return self.scale * self.base ** 2 < v_min ** 2
+        if r == 1:
+            return self.scale < 1
+        return False
+
+    def tail_at_most_power(self, q):
+        if self.kind in ("zero",) or self.is_identically_zero():
+            return True
+        if self.kind == "explicit":
+            return all(v <= q ** i
+                       for i, v in enumerate(self.values[1:], start=2))
+        if self.kind == "constant":
+            if self.level == 0:
+                return True
+            return q >= 1 and self.level <= q * q
+        if self.scale == 0 or self.base == 0:
+            return True
+        if q == 0:
+            return False
+        if self.base / q <= 1:
+            return self.scale * self.base ** 2 <= q * q
+        return False
+
+    def tail_at_least_geometric(self, floor_scale, floor_base):
+        if floor_scale == 0 or floor_base == 0:
+            return True
+        if self.kind == "zero" or self.is_identically_zero():
+            return False
+        if self.kind == "explicit":
+            return False
+        if self.kind == "constant":
+            return floor_base <= 1 and self.level >= floor_scale * floor_base
+        if self.base >= floor_base:
+            return self.scale * self.base ** 2 >= floor_scale * floor_base
+        return False
+
+    def tail_below_one(self):
+        if self.kind == "zero" or self.is_identically_zero():
+            return True
+        if self.kind == "explicit":
+            return all(v < 1 for v in self.values[1:])
+        if self.kind == "constant":
+            return self.level < 1
+        if self.scale == 0 or self.base == 0:
+            return True
+        if self.base < 1:
+            return self.scale * self.base ** 2 < 1
+        if self.base == 1:
+            return self.scale < 1
+        return False
+
+
+# bounds and sequence parameters share one grid, so tail bases tie with
+# noise floors, q and floor bases, and 0 and 1 are both in reach
+_GRID = [F(0), F(1, 50), F(1, 9), F(1, 3), F(1, 2), F(3, 4), F(1), F(3, 2),
+         F(3)]
+
+
+def _random_sequences(seed):
+    """The same random sequence twice: in the normal form and per kind."""
+    rng = random.Random(seed)
+    first = rng.choice([None, None, F(-1, 2)] + _GRID)
+    kind = rng.choice(("zero", "constant", "geometric", "explicit"))
+    if kind == "zero":
+        seq, ref = ConfidenceSequence.zero(first), PerKindSequence("zero")
+    elif kind == "constant":
+        level = rng.choice(_GRID)
+        seq = ConfidenceSequence.constant(level, first)
+        ref = PerKindSequence("constant", level=level)
+    elif kind == "geometric":
+        base, scale = rng.choice(_GRID), rng.choice(_GRID)
+        seq = ConfidenceSequence.geometric(base, scale, first)
+        ref = PerKindSequence("geometric", scale=scale, base=base)
+    else:
+        values = tuple(rng.choices(_GRID, k=rng.randint(0, 4)))
+        seq = ConfidenceSequence.explicit(values, first)
+        ref = PerKindSequence("explicit", values=values)
+    return rng, seq, dataclasses.replace(ref, first=first)
+
+
+class TestNormalFormMatchesPerKind:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_decisions_and_values(self, seed):
+        rng, seq, ref = _random_sequences(seed)
+        v_min = rng.choice([b for b in _GRID if 0 < b <= 1])
+        q, fs, fb = rng.choice(_GRID), rng.choice(_GRID), rng.choice(_GRID)
+        assert [seq.value_at(n) for n in range(1, 9)] \
+            == [ref.value_at(n) for n in range(1, 9)]
+        assert seq.vanishes() == ref.vanishes()
+        if ref.kind == "explicit" and ref.first == 0:
+            # the per-kind check read the listed delta_1 under `first`
+            assert seq.is_identically_zero() == (not any(ref.values[1:]))
+        else:
+            assert seq.is_identically_zero() == ref.is_identically_zero()
+        assert seq.within_noise_floor(v_min)[0] == ref.within_noise_floor(v_min)
+        assert seq.tail_at_most_power(q)[0] == ref.tail_at_most_power(q)
+        assert seq.tail_at_least_geometric(fs, fb)[0] \
+            == ref.tail_at_least_geometric(fs, fb)
+        assert seq.tail_below_one()[0] == ref.tail_below_one()
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_a_tail_that_holds_holds_at_every_checked_horizon(self, seed):
+        rng, seq, _ = _random_sequences(seed)
+        v_min = rng.choice([b for b in _GRID if 0 < b <= 1])
+        q, fs, fb = rng.choice(_GRID), rng.choice(_GRID), rng.choice(_GRID)
+        delta = {n: seq.value_at(n) for n in range(1, 41)}
+        if seq.within_noise_floor(v_min)[0]:
+            assert all(0 <= delta[n] < v_min ** n for n in range(1, 41))
+        if seq.tail_at_most_power(q)[0]:
+            assert all(delta[n] <= q ** n for n in range(2, 41))
+        if seq.tail_at_least_geometric(fs, fb)[0]:
+            assert all(delta[n] >= fs * fb ** (n - 1) for n in range(2, 41))
+        if seq.tail_below_one()[0]:
+            assert all(delta[n] < 1 for n in range(2, 41))
 
 
 # ---------------------------------------------------------------------------
