@@ -14,12 +14,12 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
-from .uvcore import CardinalityPower, UvinfoError, format_ratio, hamming_diameter, ratio
+from .uvcore import (CardinalityPower, UvinfoError, _frozen, format_ratio,
+                     hamming_diameter, ratio)
 from .chancap import (
     Channel,
     DeltaOutOfRange,
@@ -54,7 +54,7 @@ class MalformedRow(UvinfoError):
 # bit strings and Hamming geometry
 
 
-@dataclass(frozen=True, order=True)
+@_frozen(order=True)
 class BitString:
     """A fixed-length binary word, kept as an int for cheap XOR distances."""
 
@@ -123,7 +123,7 @@ def hamming_equivocation(x1: BitString, x2: BitString, tau) -> Fraction:
     return Fraction(hamming_diameter(shared, min(2 * r, n)) + 1, n + 1)
 
 
-@dataclass(frozen=True)
+@_frozen
 class DistanceBoundRow:
     pair: tuple                  # (BitString, BitString)
     distance: int
@@ -131,7 +131,7 @@ class DistanceBoundRow:
     correctable: int             # floor((distance - 1) / 2)
 
 
-@dataclass(frozen=True)
+@_frozen
 class DistanceBoundReport:
     rows: tuple
     radius: int
@@ -192,7 +192,7 @@ def hamming_distance_bound(codebook: Iterable[BitString], tau,
 # label equivocation matrices
 
 
-@dataclass(frozen=True)
+@_frozen
 class EquivocationMatrix:
     """Pairwise label equivocations with the noise-floor analogue v_min.
 

@@ -44,7 +44,6 @@ import operator
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
@@ -55,7 +54,8 @@ from .uvcore import (
     UncertaintyFunction,
     UvinfoError,
     CardinalityPower,
-    format_log2,
+    _CountResult,
+    _frozen,
     format_ratio,
 )
 from .infocalc import association_sets, overlap_family
@@ -88,7 +88,7 @@ def _sorted_symbols(symbols, side: str) -> tuple:
             f"{side} symbols must be hashable and mutually comparable") from None
 
 
-@dataclass(frozen=True)
+@_frozen
 class Channel:
     """A set-valued noise map on finite alphabets.
 
@@ -235,9 +235,12 @@ def _rank_table(n: int, pair_values, limit: Fraction) -> tuple:
     the upper part of row ``i`` (field 0 comes last), and column ``i`` of
     the later rows, one extended-slice store; no Python loop visits a pair."""
     # pairs are keyed by (numerator, denominator), exact in lowest terms and
-    # far cheaper to hash than the Fraction itself
+    # far cheaper to hash than the Fraction itself; the distinct values sort
+    # by their floats (integer division rounds monotonically; infinity from
+    # 2**1000 up), so only values with equal floats compare as Fractions
     keys = list(map(operator.methodcaller("as_integer_ratio"), pair_values))
-    values = sorted(Fraction(*key) for key in set(keys))
+    values = [v for _, v in sorted((p / q if p < q << 1000 else math.inf,
+                                    Fraction(p, q)) for p, q in set(keys))]
     top = bisect.bisect_right(values, limit)
     rank = {v.as_integer_ratio(): min(r, top) for r, v in enumerate(values)}
     width = _field_width(top)
@@ -348,7 +351,7 @@ def _delta_grid(ch: Channel, m: UncertaintyFunction, values) -> list:
     return sorted(grid)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Distinguishability:
     ok: bool
     threshold: Fraction
@@ -381,20 +384,15 @@ def check_distinguishable(ch: Channel, m: UncertaintyFunction, codebook,
     return Distinguishability(True, threshold)
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+@_frozen
+class CapacityResult(_CountResult):
     count: int
     witness: tuple
     per_size_feasibility: tuple  # ((k, feasible), ...) for every size tried
     thresholds: tuple            # ((k, delta/k), ...) matching per_size
     delta: Fraction
 
-    @property
-    def bits(self) -> float:
-        return math.log2(self.count)
-
-    def render_bits(self) -> str:
-        return format_log2(self.count)
+    render_bits = _CountResult.render
 
 
 # A top-level clique search may visit this many nodes per vertex of its
@@ -708,16 +706,12 @@ def _brute_force_representatives(ch: Channel) -> tuple:
     return reps
 
 
-@dataclass(frozen=True)
-class MISupResult:
+@_frozen
+class MISupResult(_CountResult):
     count: int
     codebook: tuple
     delta_tilde: Fraction
     feasible_only: bool
-
-    @property
-    def bits(self) -> float:
-        return math.log2(self.count)
 
 
 def _uniform_x(pair: UncertainPair) -> CardinalityPower:
@@ -772,7 +766,7 @@ def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
     return best
 
 
-@dataclass(frozen=True)
+@_frozen
 class CodingTheoremRow:
     delta: Fraction
     capacity_count: int
@@ -784,7 +778,7 @@ class CodingTheoremRow:
     match: bool
 
 
-@dataclass(frozen=True)
+@_frozen
 class CodingTheoremReport:
     rows: tuple
     ok: bool
@@ -809,15 +803,11 @@ def verify_coding_theorem(ch: Channel, m: UncertaintyFunction,
     return CodingTheoremReport(tuple(rows), ok)
 
 
-@dataclass(frozen=True)
-class AvgOverlapResult:
+@_frozen
+class AvgOverlapResult(_CountResult):
     count: int
     witness: tuple
     delta: Fraction
-
-    @property
-    def bits(self) -> float:
-        return math.log2(self.count)
 
 
 def average_overlap(ch: Channel, m: UncertaintyFunction, codebook) -> Fraction:

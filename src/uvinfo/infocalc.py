@@ -26,8 +26,6 @@ Conventions that matter and are easy to get wrong:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -37,7 +35,8 @@ from .uvcore import (
     UncertainPair,
     UncertaintyFunction,
     UvinfoError,
-    format_log2,
+    _CountResult,
+    _frozen,
     format_ratio,
 )
 
@@ -54,7 +53,7 @@ class NotDisassociated(UvinfoError):
 # side profiles: distinct conditional ranges with point multiplicities
 
 
-@dataclass(frozen=True)
+@_frozen
 class _SideProfile:
     """Distinct conditional ranges of one side, each with the number of
     opposite-axis points (capped at 2) that produce it."""
@@ -138,7 +137,7 @@ def _association_values(profile: _SideProfile, m: UncertaintyFunction) -> frozen
 # association sets and level classification
 
 
-@dataclass(frozen=True)
+@_frozen
 class AssociationSets:
     """The nonzero normalized overlaps between conditional-range pairs,
     in both orientations."""
@@ -161,7 +160,7 @@ def association_sets(pair: UncertainPair, m_x: UncertaintyFunction,
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class LevelStatus:
     variant: str  # "disassociated" | "associated" | "neither"
     witness: tuple[str, ...]
@@ -243,7 +242,7 @@ def delta_components(pair: UncertainPair, m: UncertaintyFunction, delta: Fractio
 # overlap families and mutual information
 
 
-@dataclass(frozen=True)
+@_frozen
 class OverlapFamily:
     """A largest cover of the marginal by delta-connected sets with pairwise
     overlap at most ``delta * m(marginal)``."""
@@ -284,20 +283,13 @@ def overlap_family(pair: UncertainPair, m_x: UncertaintyFunction,
     return None
 
 
-@dataclass(frozen=True)
-class MIResult:
+@_frozen
+class MIResult(_CountResult):
     """Delta-mutual information: an exact count with a log2 rendering."""
 
     count: int
     status: str  # "associated" | "disassociated" | "no_family"
     family: Optional[OverlapFamily]
-
-    @property
-    def bits(self) -> float:
-        return math.log2(self.count)
-
-    def render(self) -> str:
-        return format_log2(self.count)
 
 
 def mutual_information(pair: UncertainPair, m_x: UncertaintyFunction,
@@ -321,7 +313,7 @@ def mutual_information(pair: UncertainPair, m_x: UncertaintyFunction,
 # taxicab families on the joint range
 
 
-@dataclass(frozen=True)
+@_frozen
 class TaxicabFamily:
     sets: tuple
     deltas: tuple[Fraction, Fraction]

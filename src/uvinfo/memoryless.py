@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,6 +30,7 @@ from .uvcore import (
     UncertainPair,
     UncertaintyFunction,
     UvinfoError,
+    _frozen,
     format_log2,
     format_ratio,
     ratio,
@@ -86,7 +86,7 @@ def product_uncertainty(m: UncertaintyFunction, n: int) -> UncertaintyFunction:
     return CardinalityPower(m.base_size ** n, m.exponent)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ProductChannel:
     """The horizon-n extension of a base channel; images are per-symbol
     products and are only materialized within the exact-search caps."""
@@ -123,7 +123,7 @@ class ProductChannel:
         return Channel.of(mapping, y_alphabet=tuple(y_blocks))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Rate:
     """log2(count)/horizon bits per symbol, kept exact as the pair."""
 
@@ -189,7 +189,7 @@ _RELATIONS = {"<=": (operator.le, operator.le),
               ">=": (operator.ge, operator.ge)}
 
 
-@dataclass(frozen=True)
+@_frozen
 class ConfidenceSequence:
     """An exact description of {delta_n} in one normal form: the listed
     values delta_1..delta_L of ``head``, then delta_n = scale * base**n for
@@ -334,14 +334,14 @@ def parse_sequence_spec(obj: dict) -> ConfidenceSequence:
 # single-letter certificates
 
 
-@dataclass(frozen=True)
+@_frozen
 class Condition:
     name: str
     holds: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class SingleLetterCertificate:
     theorem: str           # "T12" | "Cor2" | "T13" | "T14"
     notion: str            # which capacity the certificate pins down
@@ -576,7 +576,7 @@ def _check_t14(ch, m, codebook, delta_star):
 # capacity profiles
 
 
-@dataclass(frozen=True)
+@_frozen
 class ProfileRow:
     horizon: int
     delta_n: Fraction
@@ -584,7 +584,7 @@ class ProfileRow:
     label: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class ProfileReport:
     rows: tuple
     inf_rate: Rate
@@ -599,16 +599,18 @@ def _first_certificates(ch: Channel, m: UncertaintyFunction,
                         seq: ConfidenceSequence, reps: tuple) -> tuple:
     """The first certifying codebook of each applicable theorem, trying the
     subsets of ``reps`` in combination order; below the capacity count a
-    codebook has too few family sets, so the walk starts at that count."""
+    codebook has too few family sets, so the walk starts at that count,
+    found once for each distinct level."""
     found = []
     delta1 = seq.value_at(1)
+    count_at = functools.cache(lambda level: capacity(ch, m, level).count)
     for variant, applicable, level in (
             ("T12", True, delta1),
             ("Cor2", seq.is_identically_zero(), Fraction(0)),
             ("T13", True, delta1)):
         if not applicable:
             continue
-        expected = capacity(ch, m, level).count
+        expected = count_at(level)
         for cb in itertools.chain.from_iterable(
                 itertools.combinations(reps, size)
                 for size in range(expected, len(reps) + 1)):
@@ -688,7 +690,7 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
 # tensorization
 
 
-@dataclass(frozen=True)
+@_frozen
 class TensorizationReport:
     status: str                 # "ok" | "skipped"
     reason: str

@@ -22,7 +22,8 @@ conditional range, which is what makes the downstream calculus finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -37,6 +38,89 @@ class PointOutsideRange(UvinfoError):
 
 class IncompatibleGround(UvinfoError):
     """An uncertainty function was applied to the wrong kind of subset."""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a frozen record."""
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+
+_set = object.__setattr__
+
+
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(
+        f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _frozen(cls=None, *, order=False):
+    """Make ``cls`` a frozen record of the fields it annotates, in order,
+    with its class-level values as defaults, as ``dataclass(frozen=True)``
+    does: ``__init__`` (then ``__post_init__``), ``repr``, equality and a
+    hash on the field tuple, and with ``order`` the four comparisons.  The
+    methods are closures, so no source is generated or compiled."""
+    if cls is None:
+        return lambda cls: _frozen(cls, order=order)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    tail = tuple(defaults[n] for n in names[len(names) - len(defaults):])
+    get, post_init = operator.attrgetter(*names), getattr(cls, "__post_init__", None)
+    # the field tuple, which a dataclass hashes
+    key = (lambda self: (get(self),)) if len(names) == 1 else get
+
+    def bind(args, kwargs):
+        if not kwargs and len(names) - len(tail) <= len(args) < len(names):
+            return args + tail[len(args) - len(names):]  # the last fields' defaults
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            raise TypeError(
+                f"{cls.__qualname__}() takes the fields {names}; got {len(args)} "
+                f"positional arguments and the keywords {sorted(kwargs)}")
+        return map(values.__getitem__, names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        # one store per field, as a dataclass makes: values stored into the
+        # instance dict at once would make every later attribute read slower
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def comparison(op):
+        def compare(self, other):
+            if other.__class__ is self.__class__:
+                return op(get(self), get(other))
+            return NotImplemented
+        return compare
+
+    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, comparison(operator.eq)
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    if order:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            setattr(cls, f"__{op.__name__}__", comparison(op))
+    return cls
+
+
+class _CountResult:
+    """A result that is an exact count of distinguishable symbols."""
+
+    @property
+    def bits(self) -> float:
+        return math.log2(self.count)
+
+    def render(self) -> str:
+        """The count in bits, exact when it is a power of two."""
+        return format_log2(self.count)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +169,7 @@ def format_log2(count: int, horizon: int = 1) -> str:
 # interval unions
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntervalUnion:
     """A finite union of disjoint closed intervals with rational endpoints.
 
@@ -168,7 +252,7 @@ class IntervalUnion:
 # ground sets
 
 
-@dataclass(frozen=True)
+@_frozen
 class FiniteGround:
     """A finite ground space with distinct, canonically ordered labels."""
 
@@ -192,7 +276,7 @@ class FiniteGround:
         return sub
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntervalGround:
     """A one-dimensional ground space: a closed interval union."""
 
@@ -225,7 +309,7 @@ class UncertaintyFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@_frozen
 class CardinalityPower(UncertaintyFunction):
     """``m(S) = (|S| / base_size) ** exponent`` on finite subsets.
 
@@ -238,12 +322,12 @@ class CardinalityPower(UncertaintyFunction):
 
     base_size: int
     exponent: int = 1
-    kind: str = field(default="cardinality_power", init=False, repr=False)
-    _by_size: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    kind = "cardinality_power"
 
     def __post_init__(self) -> None:
         if self.base_size <= 0 or self.exponent <= 0:
             raise UvinfoError("base_size and exponent must be positive")
+        _set(self, "_by_size", {})
 
     def of(self, subset: GroundSubset) -> Fraction:
         if not isinstance(subset, frozenset):
@@ -258,16 +342,16 @@ class CardinalityPower(UncertaintyFunction):
         return value
 
 
-@dataclass(frozen=True)
+@_frozen
 class LebesguePlusOffset(UncertaintyFunction):
     """``m(S) = L(S) + offset`` for nonempty interval unions, ``0`` on empty;
     the offset must be positive, or a single point would measure 0."""
 
     offset: Fraction
-    kind: str = field(default="lebesgue_plus_offset", init=False, repr=False)
+    kind = "lebesgue_plus_offset"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", ratio(self.offset))
+        _set(self, "offset", ratio(self.offset))
         if self.offset <= 0:
             raise UvinfoError("offset must be positive")
 
@@ -294,7 +378,7 @@ def hamming_diameter(points: list, cap: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
+@_frozen
 class DiameterPlusOne(UncertaintyFunction):
     """``m(S) = (diam(S) + 1) / normalizer`` with the Hamming metric.
 
@@ -303,10 +387,10 @@ class DiameterPlusOne(UncertaintyFunction):
     """
 
     normalizer: Fraction
-    kind: str = field(default="diameter_plus_one", init=False, repr=False)
+    kind = "diameter_plus_one"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "normalizer", ratio(self.normalizer))
+        _set(self, "normalizer", ratio(self.normalizer))
         if self.normalizer <= 0:
             raise UvinfoError("normalizer must be positive")
 
@@ -325,14 +409,13 @@ class DiameterPlusOne(UncertaintyFunction):
         return Fraction(hamming_diameter(points, lengths.pop()) + 1) / self.normalizer
 
 
-@dataclass(frozen=True)
+@_frozen
 class ExplicitWeights(UncertaintyFunction):
     """``m(S) = sum of per-label weights / normalizer`` (additive)."""
 
     weights: tuple[tuple[object, Fraction], ...]
     normalizer: Fraction
-    kind: str = field(default="explicit_weights", init=False, repr=False)
-    _table: dict = field(init=False, repr=False, compare=False)
+    kind = "explicit_weights"
 
     @staticmethod
     def of_mapping(weights: Mapping, normalizer: Union[int, str, Fraction] = 1) -> "ExplicitWeights":
@@ -344,7 +427,7 @@ class ExplicitWeights(UncertaintyFunction):
             raise UvinfoError("normalizer must be positive")
         if any(w <= 0 for _, w in self.weights):
             raise UvinfoError("weights must be positive")
-        object.__setattr__(self, "_table", dict(self.weights))
+        _set(self, "_table", dict(self.weights))
 
     def of(self, subset: GroundSubset) -> Fraction:
         if not isinstance(subset, frozenset):
@@ -365,7 +448,7 @@ def uncertainty_of(m: UncertaintyFunction, subset: GroundSubset) -> Fraction:
 # uncertain pairs
 
 
-@dataclass(frozen=True)
+@_frozen
 class ArrangementCell:
     """One class of interval-axis points sharing a conditional range.
 
@@ -388,7 +471,7 @@ def _normalize_side(side: str) -> str:
     return s
 
 
-@dataclass(frozen=True)
+@_frozen
 class UncertainPair:
     """A joint range.
 
@@ -556,6 +639,7 @@ __all__ = [
     "DiameterPlusOne",
     "ExplicitWeights",
     "FiniteGround",
+    "FrozenInstanceError",
     "GroundSet",
     "GroundSubset",
     "IncompatibleGround",

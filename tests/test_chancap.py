@@ -856,10 +856,33 @@ def pair_value_lists(draw, max_vertices=12):
     return n, [F(v) if k % 2 else v for k, v in enumerate(chosen)]
 
 
+# values whose floats are equal although the values are not: 1/3 and its
+# neighbours closer than a float's precision, zero and values that round to
+# 0.0, and values past the largest float, which all read as infinity
+TIED = (F(0), F(1, 10 ** 400), F(2, 10 ** 400), F(1, 3),
+        F(10 ** 20, 3 * 10 ** 20 + 1), F(10 ** 20 + 1, 3 * 10 ** 20 + 2),
+        F(1, 3) + F(1, 10 ** 30), F(1, 2), F(10 ** 400), F(10 ** 400 + 1),
+        F(3 * 10 ** 400, 2))
+
+
+@st.composite
+def tied_value_lists(draw, max_vertices=10):
+    n = draw(st.integers(1, max_vertices))
+    chosen = draw(st.lists(st.sampled_from(TIED), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2))
+    return n, [F(v) if k % 2 else v for k, v in enumerate(chosen)]
+
+
 class TestRankFrontEnd:
     """Every other measure, and a matrix, ranks its pair values into one
     table in the count table's layout; the table and every cut's adjacency
     must match a pair loop, and the results those of the count table."""
+
+    @given(tied_value_lists(), st.sampled_from(TIED))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_values_sort_exactly_where_floats_tie(self, drawn, limit):
+        # the float sort key must order them as sorted(Fraction) does
+        every_rank_cut_matches(*drawn, limit)
 
     @given(pair_value_lists(), st.sampled_from(LEVELS))
     @settings(max_examples=150, deadline=None)

@@ -567,9 +567,36 @@ class TestCapacityProfile:
         (geometric_tail(), 2),
         (ConfidenceSequence.constant(F(1, 50)), 2),
     ])
-    def test_one_capacity_search_per_theorem(self, monkeypatch, seq, theorems):
+    def test_one_capacity_search_per_level(self, monkeypatch, seq, theorems):
         # six distinct images give 63 candidate codebooks per theorem; the
-        # rows take one search per horizon and T14 takes none
+        # rows take one search per horizon, the theorems one per distinct
+        # level (T12, Cor2 and T13 all test delta_1) and T14 none
+        calls, tried = [], set()
+
+        def counting(*args):
+            calls.append(args[2])
+            return capacity(*args)
+
+        def trying(variant, *args):
+            tried.add(variant)
+            return certify(variant, *args)
+
+        certify = memoryless._certify
+        monkeypatch.setattr(memoryless, "capacity", counting)
+        monkeypatch.setattr(memoryless, "_certify", trying)
+        ch = Channel.of({x: frozenset([x, (x + 1) % 6, 6]) for x in range(6)})
+        capacity_profile(ch, CardinalityPower(7), seq, 2)
+        assert len(tried) == theorems
+        assert calls == [seq.value_at(1), seq.value_at(2), seq.value_at(1)]
+
+    @pytest.mark.parametrize("m,seq", [
+        (M1, ConfidenceSequence.zero()),
+        (M1, geometric_tail()),
+        (M3, cubed_floor_tail()),
+    ])
+    def test_fig5_certificates_take_one_capacity_search(
+            self, monkeypatch, fig5, m, seq):
+        reference = _ref_profile(fig5, m, seq, 1)
         calls = []
 
         def counting(*args):
@@ -577,9 +604,9 @@ class TestCapacityProfile:
             return capacity(*args)
 
         monkeypatch.setattr(memoryless, "capacity", counting)
-        ch = Channel.of({x: frozenset([x, (x + 1) % 6, 6]) for x in range(6)})
-        capacity_profile(ch, CardinalityPower(7), seq, 2)
-        assert len(calls) == 2 + theorems
+        report = capacity_profile(fig5, m, seq, 1)
+        assert report == reference and report.certificates
+        assert calls == [seq.value_at(1)] * 2  # the row, then the theorems
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,12 @@ class TestNamespace:
         assert vars(uvinfo)["__version__"] == "0.1.0"
 
 
-def _loaded(code: str, cwd) -> list:
-    """The uvinfo modules a fresh interpreter holds after running ``code``."""
-    script = (code + "\nprint(json.dumps(sorted(m for m in sys.modules"
-              " if m.split('.')[0] == 'uvinfo')))")
+def _loaded(code: str, cwd, tops=("uvinfo",)) -> list:
+    """The modules under ``tops`` that a fresh interpreter holds after
+    running ``code`` and did not hold before it."""
+    script = ("before = set(sys.modules)\n" + code +
+              "\nprint(json.dumps(sorted(m for m in sys.modules"
+              f" if m.split('.')[0] in {tuple(tops)!r} and m not in before)))")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-c", "import json, sys\n" + script],
@@ -90,14 +92,18 @@ def _loaded(code: str, cwd) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _command_loads(argv: list, cwd) -> list:
+def _command_loads(argv: list, cwd, tops=("uvinfo",)) -> list:
     code = ("import contextlib, io, uvinfo.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
             f"        uvinfo.cli.main({argv!r})\n"
             "    except SystemExit as exc:\n"
             "        assert exc.code == 0, exc.code")
-    return _loaded(code, cwd)
+    return _loaded(code, cwd, tops)
+
+
+# dataclasses and what it imports to generate the methods of its classes
+CODE_GENERATION = ("ast", "dataclasses", "dis", "inspect", "tokenize")
 
 
 class TestImportFootprint:
@@ -130,3 +136,26 @@ class TestImportFootprint:
         argv = ["verify", "--channel", "fig5.json", "--m", "card:19",
                 "--deltas", "0"]
         assert "uvinfo.apps" not in _command_loads(argv, tmp_path)
+
+    def test_cli_import_loads_no_code_generation(self, tmp_path):
+        assert _loaded("import uvinfo.cli", tmp_path, CODE_GENERATION) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--channel", "fig5.json", "--m", "card:19",
+         "--delta", "2/9"],
+        ["rates", "--channel", "fig5.json", "--m", "card:19", "--sequence",
+         '{"kind": "geometric", "base": "7/342", "first": "2/9"}',
+         "--n-max", "2"],
+        ["verify", "--channel", "fig5.json", "--m", "card:19",
+         "--deltas", "0,2/9"],
+        ["classify", "--matrix", "matrix.json", "--delta", "1/4"],
+        ["examples"],
+    ], ids=["capacity", "rates-sequence", "verify", "classify-matrix",
+            "examples"])
+    def test_commands_load_no_code_generation(self, argv, tmp_path):
+        # every value class is a frozen record built from closures, so no
+        # command needs dataclasses, inspect or the compiler modules
+        (tmp_path / "matrix.json").write_text(json.dumps(
+            {"labels": ["a", "b", "c"], "entries": [["a", "b", "1/8"]],
+             "v_min": "1/2"}))
+        assert _command_loads(argv, tmp_path, CODE_GENERATION) == []
