@@ -58,7 +58,7 @@ from .uvcore import (
     _frozen,
     format_ratio,
 )
-from .infocalc import association_sets, overlap_family
+from .infocalc import _association_values, overlap_family, side_profile
 
 MI_SUP_MAX_SYMBOLS = 12
 
@@ -118,8 +118,8 @@ class Channel:
                 stray = img - yset
                 if stray:
                     raise UvinfoError(
-                        f"image of {x!r} contains {sorted(stray)[0]!r}, "
-                        "not in the output alphabet")
+                        f"output symbol {min(stray, key=repr)!r} of input "
+                        f"{x!r} is not in the output alphabet")
         return Channel(xs, ys, tuple(image_list))
 
     @cached_property
@@ -719,11 +719,6 @@ def _uniform_x(pair: UncertainPair) -> CardinalityPower:
     return CardinalityPower(len(pair.marginal_range("X")))
 
 
-def _output_association_values(pair: UncertainPair, m: UncertaintyFunction) -> list:
-    """Distinct output-side association values of an induced pair."""
-    return sorted(association_sets(pair, _uniform_x(pair), m).a_yx)
-
-
 def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
                   feasible_only: bool = True) -> MISupResult:
     """Brute-force the coding-theorem right side: the sup over codebooks X
@@ -732,28 +727,25 @@ def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
 
     With ``feasible_only`` the sup ranges over (X, delta_tilde) whose
     output-side overlap family exists (the feasible set); without it a
-    missing family scores 0 bits.  Families and feasibility only change at
-    the finitely many output association values, so those (clipped to the
-    allowed range, plus the endpoints) are swept exactly.
+    missing family scores 0 bits.  A codebook's family changes only at 0
+    and at its largest output association value (see ``infocalc``), so
+    those two levels, the second only when allowed, are tried exactly.
     """
     _require_normalized(ch, m)
     v_min = ch.min_image_uncertainty(m)
     _require_delta(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
     reps = _brute_force_representatives(ch)
     best: Optional[MISupResult] = None
-    m_x_uniform = CardinalityPower(len(ch.x_symbols))
     for size in range(1, len(reps) + 1):
         for cb in itertools.combinations(reps, size):
             pair = induced_pair(ch, cb)
-            m_out = m.of(pair.marginal_range("Y"))
-            theta_max = delta / (m_out * size)
-            thetas = [Fraction(0)]
-            thetas.extend(v for v in _output_association_values(pair, m)
-                          if v <= theta_max)
-            if theta_max not in thetas:
-                thetas.append(theta_max)
-            for theta in sorted(thetas):
-                family = overlap_family(pair, m_x_uniform, m, theta, "Y")
+            theta_max = delta / (m.of(pair.marginal_range("Y")) * size)
+            values = _association_values(side_profile(pair, "Y"), m)
+            levels = [Fraction(0)]
+            if values and max(values) <= theta_max:
+                levels.append(max(values))
+            for theta in levels:
+                family = overlap_family(pair, CardinalityPower(size), m, theta, "Y")
                 if family is None:
                     if feasible_only:
                         continue

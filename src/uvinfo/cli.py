@@ -136,23 +136,11 @@ def parse_channel_spec(text: str) -> chancap.Channel:
         y_raw.extend(outputs)
     ys = _normalize_symbols(y_raw)
     it = iter(ys)
-    mapping = {}
-    images_normed = []
-    for x, image in zip(xs, raw_map.values()):
-        normed = frozenset(next(it) for _ in image)
-        mapping[x] = normed
-        images_normed.append((x, normed))
-    alphabet = None
-    if outputs is not None:
-        alphabet = tuple(it)
-        for x, image in images_normed:
-            for s in sorted(image, key=repr):
-                if s not in alphabet:
-                    raise ValidationError(
-                        f"output symbol {s!r} of input {x!r} "
-                        "is not in the alphabet")
+    mapping = {x: frozenset(next(it) for _ in image)
+               for x, image in zip(xs, raw_map.values())}
     try:
-        return chancap.Channel.of(mapping, y_alphabet=alphabet)
+        return chancap.Channel.of(
+            mapping, y_alphabet=None if outputs is None else tuple(it))
     except UvinfoError as exc:
         raise ValidationError(str(exc)) from None
 

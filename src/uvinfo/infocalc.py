@@ -6,7 +6,10 @@ definition — association sets, delta-connected components, overlap families,
 the taxicab relation on the joint range — is evaluated by exact rational
 comparison on that reduction.
 
-Each side's conditional ranges are read in one pass over the joint relation.
+Each side's conditional ranges are read in one pass over the joint relation,
+and an overlap family reads its side once.  A side's family changes only at
+0 and at its largest association value: the components (or none) below the
+least value, none up to the largest, the distinct ranges from it up.
 Finite (``frozenset``) and interval (:class:`~uvinfo.uvcore.IntervalUnion`)
 subsets share one algebra, ``&``, ``|`` and truthiness (nonempty is true), so
 only sorting asks which kind of ground a subset lives on.
@@ -69,15 +72,6 @@ class _SideProfile:
                 inter = self.ranges[i] & self.ranges[j]
                 if inter:
                     yield i, j, inter
-
-    def has_any_association(self) -> bool:
-        """Whether the association set of this side is nonempty — an
-        uncertainty-free question, since m vanishes only on the empty set."""
-        if any(c >= 2 for c in self.counts):
-            return True
-        for _ in self.pairs_with_overlap():
-            return True
-        return False
 
 
 def _subset_sort_key(s):
@@ -212,6 +206,18 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
+def _components(profile: _SideProfile) -> list:
+    """The unions of the side's ranges that meet, merged transitively."""
+    parent = list(range(len(profile.ranges)))
+    for i, j, _ in profile.pairs_with_overlap():
+        parent[_find(parent, i)] = _find(parent, j)
+    buckets: dict[int, object] = {}
+    for i, rng in enumerate(profile.ranges):
+        root = _find(parent, i)
+        buckets[root] = rng if root not in buckets else buckets[root] | rng
+    return sorted(buckets.values(), key=_subset_sort_key)
+
+
 def delta_components(pair: UncertainPair, m: UncertaintyFunction, delta: Fraction,
                      side: str) -> list:
     """The unique partition of the marginal into delta-connected components.
@@ -227,15 +233,7 @@ def delta_components(pair: UncertainPair, m: UncertaintyFunction, delta: Fractio
         if value <= delta:
             raise NotDisassociated(
                 f"overlap ratio {format_ratio(value)} <= {format_ratio(delta)}")
-    parent = list(range(len(profile.ranges)))
-    # every overlap exceeds delta (checked above), so ranges that meet merge
-    for i, j, _ in profile.pairs_with_overlap():
-        parent[_find(parent, i)] = _find(parent, j)
-    buckets: dict[int, object] = {}
-    for i, rng in enumerate(profile.ranges):
-        root = _find(parent, i)
-        buckets[root] = rng if root not in buckets else buckets[root] | rng
-    return sorted(buckets.values(), key=_subset_sort_key)
+    return _components(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +270,16 @@ def overlap_family(pair: UncertainPair, m_x: UncertaintyFunction,
     if not 0 <= delta <= 1:
         raise UvinfoError("delta must lie in [0, 1]")
     profile = side_profile(pair, side)
-    m_side = m_x if side == "X" else m_y
-    values = _association_values(profile, m_side)
+    values = _association_values(profile, m_x if side == "X" else m_y)
     if not values or max(values) <= delta:
-        return OverlapFamily(tuple(profile.ranges), "associated", delta)
+        return OverlapFamily(profile.ranges, "associated", delta)
+    if min(values) <= delta:
+        return None
+    # the opposite association set is nonempty exactly when a range is
+    # produced twice or two ranges meet (m vanishes only on the empty set)
     other = side_profile(pair, "Y" if side == "X" else "X")
-    if all(v > delta for v in values) and other.has_any_association():
-        components = delta_components(pair, m_side, delta, side)
-        return OverlapFamily(tuple(components), "disassociated", delta)
+    if any(c >= 2 for c in other.counts) or next(other.pairs_with_overlap(), None):
+        return OverlapFamily(tuple(_components(profile)), "disassociated", delta)
     return None
 
 

@@ -110,11 +110,15 @@ class ProductChannel:
                 ("inputs", len(self.base.x_symbols), CLIQUE_SEARCH_MAX_POINTS),
                 ("outputs", len(self.base.y_symbols), FAMILY_MAX_POINTS)):
             # size ** n > cap for every n past cap.bit_length() (size >= 2),
-            # so a huge horizon is refused without building its power
+            # and a block holds n symbols even over one symbol, so a huge
+            # horizon is refused without building its power or a block
             if size > 1 and (n > cap.bit_length() or size ** n > cap):
                 shown = size ** n if n <= cap.bit_length() else f"{size}^{n}"
                 raise HorizonTooLarge(
                     f"{shown} block {side} exceed the cap of {cap}")
+            if n > cap:
+                raise HorizonTooLarge(
+                    f"horizon {n} exceeds the cap of {cap} on block {side}")
         mapping = {}
         for block in itertools.product(self.base.x_symbols, repeat=n):
             mapping[block] = frozenset(

@@ -24,15 +24,18 @@ from uvinfo import (
     ExplicitWeights,
     NotNormalized,
     UvinfoError,
+    association_sets,
     capacity,
     check_distinguishable,
     induced_pair,
     matrix_capacity,
     mi_sup_oracle,
+    overlap_family,
     verify_coding_theorem,
 )
 from uvinfo import chancap
 from uvinfo.chancap import (
+    MISupResult,
     SamePoint,
     as_codebook,
     average_overlap,
@@ -414,6 +417,53 @@ class TestAgainstBruteForce:
         assert report.ok
         for row in report.rows:
             assert row.capacity_count == row.sup_count == row.unrestricted_count
+
+
+def per_level_oracle(ch, m, delta, feasible_only=True) -> MISupResult:
+    """The information sup swept level by level: for each codebook, 0,
+    every output association value up to the allowed level, and that level
+    itself, in increasing order.  The reference for the two-level oracle."""
+    reps = distinct_image_representatives(ch)
+    best = None
+    for size in range(1, len(reps) + 1):
+        for cb in itertools.combinations(reps, size):
+            pair = induced_pair(ch, cb)
+            m_x = chancap._uniform_x(pair)
+            theta_max = delta / (m.of(pair.marginal_range("Y")) * size)
+            values = association_sets(pair, m_x, m).a_yx
+            for theta in sorted({F(0), theta_max}
+                                | {v for v in values if v <= theta_max}):
+                family = overlap_family(pair, m_x, m, theta, "Y")
+                if family is None and feasible_only:
+                    continue
+                count = 1 if family is None else family.count
+                if best is None or count > best.count:
+                    best = MISupResult(count, cb, theta * size, feasible_only)
+    return best
+
+
+class TestOracleMatchesPerLevelSweep:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_whole_results(self, seed):
+        rng = random.Random(seed)
+        # small images overlap a lot; wide ones can overlap by several small
+        # values that all fit under a codebook's allowed level
+        outputs, sizes = rng.choice([(rng.randint(4, 9), (1, 4)),
+                                     (rng.randint(12, 24), (6, 12))])
+        ch = random_channel(rng, rng.randint(1, 5), outputs, sizes)
+        if rng.random() < 0.5:
+            m = CardinalityPower(outputs, rng.randint(1, 2))
+        else:
+            weights = {y: rng.randint(1, 9) for y in range(outputs)}
+            m = ExplicitWeights.of_mapping(weights, sum(weights.values()))
+        v_min = ch.min_image_uncertainty(m)
+        deltas = set(chancap._delta_grid(ch, m, chancap._pair_values(ch, m)))
+        deltas |= {v_min * F(k, 4) for k in range(1, 4)}
+        for delta in sorted(deltas):
+            for feasible_only in (True, False):
+                assert mi_sup_oracle(ch, m, delta, feasible_only=feasible_only) \
+                    == per_level_oracle(ch, m, delta, feasible_only)
 
 
 class TestCertificateReuse:

@@ -319,6 +319,27 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == f"error: 19^{horizon} block inputs exceed the cap of 500\n"
 
+    def test_one_symbol_base_bounds_the_horizon(self, capsys, tmp_path):
+        # a one-input, one-output base has one block per horizon, so the
+        # block length is what meets the cap: neither command builds a
+        # block of 10^8 symbols
+        src = tmp_path / "one.json"
+        src.write_text('{"map": {"a": ["x"]}}')
+        code, out, err = run(["rates", "--channel", str(src), "--m", "card:1",
+                              "--delta", "0", "--horizon", "100000000"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: horizon 100000000 exceeds the cap of 500 on "
+                       "block inputs\n")
+        code, out, err = run(["--format", "json", "rates", "--channel",
+                              str(src), "--m", "card:1", "--sequence",
+                              '{"kind": "zero"}', "--n-max", "100000000"],
+                             capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert len(payload["rows"]) == 500
+        assert payload["notes"] == ["horizon 501 skipped: horizon 501 exceeds "
+                                    "the cap of 500 on block inputs"]
+
     def test_huge_cardinality_exponent_exits_two(self, capsys, monkeypatch):
         # exact powers this large used to run past any timeout: the spec
         # must be refused before any uncertainty value is computed

@@ -7,7 +7,7 @@ association values and families are known exactly in every regime.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uvinfo import (
     CardinalityPower,
@@ -15,6 +15,7 @@ from uvinfo import (
     IntervalUnion,
     LebesguePlusOffset,
     NotDisassociated,
+    OverlapFamily,
     UncertainPair,
     UvinfoError,
     association_sets,
@@ -191,6 +192,55 @@ class TestOverlapFamily:
     def test_delta_outside_unit_interval(self, pair):
         with pytest.raises(UvinfoError):
             overlap_family(pair, M_X, M_Y, F(3, 2), "X")
+
+
+def reference_family(pair, m_x, m_y, delta, side):
+    """The overlap family read off its definition at one level: both
+    association sets in full, and the components from ``delta_components``,
+    which reads the side again.  The reference for the one-reading
+    construction."""
+    assoc = association_sets(pair, m_x, m_y)
+    values, opposite = (assoc.a_xy, assoc.a_yx) if side == "X" \
+        else (assoc.a_yx, assoc.a_xy)
+    if all(v <= delta for v in values):
+        return OverlapFamily(side_profile(pair, side).ranges, "associated", delta)
+    if all(v > delta for v in values) and opposite:
+        components = delta_components(pair, m_x if side == "X" else m_y,
+                                      delta, side)
+        return OverlapFamily(tuple(components), "disassociated", delta)
+    return None
+
+
+def every_level_matches(pair, m_x, m_y, side) -> None:
+    """0, 1, each association value of the side and each midpoint between
+    neighbouring ones."""
+    assoc = association_sets(pair, m_x, m_y)
+    points = sorted({F(0), F(1)} | (assoc.a_xy if side == "X" else assoc.a_yx))
+    levels = points + [(a + b) / 2 for a, b in zip(points, points[1:])]
+    for delta in levels:
+        assert overlap_family(pair, m_x, m_y, delta, side) == \
+            reference_family(pair, m_x, m_y, delta, side)
+
+
+class TestOverlapFamilyMatchesDefinition:
+    @given(finite_rows, st.sampled_from("XY"))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_finite_pairs(self, rows, side):
+        pair = UncertainPair.finite(
+            (x, y) for x, row in enumerate(rows) for y in row)
+        every_level_matches(pair, CardinalityPower(len(rows)),
+                            CardinalityPower(3), side)
+
+    @given(st.lists(nonempty_unions, min_size=1, max_size=5),
+           st.sampled_from("XY"))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_interval_pairs(self, cells, side):
+        pair = UncertainPair.hybrid(dict(enumerate(cells)))
+        every_level_matches(pair, CardinalityPower(len(cells)), M_Y, side)
+
+    def test_walkers_at_every_level(self, pair):
+        for side in "XY":
+            every_level_matches(pair, M_X, M_Y, side)
 
 
 class TestDeltaComponents:

@@ -176,6 +176,13 @@ class TestRateAtHorizon:
         with pytest.raises(HorizonTooLarge):
             rate_at_horizon(fig5, M1, F(0), 4)
 
+    def test_horizon_cap_counts_the_block_length(self):
+        # one input and one output: a single block, but of n symbols
+        one = Channel.of({"a": {"x"}})
+        assert rate_at_horizon(one, CardinalityPower(1), F(0), 500).count == 1
+        with pytest.raises(HorizonTooLarge, match="horizon 501 exceeds"):
+            ProductChannel(one, 501).materialize()
+
 
 # ---------------------------------------------------------------------------
 # confidence sequences
