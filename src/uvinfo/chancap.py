@@ -20,6 +20,10 @@ themselves, each input's row the sum of its outputs' columns, with no
 ranks the ``Fraction`` value of every pair and writes the ranks into the
 table by slice assignment.
 
+The engine compares only integers: both front ends hand over the distinct
+pair values as integer ratios ``(p, q)``, within ``delta / k = dn / (dd k)``
+exactly when ``p dd k <= dn q``, and a result's ``thresholds`` are derived.
+
 The cost of a colouring search depends on the order of its vertices.  The
 count front end numbers the inputs by ascending collision mass, which
 stands in for the descending degree of MCQ; the ``Fraction`` front end keeps
@@ -227,11 +231,11 @@ def _count_table(images) -> tuple:
 
 def _rank_table(n: int, pair_values, limit: Fraction) -> tuple:
     """The ``Fraction`` front end, given the pair values of ``n`` vertices
-    in ``itertools.combinations`` order: the distinct values in increasing
-    order and the table ``(w, rows, range(top))`` in ``_count_table``'s
-    layout, field ``j`` of row ``i`` the rank of the value of ``{i, j}``,
-    held at ``top``, the number of values at most ``limit``.  The pairs of
-    ``i`` with the later vertices are one run of the pair list: reversed,
+    in ``itertools.combinations`` order: the ``top`` distinct values at most
+    ``limit``, as integer ratios in increasing order, and the table ``(w,
+    rows, range(top))`` in ``_count_table``'s layout, field ``j`` of row
+    ``i`` the rank of the value of ``{i, j}``, held at ``top``.  The pairs
+    of ``i`` with the later vertices are one run of the pair list: reversed,
     the upper part of row ``i`` (field 0 comes last), and column ``i`` of
     the later rows, one extended-slice store; no Python loop visits a pair."""
     # pairs are keyed by (numerator, denominator), exact in lowest terms and
@@ -239,10 +243,12 @@ def _rank_table(n: int, pair_values, limit: Fraction) -> tuple:
     # by their floats (integer division rounds monotonically; infinity from
     # 2**1000 up), so only values with equal floats compare as Fractions
     keys = list(map(operator.methodcaller("as_integer_ratio"), pair_values))
-    values = [v for _, v in sorted((p / q if p < q << 1000 else math.inf,
-                                    Fraction(p, q)) for p, q in set(keys))]
-    top = bisect.bisect_right(values, limit)
-    rank = {v.as_integer_ratio(): min(r, top) for r, v in enumerate(values)}
+    values = [key for _, _, key in sorted(
+        (p / q if p < q << 1000 else math.inf, Fraction(p, q), (p, q))
+        for p, q in set(keys))]
+    ln, ld = limit.as_integer_ratio()
+    top = bisect.bisect_right(values, False, key=lambda v: v[0] * ld > ln * v[1])
+    rank = {v: min(r, top) for r, v in enumerate(values)}
     width = _field_width(top)
     code = next(c for c in "BHILQ" if array(c).itemsize == width)
     ranks = array(code, map(rank.__getitem__, keys))
@@ -255,8 +261,8 @@ def _rank_table(n: int, pair_values, limit: Fraction) -> tuple:
     if sys.byteorder == "little":
         table.byteswap()
     flat, size = table.tobytes(), n * width
-    return values, (width, [flat[k:k + size] for k in range(0, n * size, size)],
-                    range(top))
+    rows = [flat[k:k + size] for k in range(0, n * size, size)]
+    return values[:top], (width, rows, range(top))
 
 
 def _table_sizes(width: int, rows: list, top: int) -> list:
@@ -266,7 +272,7 @@ def _table_sizes(width: int, rows: list, top: int) -> list:
     then one ``find`` of its field in the table, skipping any match that
     starts inside a field."""
     table, sizes = b"".join(rows), []
-    planes = [table[k::width] for k in range(width)]
+    planes = [table] if width == 1 else [table[k::width] for k in range(width)]
     for s in range(top + 1):
         field = s.to_bytes(width, "big")
         if all(map(bytes.__contains__, planes, field)):
@@ -288,7 +294,8 @@ def _at_most(width: int, rows: list, size: int) -> list:
     digits = size.to_bytes(width, "big")
     last = digits[-1]
     up_to = b"1" * (last + 1) + b"0" * (255 - last)
-    adj = [int(row[width - 1::width].translate(up_to), 2) for row in rows]
+    adj = [int(plane.translate(up_to), 2) for plane in
+           (rows if width == 1 else [row[width - 1::width] for row in rows])]
     for k in range(width - 2, -1, -1):
         d = digits[k]
         below = b"1" * d + b"0" * (256 - d)
@@ -301,22 +308,22 @@ def _at_most(width: int, rows: list, size: int) -> list:
 
 def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
     """The engine's input for ``ch`` under ``m``: the vertex number of each
-    input, the distinct pair values in increasing order, at least up to
-    ``limit``, and the table ``(w, rows, fields)``: ``w``-byte fields as in
-    ``_count_table``, and for each cut ``c`` of values at most ``limit``,
-    ``fields[c - 1]``, the field value up to which ``_at_most`` joins the
-    pairs whose value is among the first ``c``.
+    input, the distinct pair values at most ``limit`` in increasing order,
+    each as an integer ratio ``(p, q)``, and the table ``(w, rows,
+    fields)``: ``w``-byte fields as in ``_count_table``, and for each cut
+    ``c`` of those values, ``fields[c - 1]``, the field value up to which
+    ``_at_most`` joins the pairs whose value is among the first ``c``.
 
     A ``CardinalityPower`` itself rises strictly with the intersection size,
     so its fields are the sizes that some pair has, up to the largest valued
     at most ``limit``, all read from one ``_count_table`` with no loop over
-    pairs.  Its inputs are numbered by ascending collision mass, the sum
-    over ``y`` in ``N(i)`` of the inputs that also see ``y`` (ties by
-    index): a heavy input meets many others, so it has few neighbours in
-    every graph, and the colouring search does best with such inputs last,
-    as MCQ numbers by descending degree.  Every other measure, a subclass
-    included, ranks its pair values into a ``_rank_table`` and keeps the
-    input numbering.
+    pairs, and the value of size ``s`` is ``(s**e, base**e)``.  Its inputs
+    are numbered by ascending collision mass, the sum over ``y`` in ``N(i)``
+    of the inputs that also see ``y`` (ties by index): a heavy input meets
+    many others, so it has few neighbours in every graph, and the colouring
+    search does best with such inputs last, as MCQ numbers by descending
+    degree.  Every other measure, a subclass included, ranks its pair values
+    into a ``_rank_table`` and keeps the input numbering.
     """
     n = len(ch.x_symbols)
     if type(m) is CardinalityPower:
@@ -325,29 +332,27 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
         order = sorted(range(n), key=mass.__getitem__)
         numbering = sorted(range(n), key=order.__getitem__)  # the inverse
         width, rows = _count_table([ch.images[i] for i in order])
+        e, whole = m.exponent, m.base_size ** m.exponent
         num, den = limit.as_integer_ratio()
-        e, scale = m.exponent, num * m.base_size ** m.exponent
         largest, top = max(map(len, ch.images)), 0
-        while top < largest and (top + 1) ** e * den <= scale:
+        while top < largest and (top + 1) ** e * den <= num * whole:
             top += 1
         sizes = _table_sizes(width, rows, top)
-        return numbering, [m.of_size(s) for s in sizes], (width, rows, sizes)
+        return numbering, [(s ** e, whole) for s in sizes], (width, rows, sizes)
     return (range(n), *_rank_table(n, _pair_values(ch, m), limit))
 
 
 def _delta_grid(ch: Channel, m: UncertaintyFunction, values) -> list:
     """Zero plus every size-scaled positive pair value below the noise floor:
     the deltas at which per-size feasibility can change, in increasing order,
-    given the distinct pair values."""
-    v_min = ch.min_image_uncertainty(m)
+    given the distinct pair values as integer ratios ``(p, q)``."""
+    fn, fd = ch.min_image_uncertainty(m).as_integer_ratio()
     grid = {Fraction(0)}
-    for e in values:
-        if e > 0:
-            for k in range(1, len(ch.x_symbols) + 1):
-                scaled = k * e
-                if scaled >= v_min:  # k * e only grows with k
-                    break
-                grid.add(scaled)
+    for p, q in values:
+        if p > 0:
+            # k p / q is below fn / fd exactly when k p fd < fn q
+            last = min(len(ch.x_symbols), (fn * q - 1) // (p * fd))
+            grid.update(Fraction(k * p, q) for k in range(1, last + 1))
     return sorted(grid)
 
 
@@ -389,10 +394,13 @@ class CapacityResult(_CountResult):
     count: int
     witness: tuple
     per_size_feasibility: tuple  # ((k, feasible), ...) for every size tried
-    thresholds: tuple            # ((k, delta/k), ...) matching per_size
     delta: Fraction
 
     render_bits = _CountResult.render
+
+    @property
+    def thresholds(self) -> tuple:  # ((k, delta/k), ...), derived when read
+        return tuple((k, self.delta / k) for k, _ in self.per_size_feasibility)
 
 
 # A top-level clique search may visit this many nodes per vertex of its
@@ -577,19 +585,17 @@ def _maximal(adj: list, hint: int, cand: int) -> int:
 def _search(symbols, numbering, values, table,
             delta: Fraction) -> CapacityResult:
     """The engine behind every capacity search (see ``capacity``), given
-    ``symbols`` in order with the vertex number of each, their distinct
-    pair values in increasing order, at least up to ``delta``, and the
-    table of the front end (see ``_front_end``): the graph of cut ``c``,
-    as one neighbour bitset per vertex, is ``_at_most`` of the table at
-    ``fields[c - 1]``."""
+    ``symbols`` in order with the vertex number of each, distinct pair
+    values in increasing order as integer ratios ``(p, q)``, every value at
+    most ``delta`` among them, and the table of the front end (see
+    ``_front_end``): the graph of cut ``c``, as one neighbour bitset per
+    vertex, is ``_at_most`` of the table at ``fields[c - 1]``."""
     n, (width, rows, fields) = len(symbols), table
     all_vertices = (1 << n) - 1
-    per_size, thresholds = [], []
-    cut, graph, clique = bisect.bisect_right(values, delta), None, 0
+    per_size, cut, graph, clique = [], len(values), None, 0
     # value p/q is at most delta/k = dn/(dd k) exactly when p dd k <= dn q
     dn, dd = delta.as_integer_ratio()
-    keys = [(p * dd, dn * q)
-            for p, q in (v.as_integer_ratio() for v in values[:cut])]
+    keys = [(p * dd, dn * q) for p, q in values]
     for k in range(1, n + 1):
         size_cut = cut
         while size_cut and keys[size_cut - 1][0] * k > keys[size_cut - 1][1]:
@@ -606,7 +612,6 @@ def _search(symbols, numbering, values, table,
         if fresh or clique.bit_count() < k:
             clique = graph.clique(all_vertices, k, clique)
         per_size.append((k, clique is not None))
-        thresholds.append((k, delta / k))
         if clique is None:
             break
         count, final, certificate = k, graph, clique
@@ -631,8 +636,7 @@ def _search(symbols, numbering, values, table,
         witness.append(symbol)
         cand &= adj[v]
         certificate &= cand
-    return CapacityResult(count, tuple(witness), tuple(per_size),
-                          tuple(thresholds), delta)
+    return CapacityResult(count, tuple(witness), tuple(per_size), delta)
 
 
 def _capacity_search(symbols, pair_values, delta: Fraction) -> CapacityResult:
@@ -653,7 +657,8 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     The distinct equivocations are ranked once into one packed table (see
     the module docstring), so a graph is one byte translation of each row,
     built only when delta/k passes a pair value, and the search, a branch
-    and bound under a greedy-colouring bound, compares no Fraction.  Every
+    and bound under a greedy-colouring bound, compares only integer keys;
+    ``thresholds`` is derived from the result when read.  Every
     clique is kept maximal, as a certificate that carries over from size to
     size: a size whose graph drops pairs it used keeps what survives of it,
     least vertex first, and completes that greedily, and a search runs only

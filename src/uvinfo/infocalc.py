@@ -56,15 +56,17 @@ class NotDisassociated(UvinfoError):
 # side profiles: distinct conditional ranges with point multiplicities
 
 
-@_frozen
 class _SideProfile:
     """Distinct conditional ranges of one side, each with the number of
-    opposite-axis points (capped at 2) that produce it."""
+    opposite-axis points (capped at 2) that produce it.  Built once per
+    side read and never compared or hashed, so it is a plain slotted class,
+    not a frozen record."""
 
-    side: str
-    marginal: object
-    ranges: tuple
-    counts: tuple[int, ...]
+    __slots__ = ("side", "marginal", "ranges", "counts")
+
+    def __init__(self, side: str, marginal, ranges: tuple, counts: tuple):
+        self.side, self.marginal = side, marginal
+        self.ranges, self.counts = ranges, counts
 
     def pairs_with_overlap(self):
         for i in range(len(self.ranges)):
@@ -108,12 +110,8 @@ def side_profile(pair: UncertainPair, side: str) -> _SideProfile:
             groups[rng] = min(2, groups.get(rng, 0) + 1)
         ranges, counts = list(groups), list(groups.values())
     order = sorted(range(len(ranges)), key=lambda i: _subset_sort_key(ranges[i]))
-    return _SideProfile(
-        side,
-        marginal,
-        tuple(ranges[i] for i in order),
-        tuple(counts[i] for i in order),
-    )
+    return _SideProfile(side, marginal, tuple(ranges[i] for i in order),
+                        tuple(counts[i] for i in order))
 
 
 def _association_values(profile: _SideProfile, m: UncertaintyFunction) -> frozenset:

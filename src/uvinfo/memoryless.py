@@ -444,14 +444,10 @@ def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
     change (delta = size * equivocation), plus zero."""
     _require_normalized(ch, m)
     # every delta of the grid is below the noise floor, so one front end,
-    # built once, serves them all
+    # built once, serves them all; the least delta of the largest count wins
     numbering, values, table = _front_end(ch, m, ch.min_image_uncertainty(m))
-    best_count, best_delta = 1, Fraction(0)
-    for delta in _delta_grid(ch, m, values):
-        count = _search(ch.x_symbols, numbering, values, table, delta).count
-        if count > best_count:
-            best_count, best_delta = count, delta
-    return best_count, best_delta
+    return max(((_search(ch.x_symbols, numbering, values, table, d).count, d)
+                for d in _delta_grid(ch, m, values)), key=operator.itemgetter(0))
 
 
 def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,

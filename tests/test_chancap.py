@@ -272,10 +272,22 @@ def channels(max_inputs=5, max_outputs=5):
         min_size=1, max_size=max_inputs).map(build)
 
 
-def brute_force_capacity(symbols, value, delta) -> CapacityResult:
+def whole(result: CapacityResult) -> tuple:
+    """A capacity result with the thresholds it derives, as the oracles
+    give them."""
+    return result, result.thresholds
+
+
+def ratios(values) -> set:
+    """Pair values as the integer ratios ``(p, q)`` that the engine reads."""
+    return {v.as_integer_ratio() for v in values}
+
+
+def brute_force_capacity(symbols, value, delta) -> tuple:
     """Exhaustive subset search over every size: the least feasible subset
     of each size in combinations order, the largest size with one, and the
-    sizes up to the first without one."""
+    sizes up to the first without one, with the threshold ``delta / k`` of
+    each, as ``whole`` gives a result."""
     least = {}
     for k in range(1, len(symbols) + 1):
         least[k] = next(
@@ -284,12 +296,13 @@ def brute_force_capacity(symbols, value, delta) -> CapacityResult:
                     for a, b in itertools.combinations(cb, 2))), None)
     count = max(k for k, cb in least.items() if cb is not None)
     sizes = range(1, min(count + 1, len(symbols)) + 1)
-    return CapacityResult(count, least[count],
-                          tuple((k, least[k] is not None) for k in sizes),
-                          tuple((k, delta / k) for k in sizes), delta)
+    return (CapacityResult(count, least[count],
+                           tuple((k, least[k] is not None) for k in sizes),
+                           delta),
+            tuple((k, delta / k) for k in sizes))
 
 
-def channel_oracle(ch, m, delta) -> CapacityResult:
+def channel_oracle(ch, m, delta) -> tuple:
     def value(a, b):
         return m.of(ch.image(a) & ch.image(b))
     return brute_force_capacity(ch.x_symbols, value, delta)
@@ -306,7 +319,7 @@ class TestAgainstBruteForce:
     @settings(max_examples=120, deadline=None)
     def test_capacity_equals_subset_search(self, ch, delta):
         m = CardinalityPower(len(ch.y_symbols))
-        assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+        assert whole(capacity(ch, m, delta)) == channel_oracle(ch, m, delta)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_larger_channels_where_colouring_prunes(self, seed, monkeypatch):
@@ -324,7 +337,7 @@ class TestAgainstBruteForce:
 
         monkeypatch.setattr(chancap, "_clique", recording)
         for delta in (F(0), F(1, 6), F(1, 2)):
-            assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+            assert whole(capacity(ch, m, delta)) == channel_oracle(ch, m, delta)
         # some search was refuted by the colouring bound, not by counting
         assert pruned
 
@@ -346,7 +359,7 @@ class TestAgainstBruteForce:
                    for pair in itertools.combinations(labels, 2)}
         em = EquivocationMatrix.of(labels, mapping, v_min=F(3, 4))
         for delta in (F(0), F(1, 4), F(1, 2), F(2, 3)):
-            assert matrix_capacity(em, delta) == brute_force_capacity(
+            assert whole(matrix_capacity(em, delta)) == brute_force_capacity(
                 em.labels, em.value, delta)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -361,7 +374,7 @@ class TestAgainstBruteForce:
                    if rng.random() < 0.8}
         em = EquivocationMatrix.of(labels, mapping, v_min=F(3, 4))
         for delta in (F(0), F(1, 4), F(1, 2), F(2, 3)):
-            assert matrix_capacity(em, delta) == brute_force_capacity(
+            assert whole(matrix_capacity(em, delta)) == brute_force_capacity(
                 em.labels, em.value, delta)
 
     @pytest.mark.parametrize("images", [
@@ -374,7 +387,7 @@ class TestAgainstBruteForce:
         ch = ProductChannel(base, 2).materialize()
         m = product_uncertainty(CardinalityPower(3), 2)
         for delta in (F(0), F(1, 9), F(1, 3), F(2, 3)):
-            assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+            assert whole(capacity(ch, m, delta)) == channel_oracle(ch, m, delta)
 
     @given(channels(max_inputs=12, max_outputs=6),
            st.sampled_from([F(0), F(1, 7), F(1, 3), F(3, 5)]))
@@ -397,7 +410,7 @@ class TestAgainstBruteForce:
         expected = {F(0)} | {k * e for e in values if e > 0
                              for k in range(1, len(ch.x_symbols) + 1)
                              if k * e < v_min}
-        assert chancap._delta_grid(ch, m, values) == sorted(expected)
+        assert chancap._delta_grid(ch, m, ratios(values)) == sorted(expected)
 
     @given(channels(), st.sampled_from([F(0), F(1, 7), F(1, 3)]),
            st.sampled_from([F(1, 2), F(3, 5), F(9, 10)]))
@@ -458,7 +471,7 @@ class TestOracleMatchesPerLevelSweep:
             weights = {y: rng.randint(1, 9) for y in range(outputs)}
             m = ExplicitWeights.of_mapping(weights, sum(weights.values()))
         v_min = ch.min_image_uncertainty(m)
-        deltas = set(chancap._delta_grid(ch, m, chancap._pair_values(ch, m)))
+        deltas = set(chancap._delta_grid(ch, m, ratios(chancap._pair_values(ch, m))))
         deltas |= {v_min * F(k, 4) for k in range(1, 4)}
         for delta in sorted(deltas):
             for feasible_only in (True, False):
@@ -488,10 +501,10 @@ class TestCertificateReuse:
 
         monkeypatch.setattr(chancap, "_clique", recording)
         sizes = range(1, 443)
-        assert capacity(ch, m, F(0)) == CapacityResult(
+        assert whole(capacity(ch, m, F(0))) == (CapacityResult(
             441, tuple(itertools.product(range(21), repeat=2)),
-            tuple((k, k <= 441) for k in sizes),
-            tuple((k, F(0)) for k in sizes), F(0))
+            tuple((k, k <= 441) for k in sizes), F(0)),
+            tuple((k, F(0)) for k in sizes))
         # the greedy completion at size 1 finds a maximal clique of 441, so
         # the one search refutes size 442; proving each size anew would take
         # 442 searches, and the witness scan more
@@ -503,11 +516,12 @@ def is_clique(adj, bits) -> bool:
     return all(bits & ~adj[v] == 1 << v for v in range(len(adj)) if bits >> v & 1)
 
 
-def subset_search(symbols, value, delta) -> CapacityResult:
+def subset_search(symbols, value, delta) -> tuple:
     """The least feasible codebook of each size, in combinations order, up
     to the first size with none: no larger size has one, since every
     k-subset of a feasible (k + 1)-codebook is feasible at delta / k.  Each
-    pair value is read once."""
+    pair value is read once.  The result and its thresholds, as ``whole``
+    gives them."""
     values = {pair: value(*pair) for pair in itertools.combinations(symbols, 2)}
     per_size, least = [], None
     for k in range(1, len(symbols) + 1):
@@ -518,8 +532,8 @@ def subset_search(symbols, value, delta) -> CapacityResult:
         if found is None:
             break
         least = found
-    return CapacityResult(len(least), least, tuple(per_size),
-                          tuple((k, delta / k) for k, _ in per_size), delta)
+    return (CapacityResult(len(least), least, tuple(per_size), delta),
+            tuple((k, delta / k) for k, _ in per_size))
 
 
 def repaired(call) -> tuple:
@@ -605,7 +619,7 @@ class TestCertificateRepair:
         mapping["a", "b"] = F(1, 7)
         em = EquivocationMatrix.of("abcdef", mapping)
         result, needs = top_level_searches(lambda: matrix_capacity(em, F(1, 2)))
-        assert result == brute_force_capacity(em.labels, em.value, F(1, 2))
+        assert whole(result) == brute_force_capacity(em.labels, em.value, F(1, 2))
         assert result.witness == tuple("cdef")
         # the searches at sizes 3 and 5; the queries of a and b have fewer
         # candidates than they need and are refuted with no search
@@ -621,7 +635,7 @@ class TestCertificateRepair:
             pair: 0 if pair in edges else 1
             for pair in itertools.combinations("abcde", 2)})
         result, needs = top_level_searches(lambda: matrix_capacity(em, F(1, 2)))
-        assert result == brute_force_capacity(em.labels, em.value, F(1, 2))
+        assert whole(result) == brute_force_capacity(em.labels, em.value, F(1, 2))
         assert result.witness == tuple("ade")
         # the searches at sizes 3 and 4; the query of b has no candidate
         # and is refuted with no search
@@ -637,7 +651,7 @@ class TestCertificateRepair:
             return m.of(ch.image(a) & ch.image(b))
 
         for delta in REPAIR_DELTAS:
-            assert capacity(ch, m, delta) == subset_search(
+            assert whole(capacity(ch, m, delta)) == subset_search(
                 ch.x_symbols, value, delta)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -667,7 +681,7 @@ class TestCertificateRepair:
 
         for delta in REPAIR_DELTAS:
             result = capacity(ch, m, delta)
-            assert result == subset_search(ch.x_symbols, value, delta)
+            assert whole(result) == subset_search(ch.x_symbols, value, delta)
             assert result == searched_afresh(lambda: capacity(ch, m, delta))
             assert rate_at_horizon(base, CardinalityPower(6), delta, 2) == \
                 Rate(result.count, 2)
@@ -682,7 +696,7 @@ class TestCertificateRepair:
         em = EquivocationMatrix.of(labels, mapping, v_min=F(3, 4))
         for delta in REPAIR_DELTAS:
             result = matrix_capacity(em, delta)
-            assert result == subset_search(em.labels, em.value, delta)
+            assert whole(result) == subset_search(em.labels, em.value, delta)
             assert result == searched_afresh(lambda: matrix_capacity(em, delta))
 
 
@@ -767,7 +781,7 @@ class TestCountFrontEnd:
         m = CardinalityPower(len(ch.y_symbols), exponent)
         pair_values = chancap._pair_values(ch, m)
         # every grid delta sits exactly on a threshold size * value
-        for delta in chancap._delta_grid(ch, m, set(pair_values)) + [F(1, 2)]:
+        for delta in chancap._delta_grid(ch, m, ratios(pair_values)) + [F(1, 2)]:
             assert capacity(ch, m, delta) == chancap._capacity_search(
                 ch.x_symbols, pair_values, delta)
 
@@ -783,7 +797,7 @@ class TestCountFrontEnd:
         for m in (ExplicitWeights.of_mapping(weights, sum(weights.values())),
                   _HeavierZero(6)):
             for delta in (F(0), F(1, 7), F(1, 3), F(3, 5)):
-                assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+                assert whole(capacity(ch, m, delta)) == channel_oracle(ch, m, delta)
 
     @given(channels(max_inputs=14, max_outputs=7), st.integers(0, 7))
     @settings(max_examples=100, deadline=None)
@@ -809,7 +823,7 @@ class TestCountFrontEnd:
         expected = {s: row for s, row in pair_loop_rows(ch).items()
                     if m.of_size(s) <= limit}
         sizes = sorted(expected)
-        assert values == [m.of_size(s) for s in sizes]
+        assert [F(p, q) for p, q in values] == [m.of_size(s) for s in sizes]
         assert fields == sizes
         for cut in range(1, len(sizes) + 1):
             adj = chancap._at_most(width, table, fields[cut - 1])
@@ -854,7 +868,7 @@ class TestCountFrontEnd:
         every_cut_matches(ch, largest)
         m = CardinalityPower(largest + 1)
         for delta in (F(0), F(1, 2), F(largest - 1, largest + 1)):
-            assert capacity(ch, m, delta) == channel_oracle(ch, m, delta)
+            assert whole(capacity(ch, m, delta)) == channel_oracle(ch, m, delta)
 
 
 class _SameCardinality(CardinalityPower):
@@ -881,8 +895,8 @@ def every_rank_cut_matches(n, pair_values, limit) -> int:
     against the pair loop; returns the table's field width."""
     values, (width, table, fields) = chancap._rank_table(n, pair_values, limit)
     expected, rows = pair_loop_ranks(n, pair_values, limit)
-    assert values == expected
-    top = sum(v <= limit for v in values)
+    top = sum(v <= limit for v in expected)
+    assert values == [v.as_integer_ratio() for v in expected[:top]]
     assert list(fields) == list(range(top))
     assert len(table) == n
     assert table_rows(width, table) == rows
@@ -992,6 +1006,81 @@ class TestRankFrontEnd:
                 capacity(ch, CardinalityPower(largest + 1), delta)
 
 
+def grid_deltas(ch, m) -> list:
+    """Every delta of the breakpoint grid of ``ch`` under ``m``, where
+    some threshold delta / k ties a pair value exactly, then 0 and 1/2.
+    The grid is read from every pair value, and must be the one that the
+    front end's own value list gives."""
+    v_min = ch.min_image_uncertainty(m)
+    grid = chancap._delta_grid(ch, m, ratios(chancap._pair_values(ch, m)))
+    assert grid == chancap._delta_grid(
+        ch, m, chancap._front_end(ch, m, v_min)[1])
+    return grid + [F(0), F(1, 2)]
+
+
+class TestIntegerCuts:
+    """The engine finds every cut from integer ratios and derives its
+    thresholds.  The whole result, thresholds included, must equal the
+    subset search, which compares Fractions against delta / k, at every
+    breakpoint, where delta / k ties a pair value exactly."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_cardinality_powers(self, seed):
+        rng = random.Random(seed)
+        exponent = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            outputs = rng.randint(4, 7)
+            ch = random_channel(rng, rng.randint(2, 10), outputs, (2, 4))
+            m = CardinalityPower(outputs, exponent)
+        else:
+            outputs = rng.randint(3, 4)
+            base = random_channel(rng, rng.randint(2, 3), outputs, (2, 3))
+            ch = ProductChannel(base, 2).materialize()
+            m = product_uncertainty(CardinalityPower(outputs, exponent), 2)
+
+        def value(a, b):
+            return m.of(ch.image(a) & ch.image(b))
+
+        for delta in grid_deltas(ch, m):
+            assert whole(capacity(ch, m, delta)) == subset_search(
+                ch.x_symbols, value, delta)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_explicit_weights_and_matrices(self, seed):
+        rng = random.Random(seed)
+        outputs = rng.randint(4, 7)
+        ch = random_channel(rng, rng.randint(2, 10), outputs, (2, 4))
+        weights = {y: rng.randint(1, 5) for y in ch.y_symbols}
+        m = ExplicitWeights.of_mapping(weights, sum(weights.values()))
+        em = EquivocationMatrix.from_channel(ch, m)
+
+        def value(a, b):
+            return m.of(ch.image(a) & ch.image(b))
+
+        for delta in grid_deltas(ch, m):
+            expected = subset_search(ch.x_symbols, value, delta)
+            assert whole(capacity(ch, m, delta)) == expected
+            if delta < em.v_min:
+                assert whole(matrix_capacity(em, delta)) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matrices_at_every_scaled_level(self, seed):
+        rng = random.Random(1400 + seed)
+        labels = [f"l{i}" for i in range(rng.randint(2, 10))]
+        levels = [F(0), F(1, 12), F(1, 8), F(1, 6), F(1, 4), F(1, 3), F(1)]
+        mapping = {pair: rng.choice(levels)
+                   for pair in itertools.combinations(labels, 2)}
+        em = EquivocationMatrix.of(labels, mapping, v_min=F(3, 4))
+        deltas = {F(0), F(1, 2)} | {k * v for v in levels
+                                    for k in range(1, len(labels) + 1)
+                                    if k * v < em.v_min}
+        for delta in sorted(deltas):
+            assert whole(matrix_capacity(em, delta)) == subset_search(
+                em.labels, em.value, delta)
+
+
 def under_both_budgets(call) -> tuple:
     """``call()`` run twice: with every top-level clique search stalled at
     its first node, so that each graph is searched in smallest-last order,
@@ -1023,7 +1112,7 @@ class TestStalledSearchRestart:
         m = CardinalityPower(len(ch.y_symbols), exponent)
         forced, unlimited, renumbered = under_both_budgets(
             lambda: capacity(ch, m, delta))
-        assert forced == unlimited == channel_oracle(ch, m, delta)
+        assert whole(forced) == whole(unlimited) == channel_oracle(ch, m, delta)
         # a graph is renumbered when a search runs on it; the refutation of
         # count + 1 always searches, and when every input fits, the greedy
         # completion at size 1 finds them all and nothing searches
@@ -1036,7 +1125,7 @@ class TestStalledSearchRestart:
         ch = ProductChannel(base, 2).materialize()
         m = product_uncertainty(CardinalityPower(len(base.y_symbols)), 2)
         forced, unlimited, _ = under_both_budgets(lambda: capacity(ch, m, delta))
-        assert forced == unlimited == channel_oracle(ch, m, delta)
+        assert whole(forced) == whole(unlimited) == channel_oracle(ch, m, delta)
         rates = under_both_budgets(lambda: rate_at_horizon(
             base, CardinalityPower(len(base.y_symbols)), delta, 2))
         assert rates[0] == rates[1] == Rate(forced.count, 2)
@@ -1050,7 +1139,7 @@ class TestStalledSearchRestart:
         for delta in (F(0), F(1, 7), F(1, 3), F(3, 5)):
             forced, unlimited, _ = under_both_budgets(
                 lambda: capacity(ch, m, delta))
-            assert forced == unlimited == channel_oracle(ch, m, delta)
+            assert whole(forced) == whole(unlimited) == channel_oracle(ch, m, delta)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matrix_capacity(self, seed):
@@ -1063,7 +1152,7 @@ class TestStalledSearchRestart:
         for delta in (F(0), F(1, 4), F(1, 2), F(2, 3)):
             forced, unlimited, _ = under_both_budgets(
                 lambda: matrix_capacity(em, delta))
-            assert forced == unlimited == brute_force_capacity(
+            assert whole(forced) == whole(unlimited) == brute_force_capacity(
                 em.labels, em.value, delta)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -1086,8 +1175,8 @@ class TestStalledSearchRestart:
         weights = {y: rng.randint(1, 4) for y in ch.y_symbols}
         for m in (CardinalityPower(6),
                   ExplicitWeights.of_mapping(weights, sum(weights.values()))):
-            best = max((channel_oracle(ch, m, d).count, -d) for d in
-                       chancap._delta_grid(ch, m, set(chancap._pair_values(ch, m))))
+            best = max((channel_oracle(ch, m, d)[0].count, -d) for d in
+                       chancap._delta_grid(ch, m, ratios(chancap._pair_values(ch, m))))
             forced, unlimited, _ = under_both_budgets(
                 lambda: _horizon_one_sup(ch, m))
             assert forced == unlimited == (best[0], -best[1])

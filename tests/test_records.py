@@ -33,13 +33,19 @@ def fields(cls) -> tuple:
     return tuple(cls.__dict__.get("__annotations__", ()))
 
 
+def derived(cls) -> tuple:
+    """The names of the properties that ``cls`` derives from its fields."""
+    return tuple(n for n, v in cls.__dict__.items() if isinstance(v, property))
+
+
 def twin(cls):
     """``cls`` rebuilt by ``dataclasses``, with the same name, fields,
-    defaults, ``__post_init__`` and ordering."""
+    defaults, derived properties, ``__post_init__`` and ordering."""
     names = fields(cls)
     namespace = {"__annotations__": dict.fromkeys(names, "object"),
                  "__qualname__": cls.__qualname__}
-    namespace.update((n, cls.__dict__[n]) for n in names if n in cls.__dict__)
+    namespace.update((n, cls.__dict__[n])
+                     for n in names + derived(cls) if n in cls.__dict__)
     if "__post_init__" in cls.__dict__:
         namespace["__post_init__"] = cls.__dict__["__post_init__"]
     return dataclasses.dataclass(frozen=True, order="__lt__" in cls.__dict__)(
@@ -78,10 +84,13 @@ def seen(pair):
 
 
 def test_every_value_class_is_a_record():
-    assert len(RECORDS) == 34
+    assert len(RECORDS) == 33
     names = {cls.__qualname__ for cls in RECORDS}
     assert {"BitString", "CapacityResult", "CardinalityPower", "Channel",
-            "IntervalUnion", "OverlapFamily", "_SideProfile"} <= names
+            "IntervalUnion", "OverlapFamily"} <= names
+    # the side profile is private and never compared or hashed
+    assert "_SideProfile" not in names
+    assert derived(chancap.CapacityResult) == ("thresholds",)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -115,6 +124,9 @@ def test_record_matches_its_dataclass_twin(cls, data):
     mirror, mirror2 = other(*args), other(*args2)
 
     assert repr(record) == repr(mirror)
+    for name in derived(cls):
+        assert seen(outcome(lambda: getattr(record, name))) == \
+            seen(outcome(lambda: getattr(mirror, name)))
     assert (record == cls(*args)) and not (record != cls(*args))
     assert (record == record2) == (mirror == mirror2)
     assert record != mirror and record.__eq__(mirror) is NotImplemented
@@ -128,8 +140,9 @@ def test_record_matches_its_dataclass_twin(cls, data):
         with pytest.raises(TypeError):
             record < mirror
 
-    # no field can be assigned or deleted, nor a new attribute set
-    for name in names + ("extra",):
+    # no field or derived property can be assigned or deleted, nor a new
+    # attribute set
+    for name in names + derived(cls) + ("extra",):
         assert outcome(lambda: setattr(record, name, 1)) == \
             outcome(lambda: setattr(mirror, name, 1))
         assert outcome(lambda: delattr(record, name)) == \
@@ -146,11 +159,16 @@ def test_record_matches_its_dataclass_twin(cls, data):
 
 
 def test_frozen_instance_error_is_an_attribute_error():
-    record = chancap.CapacityResult(2, (0, 1), (), (), F(0))
+    record = chancap.CapacityResult(2, (0, 1), (), F(0))
     with pytest.raises(AttributeError, match=r"^cannot assign to field 'count'$"):
         record.count = 3
     with pytest.raises(FrozenInstanceError, match=r"^cannot delete field 'count'$"):
         del record.count
+    # the derived thresholds are refused as a field is
+    with pytest.raises(FrozenInstanceError,
+                       match=r"^cannot assign to field 'thresholds'$"):
+        record.thresholds = ()
+    assert record.thresholds == ()
 
 
 def test_uncertainty_kind_is_a_class_constant():
@@ -166,7 +184,7 @@ def test_uncertainty_kind_is_a_class_constant():
 
 
 def test_count_results_share_bits_and_render():
-    count = chancap.CapacityResult(8, (), (), (), F(0))
+    count = chancap.CapacityResult(8, (), (), F(0))
     assert (count.bits, count.render(), count.render_bits()) == (3.0, "3", "3")
     mi = infocalc.MIResult(3, "associated", None)
     assert (mi.render(), mi.bits) == ("log2(3)", math.log2(3))
