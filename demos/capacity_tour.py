@@ -21,6 +21,7 @@ from uvinfo import (
     rate_at_horizon,
     verify_coding_theorem,
 )
+from uvinfo.memoryless import information_rate_at_horizon
 
 
 def build_channel() -> Channel:
@@ -55,7 +56,10 @@ def main() -> None:
 
     print("== block rates ==")
     for n in (1, 2):
-        rate = rate_at_horizon(ch, m, F(2, 9) ** n, n, cross_check=True)
+        delta = F(2, 9) ** n
+        rate = rate_at_horizon(ch, m, delta, n)
+        if rate != information_rate_at_horizon(ch, m, delta, n):
+            raise SystemExit(f"rate and information rate differ at horizon {n}")
         print(f"horizon {n}: rate {rate.render()} bits/use")
     print()
 

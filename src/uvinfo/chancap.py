@@ -33,6 +33,12 @@ smallest-last (degeneracy) order, where this and every later search on it
 run with no limit.  The witness scan walks the symbols in their own order
 whatever the numbering, so no answer depends on it.
 
+The information oracle, the second route to capacity, shares nothing with
+that engine: it reads each codebook of distinct-image representatives once
+into a row that holds at every level (``_CodebookRow``), from which every
+delta, both of its modes and the single-letter certificates take their sup
+or their family.
+
 The uncertainty function must be normalized so the full output alphabet has
 uncertainty 1 (cardinality-power functions over the whole alphabet already
 are).  ``delta`` must stay below the uncertainty of the smallest image, or
@@ -142,12 +148,7 @@ class Channel:
 
     def min_image(self, m: UncertaintyFunction) -> frozenset:
         """The minimum-uncertainty image, ties broken by least input symbol."""
-        best = None
-        for x, img in zip(self.x_symbols, self.images):
-            value = m.of(img)
-            if best is None or value < best[0]:
-                best = (value, img)
-        return best[1]
+        return min(self.images, key=m.of)
 
     def min_image_uncertainty(self, m: UncertaintyFunction) -> Fraction:
         return m.of(self.min_image(m))
@@ -695,20 +696,8 @@ def distinct_image_representatives(ch: Channel) -> tuple:
     """
     seen = {}
     for x, img in zip(ch.x_symbols, ch.images):
-        if img not in seen:
-            seen[img] = x
+        seen.setdefault(img, x)
     return tuple(sorted(seen.values()))
-
-
-def _brute_force_representatives(ch: Channel) -> tuple:
-    """The distinct-image representatives, refused past the cap on a
-    search over all of their subsets."""
-    reps = distinct_image_representatives(ch)
-    if len(reps) > MI_SUP_MAX_SYMBOLS:
-        raise AlphabetTooLarge(
-            f"{len(reps)} distinct images exceed the brute-force cap "
-            f"of {MI_SUP_MAX_SYMBOLS}")
-    return reps
 
 
 @_frozen
@@ -724,6 +713,69 @@ def _uniform_x(pair: UncertainPair) -> CardinalityPower:
     return CardinalityPower(len(pair.marginal_range("X")))
 
 
+class _CodebookRow:
+    """What the oracle and the certificates read of a codebook at any level,
+    built once: m([Y]), the distinct output ranges, the output family's sets
+    at level 0 and the least and largest output association values (each
+    None when there is none).  Never compared or hashed: not a record."""
+
+    __slots__ = ("codebook", "m_out", "ranges", "zero", "least", "largest")
+
+    def __init__(self, ch: Channel, m: UncertaintyFunction, codebook: tuple):
+        pair = induced_pair(ch, codebook)
+        profile = side_profile(pair, "Y")
+        values = _association_values(profile, m)
+        zero = overlap_family(pair, _uniform_x(pair), m, Fraction(0), "Y")
+        self.codebook, self.m_out = codebook, m.of(profile.marginal)
+        self.ranges, self.zero = profile.ranges, None if zero is None else zero.sets
+        self.least, self.largest = min(values, default=None), max(values, default=None)
+
+    def family(self, theta: Fraction) -> Optional[tuple]:
+        """The output family's sets at level ``theta``: the ranges from the
+        largest value up, the level-0 sets below the least, else None."""
+        if self.largest is None or theta >= self.largest:
+            return self.ranges
+        return self.zero if theta < self.least else None
+
+
+def _require_below_floor(ch: Channel, m: UncertaintyFunction,
+                         delta: Fraction) -> None:
+    _require_normalized(ch, m)
+    v_min = ch.min_image_uncertainty(m)
+    _require_delta(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
+
+
+def _codebook_rows(ch: Channel, m: UncertaintyFunction) -> list:
+    """The rows of the distinct-image codebooks, by size, then in
+    combination order."""
+    reps = distinct_image_representatives(ch)
+    if len(reps) > MI_SUP_MAX_SYMBOLS:
+        raise AlphabetTooLarge(
+            f"{len(reps)} distinct images exceed the brute-force cap "
+            f"of {MI_SUP_MAX_SYMBOLS}")
+    return [_CodebookRow(ch, m, cb) for size in range(1, len(reps) + 1)
+            for cb in itertools.combinations(reps, size)]
+
+
+def _sup(rows: list, delta: Fraction, feasible_only: bool) -> tuple:
+    """The ``mi_sup_oracle`` result over ``rows``, and its codebook's row."""
+    best = None
+    for row in rows:
+        size = len(row.codebook)
+        levels = [(row.zero, Fraction(0))]
+        if row.largest is not None and row.largest * size * row.m_out <= delta:
+            levels.append((row.ranges, row.largest * size))
+        for sets, delta_tilde in levels:
+            if sets is None and feasible_only:
+                continue
+            count = 1 if sets is None else len(sets)
+            if best is None or count > best[0].count:
+                best = MISupResult(count, row.codebook, delta_tilde,
+                                   feasible_only), row
+    assert best is not None, "the singleton codebook is always feasible"
+    return best
+
+
 def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
                   feasible_only: bool = True) -> MISupResult:
     """Brute-force the coding-theorem right side: the sup over codebooks X
@@ -733,34 +785,11 @@ def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
     With ``feasible_only`` the sup ranges over (X, delta_tilde) whose
     output-side overlap family exists (the feasible set); without it a
     missing family scores 0 bits.  A codebook's family changes only at 0
-    and at its largest output association value (see ``infocalc``), so
+    and at its largest output association value (``_CodebookRow``), so
     those two levels, the second only when allowed, are tried exactly.
     """
-    _require_normalized(ch, m)
-    v_min = ch.min_image_uncertainty(m)
-    _require_delta(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
-    reps = _brute_force_representatives(ch)
-    best: Optional[MISupResult] = None
-    for size in range(1, len(reps) + 1):
-        for cb in itertools.combinations(reps, size):
-            pair = induced_pair(ch, cb)
-            theta_max = delta / (m.of(pair.marginal_range("Y")) * size)
-            values = _association_values(side_profile(pair, "Y"), m)
-            levels = [Fraction(0)]
-            if values and max(values) <= theta_max:
-                levels.append(max(values))
-            for theta in levels:
-                family = overlap_family(pair, CardinalityPower(size), m, theta, "Y")
-                if family is None:
-                    if feasible_only:
-                        continue
-                    count = 1
-                else:
-                    count = family.count
-                if best is None or count > best.count:
-                    best = MISupResult(count, cb, theta * size, feasible_only)
-    assert best is not None, "the singleton codebook is always feasible"
-    return best
+    _require_below_floor(ch, m, delta)
+    return _sup(_codebook_rows(ch, m), delta, feasible_only)[0]
 
 
 @_frozen
@@ -785,19 +814,19 @@ def verify_coding_theorem(ch: Channel, m: UncertaintyFunction,
                           delta_grid) -> CodingTheoremReport:
     """Check, for every delta in the grid, that the exact capacity equals
     the feasible-set mutual-information sup, and that dropping the
-    feasibility restriction changes nothing."""
-    rows = []
-    ok = True
+    feasibility restriction changes nothing.  The oracle's codebook rows
+    are built once, at the first delta that passes its checks, and both
+    modes of every delta read them."""
+    rows, codebooks = [], None
     for delta in delta_grid:
         cap = capacity(ch, m, delta)
-        sup = mi_sup_oracle(ch, m, delta)
-        free = mi_sup_oracle(ch, m, delta, feasible_only=False)
-        match = cap.count == sup.count == free.count
-        ok = ok and match
+        _require_below_floor(ch, m, delta)
+        codebooks = codebooks or _codebook_rows(ch, m)
+        sup, free = (_sup(codebooks, delta, mode)[0] for mode in (True, False))
         rows.append(CodingTheoremRow(
             delta, cap.count, cap.witness, sup.count, sup.codebook,
-            sup.delta_tilde, free.count, match))
-    return CodingTheoremReport(tuple(rows), ok)
+            sup.delta_tilde, free.count, cap.count == sup.count == free.count))
+    return CodingTheoremReport(tuple(rows), all(row.match for row in rows))
 
 
 @_frozen

@@ -115,14 +115,12 @@ def side_profile(pair: UncertainPair, side: str) -> _SideProfile:
 
 
 def _association_values(profile: _SideProfile, m: UncertaintyFunction) -> frozenset:
+    # few overlaps differ in measure, so each distinct one is normalized once
+    overlaps = {m.of(inter) for _, _, inter in profile.pairs_with_overlap()}
+    overlaps.update(m.of(rng) for rng, count in zip(profile.ranges, profile.counts)
+                    if count >= 2)
     total = m.of(profile.marginal)
-    values = set()
-    for _, _, inter in profile.pairs_with_overlap():
-        values.add(m.of(inter) / total)
-    for rng, count in zip(profile.ranges, profile.counts):
-        if count >= 2:
-            values.add(m.of(rng) / total)
-    return frozenset(values)
+    return frozenset(value / total for value in overlaps)
 
 
 # ---------------------------------------------------------------------------

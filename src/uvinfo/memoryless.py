@@ -40,15 +40,16 @@ from .chancap import (
     AlphabetTooLarge,
     Channel,
     DeltaOutOfRange,
-    _brute_force_representatives,
+    _CodebookRow,
+    _codebook_rows,
     _delta_grid,
     _front_end,
     _require_normalized,
     _search,
+    _sup,
     _uniform_x,
     as_codebook,
     capacity,
-    induced_pair,
     mi_sup_oracle,
 )
 
@@ -151,35 +152,20 @@ class Rate:
 
 
 def rate_at_horizon(ch: Channel, m: UncertaintyFunction, delta_n: Fraction,
-                    n: int, *, cross_check: bool = False) -> Rate:
+                    n: int) -> Rate:
     """The largest distinguishable rate at one horizon: the exact capacity
-    count of the n-fold product channel, as a per-symbol rate.
-
-    With ``cross_check`` the result is also matched against the product-space
-    mutual-information sup (the two are provably equal; the check is a
-    belt-and-braces oracle for tests).
-    """
-    pc = ProductChannel(ch, n)
-    mat = pc.materialize()
-    m_n = product_uncertainty(m, n)
-    result = capacity(mat, m_n, delta_n)
-    if cross_check:
-        sup = mi_sup_oracle(mat, m_n, delta_n)
-        if sup.count != result.count:
-            raise UvinfoError(
-                f"rate/information mismatch at horizon {n}: "
-                f"{result.count} vs {sup.count}")
-    return Rate(result.count, n)
+    count of the n-fold product channel, as a per-symbol rate.  The two are
+    provably equal to ``information_rate_at_horizon``, the second route."""
+    mat = ProductChannel(ch, n).materialize()
+    return Rate(capacity(mat, product_uncertainty(m, n), delta_n).count, n)
 
 
 def information_rate_at_horizon(ch: Channel, m: UncertaintyFunction,
                                 delta_n: Fraction, n: int) -> Rate:
     """The information side of the horizon-n rate equality: the product-space
     mutual-information sup as a per-symbol rate."""
-    pc = ProductChannel(ch, n)
-    mat = pc.materialize()
-    m_n = product_uncertainty(m, n)
-    return Rate(mi_sup_oracle(mat, m_n, delta_n).count, n)
+    mat = ProductChannel(ch, n).materialize()
+    return Rate(mi_sup_oracle(mat, product_uncertainty(m, n), delta_n).count, n)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +363,10 @@ _NOTIONS = {"T12": "C_N({delta_n})^*", "Cor2": "C_N^{0*}",
             "T13": "C_N({delta_n})_*", "T14": "C_N({down 0})_*"}
 
 
-def _containment_condition(ch: Channel, codebook, family) -> Condition:
+def _containment_condition(ch: Channel, codebook, sets) -> Condition:
     outside = [x for x in ch.x_symbols if x not in set(codebook)]
     for x in outside:
-        if not any(ch.image(x) <= s for s in family.sets):
+        if not any(ch.image(x) <= s for s in sets):
             return Condition(
                 "uncovered-codeword containment", False,
                 f"image of {x!r} fits inside no family set")
@@ -409,33 +395,6 @@ def _noise_floor_condition(delta1: Fraction, v_min: Fraction) -> Condition:
     return Condition(
         "one-dimensional level below the noise floor", ok,
         f"{format_ratio(delta1)} vs m(V_N) = {format_ratio(v_min)}")
-
-
-def _output_uncertainty(ch: Channel, m: UncertaintyFunction, codebook) -> Fraction:
-    """m(Y): the uncertainty of the union of the codebook's images."""
-    return m.of(frozenset().union(*map(ch.image, codebook)))
-
-
-def _achieving_family(theorem: str, ch: Channel, m: UncertaintyFunction,
-                      codebook, theta: Fraction, expected: int):
-    """The output-side family of the codebook's induced pair at level theta,
-    which must exist and have ``expected`` sets."""
-    # a level outside [0, 1] has no family, so the codebook is not in the
-    # feasible set (T13 reaches one when delta_1 passes m(Y) * |X|)
-    if not 0 <= theta <= 1:
-        raise NotCapacityAchieving(
-            f"level {format_ratio(theta)} for codebook {codebook} outside [0, 1]")
-    pair = induced_pair(ch, codebook)
-    family = overlap_family(pair, _uniform_x(pair), m, theta, "Y")
-    if family is None:
-        raise NotCapacityAchieving(
-            f"{theorem}: codebook {codebook} has no overlap family at level "
-            f"{format_ratio(theta)} (not in the feasible set)")
-    if family.count != expected:
-        raise NotCapacityAchieving(
-            f"{theorem}: codebook {codebook} yields {family.count} family "
-            f"sets but the one-dimensional capacity count is {expected}")
-    return family
 
 
 def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
@@ -467,7 +426,14 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
     if variant not in _NOTIONS:
         raise UvinfoError(f"unknown certificate variant {variant!r}")
     if variant == "T14":
-        return _check_t14(ch, m, codebook, delta_star)
+        best = _horizon_one_sup(ch, m)
+        if codebook is None:
+            return _certify_t14(ch, m, _codebook_rows(ch, m), *best)
+        cb = as_codebook(ch, codebook)
+        if delta_star is None:
+            raise UvinfoError("T14 with an explicit codebook needs delta_star")
+        return _certify("T14", ch, m, _CodebookRow(ch, m, cb), *best,
+                        ratio(delta_star), None)
     if variant == "Cor2":
         if codebook is None:
             raise UvinfoError("Cor2 needs a codebook")
@@ -480,40 +446,67 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
     expected = capacity(ch, m, delta1).count
     if delta_bar is not None:
         delta_bar = ratio(delta_bar)
-    return _certify(variant, ch, m, cb, expected, delta1, delta_bar, sequence)
+    return _certify(variant, ch, m, _CodebookRow(ch, m, cb), expected, delta1,
+                    delta_bar, sequence)
 
 
-def _certify(variant: str, ch: Channel, m: UncertaintyFunction, cb: tuple,
+def _certify_t14(ch: Channel, m: UncertaintyFunction, rows: list,
+                 best_count: int, best_delta: Fraction) -> SingleLetterCertificate:
+    """T14 on the codebook and level of the information sup at
+    ``best_delta``, the least delta_1 of the largest capacity count."""
+    sup, row = _sup(rows, best_delta, True)
+    return _certify("T14", ch, m, row, best_count, best_delta,
+                    sup.delta_tilde, None)
+
+
+def _certify(variant: str, ch: Channel, m: UncertaintyFunction, row,
              expected: int, delta1: Fraction, delta_bar: Optional[Fraction],
              sequence: Optional[ConfidenceSequence]) -> SingleLetterCertificate:
-    """The T12, Cor2 or T13 certificate of codebook ``cb``, whose output
-    family must have ``expected`` sets: the capacity count at delta_1 (at 0
-    for Cor2).  An unset ``delta_bar`` is the largest the level bound allows."""
+    """The certificate of the codebook of ``row`` (a ``chancap._CodebookRow``),
+    whose family at level delta_bar / |X| must have ``expected`` sets: the
+    capacity count at delta_1 (0 for Cor2), or for T14 the sup below the
+    noise floor, attained at delta_1, with delta_bar = delta_star.  An unset
+    ``delta_bar`` is the largest the level bound allows."""
+    cb, m_out = row.codebook, row.m_out
     if variant == "Cor2":
         delta_bar = Fraction(0)
-    else:
-        m_out = _output_uncertainty(ch, m, cb)
+    elif variant != "T14":
         level_rhs = delta1 / m_out
         if delta_bar is None:
             delta_bar = level_rhs
             if variant == "T12":
                 delta_bar /= 1 + Fraction(1, len(cb))
-    family = _achieving_family(variant, ch, m, cb, delta_bar / len(cb), expected)
-    delta_hat = None
+    theta = delta_bar / len(cb)
+    # a level outside [0, 1] has no family, so the codebook is not in the
+    # feasible set (T13 reaches one when delta_1 passes m(Y) * |X|)
+    if not 0 <= theta <= 1:
+        raise NotCapacityAchieving(
+            f"level {format_ratio(theta)} for codebook {cb} outside [0, 1]")
+    sets = row.family(theta)
+    if sets is None:
+        raise NotCapacityAchieving(
+            f"{variant}: codebook {cb} has no overlap family at level "
+            f"{format_ratio(theta)} (not in the feasible set)")
+    if len(sets) != expected:
+        raise NotCapacityAchieving(
+            f"{variant}: codebook {cb} yields {len(sets)} family "
+            f"sets but the one-dimensional capacity count is {expected}")
+    v_min = ch.min_image_uncertainty(m)
+    delta_hat = (max(m.of(s) / m_out for s in sets)
+                 if variant in ("T13", "T14") else None)
     if variant == "Cor2":
         conditions = (
-            _containment_condition(ch, cb, family),
+            _containment_condition(ch, cb, sets),
             _product_rule_condition(m),
             _subadditivity_condition(m),
         )
     elif variant == "T12":
-        v_min = ch.min_image_uncertainty(m)
         q = delta_bar * v_min / len(cb)
         tail_ok, tail_note = sequence.tail_at_most_power(q)
         level_lhs = delta_bar * (1 + Fraction(1, len(cb)))
         conditions = (
             _noise_floor_condition(delta1, v_min),
-            _containment_condition(ch, cb, family),
+            _containment_condition(ch, cb, sets),
             Condition("level bound", level_lhs <= level_rhs,
                       f"delta_bar(1 + 1/|X|) = {format_ratio(level_lhs)} vs "
                       f"delta_1/m(Y) = {format_ratio(level_rhs)}"),
@@ -522,9 +515,7 @@ def _certify(variant: str, ch: Channel, m: UncertaintyFunction, cb: tuple,
             _product_rule_condition(m),
             _subadditivity_condition(m),
         )
-    else:
-        v_min = ch.min_image_uncertainty(m)
-        delta_hat = max(m.of(s) / m_out for s in family.sets)
+    elif variant == "T13":
         growth = delta_hat * len(cb)
         low_ok, low_note = sequence.tail_at_least_geometric(delta_bar, growth)
         up_ok, up_note = sequence.tail_below_one()
@@ -539,36 +530,18 @@ def _certify(variant: str, ch: Channel, m: UncertaintyFunction, cb: tuple,
             Condition("tail below one", up_ok, up_note),
             _product_rule_condition(m),
         )
-    count = family.count if all(c.holds for c in conditions) else None
-    return SingleLetterCertificate(variant, _NOTIONS[variant], cb, delta_bar,
-                                   conditions, count, delta_hat=delta_hat)
-
-
-def _check_t14(ch, m, codebook, delta_star):
-    best_count, best_delta = _horizon_one_sup(ch, m)
-    if codebook is None:
-        sup = mi_sup_oracle(ch, m, best_delta)
-        cb = sup.codebook
-        delta_star = sup.delta_tilde
     else:
-        cb = as_codebook(ch, codebook)
-        if delta_star is None:
-            raise UvinfoError("T14 with an explicit codebook needs delta_star")
-        delta_star = ratio(delta_star)
-    family = _achieving_family("T14", ch, m, cb, delta_star / len(cb), best_count)
-    m_out = _output_uncertainty(ch, m, cb)
-    delta_hat = max(m.of(s) / m_out for s in family.sets)
-    spread = delta_hat * len(cb)
-    conditions = (
-        Condition("achieves the one-dimensional sup", True,
-                  f"count {best_count} attained (sup swept below the noise "
-                  f"floor, witness level {format_ratio(best_delta)})"),
-        Condition("spread bound", spread < 1,
-                  f"delta_hat*|X| = {format_ratio(spread)} vs 1"),
-        _product_rule_condition(m),
-    )
-    count = family.count if all(c.holds for c in conditions) else None
-    return SingleLetterCertificate("T14", _NOTIONS["T14"], cb, delta_star,
+        spread = delta_hat * len(cb)
+        conditions = (
+            Condition("achieves the one-dimensional sup", True,
+                      f"count {expected} attained (sup swept below the noise "
+                      f"floor, witness level {format_ratio(delta1)})"),
+            Condition("spread bound", spread < 1,
+                      f"delta_hat*|X| = {format_ratio(spread)} vs 1"),
+            _product_rule_condition(m),
+        )
+    count = len(sets) if all(c.holds for c in conditions) else None
+    return SingleLetterCertificate(variant, _NOTIONS[variant], cb, delta_bar,
                                    conditions, count, delta_hat=delta_hat)
 
 
@@ -596,11 +569,11 @@ class ProfileReport:
 
 
 def _first_certificates(ch: Channel, m: UncertaintyFunction,
-                        seq: ConfidenceSequence, reps: tuple) -> tuple:
+                        seq: ConfidenceSequence, rows: list) -> tuple:
     """The first certifying codebook of each applicable theorem, trying the
-    subsets of ``reps`` in combination order; below the capacity count a
-    codebook has too few family sets, so the walk starts at that count,
-    found once for each distinct level."""
+    codebook ``rows`` in their order (by size, then in combination order);
+    below the capacity count a codebook has too few family sets, so the
+    walk starts at that count, found once for each distinct level."""
     found = []
     delta1 = seq.value_at(1)
     count_at = functools.cache(lambda level: capacity(ch, m, level).count)
@@ -611,11 +584,10 @@ def _first_certificates(ch: Channel, m: UncertaintyFunction,
         if not applicable:
             continue
         expected = count_at(level)
-        for cb in itertools.chain.from_iterable(
-                itertools.combinations(reps, size)
-                for size in range(expected, len(reps) + 1)):
+        for row in itertools.dropwhile(
+                lambda r: len(r.codebook) < expected, rows):
             try:
-                cert = _certify(variant, ch, m, cb, expected, level, None, seq)
+                cert = _certify(variant, ch, m, row, expected, level, None, seq)
             except NotCapacityAchieving:
                 continue
             if cert.certifies:
@@ -624,7 +596,7 @@ def _first_certificates(ch: Channel, m: UncertaintyFunction,
     if seq.vanishes():
         # T14 finds its own codebook
         try:
-            found.append(_check_t14(ch, m, None, None))
+            found.append(_certify_t14(ch, m, rows, *_horizon_one_sup(ch, m)))
         except NotCapacityAchieving:
             pass
     return tuple(cert for cert in found if cert.certifies)
@@ -672,11 +644,11 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
     horizon_span = rows[-1].horizon
     certificates = ()
     try:
-        reps = _brute_force_representatives(ch)
+        codebooks = _codebook_rows(ch, m)
     except AlphabetTooLarge as exc:
         notes.append(f"certificates skipped: {exc}")
     else:
-        certificates = _first_certificates(ch, m, seq, reps)
+        certificates = _first_certificates(ch, m, seq, codebooks)
     return ProfileReport(
         tuple(rows), inf_rate, sup_rate,
         f"inf over horizons 1..{horizon_span} (upper bound on the "
@@ -766,23 +738,22 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
     if not delta < bound:
         return skipped(f"delta {format_ratio(delta)} not below the component "
                        f"range bound {format_ratio(bound)}")
+    rhs_counts = []
     for i, pair in enumerate(base_pairs):
         family = overlap_family(pair, _uniform_x(pair), m, delta, "Y")
         if family is None:
             return skipped(
                 f"component {i} is neither associated at (1, delta) nor "
                 "disassociated at (0, delta)")
+        rhs_counts.append(family.count)
     combined = product_pair(base_pairs)
     m_product = product_uncertainty(m, n) if n > 1 else m
     lhs = mutual_information(combined, _uniform_x(combined), m_product,
                              delta ** n, "YgivenX")
-    rhs_counts = tuple(
-        mutual_information(pair, _uniform_x(pair), m, delta, "YgivenX").count
-        for pair in base_pairs)
     product = math.prod(rhs_counts)
     holds = lhs.count <= product
     equality = (lhs.count == product) if delta == 0 else None
-    return TensorizationReport("ok", "", delta, lhs.count, rhs_counts,
+    return TensorizationReport("ok", "", delta, lhs.count, tuple(rhs_counts),
                                holds, equality)
 
 

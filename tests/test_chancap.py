@@ -30,11 +30,15 @@ from uvinfo import (
     induced_pair,
     matrix_capacity,
     mi_sup_oracle,
+    format_ratio,
     overlap_family,
     verify_coding_theorem,
 )
 from uvinfo import chancap
 from uvinfo.chancap import (
+    AlphabetTooLarge,
+    CodingTheoremReport,
+    CodingTheoremRow,
     MISupResult,
     SamePoint,
     as_codebook,
@@ -455,28 +459,78 @@ def per_level_oracle(ch, m, delta, feasible_only=True) -> MISupResult:
     return best
 
 
+def oracle_case(seed) -> tuple:
+    """A seeded channel of 1-5 inputs, a cardinality or weighted measure,
+    and the increasing deltas below its noise floor where a sup can change,
+    with three more."""
+    rng = random.Random(seed)
+    # small images overlap a lot; wide ones can overlap by several small
+    # values that all fit under a codebook's allowed level
+    outputs, sizes = rng.choice([(rng.randint(4, 9), (1, 4)),
+                                 (rng.randint(12, 24), (6, 12))])
+    ch = random_channel(rng, rng.randint(1, 5), outputs, sizes)
+    if rng.random() < 0.5:
+        m = CardinalityPower(outputs, rng.randint(1, 2))
+    else:
+        weights = {y: rng.randint(1, 9) for y in range(outputs)}
+        m = ExplicitWeights.of_mapping(weights, sum(weights.values()))
+    v_min = ch.min_image_uncertainty(m)
+    deltas = set(chancap._delta_grid(ch, m, ratios(chancap._pair_values(ch, m))))
+    deltas |= {v_min * F(k, 4) for k in range(1, 4)}
+    return ch, m, sorted(deltas)
+
+
+def outcome(call, *args):
+    """A call's whole result, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except UvinfoError as exc:
+        return type(exc), str(exc)
+
+
 class TestOracleMatchesPerLevelSweep:
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_whole_results(self, seed):
-        rng = random.Random(seed)
-        # small images overlap a lot; wide ones can overlap by several small
-        # values that all fit under a codebook's allowed level
-        outputs, sizes = rng.choice([(rng.randint(4, 9), (1, 4)),
-                                     (rng.randint(12, 24), (6, 12))])
-        ch = random_channel(rng, rng.randint(1, 5), outputs, sizes)
-        if rng.random() < 0.5:
-            m = CardinalityPower(outputs, rng.randint(1, 2))
-        else:
-            weights = {y: rng.randint(1, 9) for y in range(outputs)}
-            m = ExplicitWeights.of_mapping(weights, sum(weights.values()))
-        v_min = ch.min_image_uncertainty(m)
-        deltas = set(chancap._delta_grid(ch, m, ratios(chancap._pair_values(ch, m))))
-        deltas |= {v_min * F(k, 4) for k in range(1, 4)}
-        for delta in sorted(deltas):
+        ch, m, deltas = oracle_case(seed)
+        for delta in deltas:
             for feasible_only in (True, False):
                 assert mi_sup_oracle(ch, m, delta, feasible_only=feasible_only) \
                     == per_level_oracle(ch, m, delta, feasible_only)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_whole_verify_reports(self, seed):
+        ch, m, deltas = oracle_case(seed)
+        rows = []
+        for delta in deltas:
+            cap = capacity(ch, m, delta)
+            sup = per_level_oracle(ch, m, delta)
+            free = per_level_oracle(ch, m, delta, False)
+            rows.append(CodingTheoremRow(
+                delta, cap.count, cap.witness, sup.count, sup.codebook,
+                sup.delta_tilde, free.count, cap.count == sup.count == free.count))
+        assert verify_coding_theorem(ch, m, deltas) \
+            == CodingTheoremReport(tuple(rows), all(row.match for row in rows))
+        # each delta is checked in grid order, so a refused one raises what
+        # the capacity search or the oracle raises for it, wherever it is
+        v_min = ch.min_image_uncertainty(m)
+        floor = (DeltaOutOfRange, "need 0 <= delta < m(V_N) = "
+                 f"{format_ratio(v_min)}, got {format_ratio(v_min)}")
+        one = (DeltaOutOfRange, "need 0 <= delta < 1, got 1")
+        for grid, refusal in (([v_min], floor), (deltas + [v_min], floor),
+                              ([F(1)], one), (deltas + [F(1)], one),
+                              ([v_min, F(1)], floor), ([F(1), v_min], one)):
+            if v_min < 1 or refusal == one:
+                assert outcome(verify_coding_theorem, ch, m, grid) == refusal
+        # more distinct images than the oracle's cap: refused at the first
+        # delta that the capacity search accepts, and only there
+        wide = Channel.of({x: {x} for x in range(13)})
+        m13 = CardinalityPower(13)
+        assert outcome(verify_coding_theorem, wide, m13, [F(1), F(0)]) == one
+        assert outcome(verify_coding_theorem, wide, m13, [F(0), F(1)]) == (
+            AlphabetTooLarge, "13 distinct images exceed the brute-force cap of 12")
+        assert verify_coding_theorem(wide, m13, []) == CodingTheoremReport((), True)
 
 
 class TestCertificateReuse:

@@ -52,6 +52,7 @@ from uvinfo.memoryless import (
     _noise_floor_condition,
     _product_rule_condition,
     _subadditivity_condition,
+    information_rate_at_horizon,
 )
 from uvinfo.uvcore import format_ratio, ratio
 
@@ -164,13 +165,15 @@ class TestRateAtHorizon:
         assert rate.render() == "1"
 
     def test_cross_check_against_information_sup(self, fig5):
-        rate = rate_at_horizon(fig5, M1, F(6, 19), 1, cross_check=True)
+        rate = rate_at_horizon(fig5, M1, F(6, 19), 1)
+        assert rate == information_rate_at_horizon(fig5, M1, F(6, 19), 1)
         assert rate.count == 3
 
     def test_cross_check_needs_the_noise_floor(self, fig5):
         # the information-side sup is only defined below m(V_N)
+        assert rate_at_horizon(fig5, M1, F(4, 9), 1).count == 3
         with pytest.raises(DeltaOutOfRange):
-            rate_at_horizon(fig5, M1, F(4, 9), 1, cross_check=True)
+            information_rate_at_horizon(fig5, M1, F(4, 9), 1)
 
     def test_horizon_cap(self, fig5):
         with pytest.raises(HorizonTooLarge):
@@ -576,8 +579,9 @@ class TestCapacityProfile:
     ])
     def test_one_capacity_search_per_level(self, monkeypatch, seq, theorems):
         # six distinct images give 63 candidate codebooks per theorem; the
-        # rows take one search per horizon, the theorems one per distinct
-        # level (T12, Cor2 and T13 all test delta_1) and T14 none
+        # rows take one search per horizon, the walked theorems one per
+        # distinct level (T12, Cor2 and T13 all test delta_1) and T14, which
+        # also reaches _certify when the sequence vanishes, none
         calls, tried = [], set()
 
         def counting(*args):
@@ -593,7 +597,8 @@ class TestCapacityProfile:
         monkeypatch.setattr(memoryless, "_certify", trying)
         ch = Channel.of({x: frozenset([x, (x + 1) % 6, 6]) for x in range(6)})
         capacity_profile(ch, CardinalityPower(7), seq, 2)
-        assert len(tried) == theorems
+        assert len(tried) == theorems + seq.vanishes()
+        assert ("T14" in tried) == seq.vanishes()
         assert calls == [seq.value_at(1), seq.value_at(2), seq.value_at(1)]
 
     @pytest.mark.parametrize("m,seq", [
@@ -662,7 +667,7 @@ def _ref_t12(ch, m, codebook, delta1, delta_bar, sequence):
     level_rhs = delta1 / m_out
     conditions = (
         _noise_floor_condition(delta1, v_min),
-        _containment_condition(ch, cb, family),
+        _containment_condition(ch, cb, family.sets),
         Condition("level bound", level_lhs <= level_rhs,
                   f"delta_bar(1 + 1/|X|) = {format_ratio(level_lhs)} vs "
                   f"delta_1/m(Y) = {format_ratio(level_rhs)}"),
@@ -684,7 +689,7 @@ def _ref_cor2(ch, m, codebook):
     _, family = _ref_family(ch, m, cb, Fraction(0))
     _ref_require("Cor2", family, cap0.count, cb, Fraction(0))
     conditions = (
-        _containment_condition(ch, cb, family),
+        _containment_condition(ch, cb, family.sets),
         _product_rule_condition(m),
         _subadditivity_condition(m),
     )
