@@ -18,10 +18,10 @@ from uvinfo import (
     capacity,
     capacity_profile,
     format_ratio,
+    information_rate_at_horizon,
     rate_at_horizon,
     verify_coding_theorem,
 )
-from uvinfo.memoryless import information_rate_at_horizon
 
 
 def build_channel() -> Channel:

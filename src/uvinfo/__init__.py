@@ -30,7 +30,6 @@ _EXPORTS = {
         "UvinfoError",
         "format_ratio",
         "ratio",
-        "uncertainty_of",
     ),
     "infocalc": (
         "AssociationSets",
@@ -67,6 +66,7 @@ _EXPORTS = {
         "Rate",
         "SingleLetterCertificate",
         "capacity_profile",
+        "information_rate_at_horizon",
         "parse_sequence_spec",
         "product_pair",
         "product_uncertainty",

@@ -34,10 +34,10 @@ run with no limit.  The witness scan walks the symbols in their own order
 whatever the numbering, so no answer depends on it.
 
 The information oracle, the second route to capacity, shares nothing with
-that engine: it reads each codebook of distinct-image representatives once
-into a row that holds at every level (``_CodebookRow``), from which every
-delta, both of its modes and the single-letter certificates take their sup
-or their family.
+that engine: it reads the output side of each codebook of distinct-image
+representatives once, into ``infocalc``'s reader of that side's overlap
+levels, from which every delta, both of its modes and the single-letter
+certificates take their sup or their family.
 
 The uncertainty function must be normalized so the full output alphabet has
 uncertainty 1 (cardinality-power functions over the whole alphabet already
@@ -55,7 +55,7 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 from .uvcore import (
@@ -68,7 +68,8 @@ from .uvcore import (
     _frozen,
     format_ratio,
 )
-from .infocalc import _association_values, overlap_family, side_profile
+# overlap_family is unused here; bench/test_bench.py asserts this binding
+from .infocalc import _SideLevels, overlap_family
 
 MI_SUP_MAX_SYMBOLS = 12
 
@@ -341,6 +342,15 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
         sizes = _table_sizes(width, rows, top)
         return numbering, [(s ** e, whole) for s in sizes], (width, rows, sizes)
     return (range(n), *_rank_table(n, _pair_values(ch, m), limit))
+
+
+def _noise_floor_search(ch: Channel, m: UncertaintyFunction) -> tuple:
+    """One front end, built at the noise floor m(V_N), serves every delta
+    below it: the capacity search at such a delta, as a function of it, and
+    ``_delta_grid``, the deltas below the floor where its count can change."""
+    numbering, values, table = _front_end(ch, m, ch.min_image_uncertainty(m))
+    return (partial(_search, ch.x_symbols, numbering, values, table),
+            _delta_grid(ch, m, values))
 
 
 def _delta_grid(ch: Channel, m: UncertaintyFunction, values) -> list:
@@ -713,31 +723,6 @@ def _uniform_x(pair: UncertainPair) -> CardinalityPower:
     return CardinalityPower(len(pair.marginal_range("X")))
 
 
-class _CodebookRow:
-    """What the oracle and the certificates read of a codebook at any level,
-    built once: m([Y]), the distinct output ranges, the output family's sets
-    at level 0 and the least and largest output association values (each
-    None when there is none).  Never compared or hashed: not a record."""
-
-    __slots__ = ("codebook", "m_out", "ranges", "zero", "least", "largest")
-
-    def __init__(self, ch: Channel, m: UncertaintyFunction, codebook: tuple):
-        pair = induced_pair(ch, codebook)
-        profile = side_profile(pair, "Y")
-        values = _association_values(profile, m)
-        zero = overlap_family(pair, _uniform_x(pair), m, Fraction(0), "Y")
-        self.codebook, self.m_out = codebook, m.of(profile.marginal)
-        self.ranges, self.zero = profile.ranges, None if zero is None else zero.sets
-        self.least, self.largest = min(values, default=None), max(values, default=None)
-
-    def family(self, theta: Fraction) -> Optional[tuple]:
-        """The output family's sets at level ``theta``: the ranges from the
-        largest value up, the level-0 sets below the least, else None."""
-        if self.largest is None or theta >= self.largest:
-            return self.ranges
-        return self.zero if theta < self.least else None
-
-
 def _require_below_floor(ch: Channel, m: UncertaintyFunction,
                          delta: Fraction) -> None:
     _require_normalized(ch, m)
@@ -745,15 +730,21 @@ def _require_below_floor(ch: Channel, m: UncertaintyFunction,
     _require_delta(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
 
 
+def _codebook_row(ch: Channel, m: UncertaintyFunction, codebook: tuple) -> tuple:
+    """``(codebook, levels)``: the codebook and the overlap levels of the
+    output side of its induced pair, which hold what any level reads."""
+    return codebook, _SideLevels(induced_pair(ch, codebook), m, "Y")
+
+
 def _codebook_rows(ch: Channel, m: UncertaintyFunction) -> list:
-    """The rows of the distinct-image codebooks, by size, then in
-    combination order."""
+    """The rows of the distinct-image codebooks (see ``_codebook_row``), by
+    size, then in combination order."""
     reps = distinct_image_representatives(ch)
     if len(reps) > MI_SUP_MAX_SYMBOLS:
         raise AlphabetTooLarge(
             f"{len(reps)} distinct images exceed the brute-force cap "
             f"of {MI_SUP_MAX_SYMBOLS}")
-    return [_CodebookRow(ch, m, cb) for size in range(1, len(reps) + 1)
+    return [_codebook_row(ch, m, cb) for size in range(1, len(reps) + 1)
             for cb in itertools.combinations(reps, size)]
 
 
@@ -761,16 +752,18 @@ def _sup(rows: list, delta: Fraction, feasible_only: bool) -> tuple:
     """The ``mi_sup_oracle`` result over ``rows``, and its codebook's row."""
     best = None
     for row in rows:
-        size = len(row.codebook)
-        levels = [(row.zero, Fraction(0))]
-        if row.largest is not None and row.largest * size * row.m_out <= delta:
-            levels.append((row.ranges, row.largest * size))
-        for sets, delta_tilde in levels:
+        codebook, levels = row
+        tries = [(levels.family(0), Fraction(0))]
+        if levels.largest is not None:
+            top = levels.largest * len(codebook)
+            if top * levels.m_marginal <= delta:
+                tries.append((levels.ranges, top))
+        for sets, delta_tilde in tries:
             if sets is None and feasible_only:
                 continue
             count = 1 if sets is None else len(sets)
             if best is None or count > best[0].count:
-                best = MISupResult(count, row.codebook, delta_tilde,
+                best = MISupResult(count, codebook, delta_tilde,
                                    feasible_only), row
     assert best is not None, "the singleton codebook is always feasible"
     return best
@@ -785,7 +778,7 @@ def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
     With ``feasible_only`` the sup ranges over (X, delta_tilde) whose
     output-side overlap family exists (the feasible set); without it a
     missing family scores 0 bits.  A codebook's family changes only at 0
-    and at its largest output association value (``_CodebookRow``), so
+    and at its largest output association value (see ``infocalc``), so
     those two levels, the second only when allowed, are tried exactly.
     """
     _require_below_floor(ch, m, delta)

@@ -524,8 +524,7 @@ def _cmd_verify(args):
     if args.deltas:
         deltas = [_parse_ratio(t) for t in args.deltas.split(",")]
     else:
-        values = chancap._front_end(ch, m, ch.min_image_uncertainty(m))[1]
-        deltas = chancap._delta_grid(ch, m, values)
+        _, deltas = chancap._noise_floor_search(ch, m)
     failures = 0
     coding_rows, tensor_rows = [], []
     for row in chancap.verify_coding_theorem(ch, m, deltas).rows:

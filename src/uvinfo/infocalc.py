@@ -6,10 +6,12 @@ definition — association sets, delta-connected components, overlap families,
 the taxicab relation on the joint range — is evaluated by exact rational
 comparison on that reduction.
 
-Each side's conditional ranges are read in one pass over the joint relation,
-and an overlap family reads its side once.  A side's family changes only at
-0 and at its largest association value: the components (or none) below the
-least value, none up to the largest, the distinct ranges from it up.
+Each side's conditional ranges are read in one pass over the joint relation.
+A side's family changes only at 0 and at its largest association value: the
+components (or none) below the least value, none up to the largest, the
+distinct ranges from it up.  ``_SideLevels`` is the one owner of that rule:
+it reads a side once for every level that ``overlap_family``, the
+information oracle and the certificates ask for.
 Finite (``frozenset``) and interval (:class:`~uvinfo.uvcore.IntervalUnion`)
 subsets share one algebra, ``&``, ``|`` and truthiness (nonempty is true), so
 only sorting asks which kind of ground a subset lives on.
@@ -30,6 +32,7 @@ Conventions that matter and are easy to get wrong:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .uvcore import (
@@ -142,8 +145,6 @@ class AssociationSets:
 
 def association_sets(pair: UncertainPair, m_x: UncertaintyFunction,
                      m_y: UncertaintyFunction) -> AssociationSets:
-    if pair.is_empty():
-        raise EmptyPair("the joint range is empty")
     return AssociationSets(
         a_xy=_association_values(side_profile(pair, "X"), m_x),
         a_yx=_association_values(side_profile(pair, "Y"), m_y),
@@ -250,6 +251,38 @@ class OverlapFamily:
         return len(self.sets)
 
 
+class _SideLevels:
+    """One side's overlap family at every level, from one reading of the
+    side: its ranges, m of its marginal, and its least and largest
+    association values (None when it has none).  The opposite side is read
+    only when a level below the least value is first asked for."""
+
+    def __init__(self, pair: UncertainPair, m: UncertaintyFunction, side: str):
+        self._pair, self._profile = pair, side_profile(pair, side)
+        values = _association_values(self._profile, m)
+        self.ranges, self.m_marginal = self._profile.ranges, m.of(self._profile.marginal)
+        self.least, self.largest = min(values, default=None), max(values, default=None)
+
+    def associated(self, delta: Fraction) -> bool:
+        return self.largest is None or delta >= self.largest
+
+    def family(self, delta: Fraction) -> Optional[tuple]:
+        """The family's sets at ``delta``: the ranges from the largest value
+        up, None from the least value, and the components or None below."""
+        if self.associated(delta):
+            return self.ranges
+        return None if delta >= self.least else self._below_least
+
+    @cached_property
+    def _below_least(self) -> Optional[tuple]:
+        # the opposite association set is nonempty exactly when a range is
+        # produced twice or two ranges meet (m vanishes only on the empty set)
+        other = side_profile(self._pair, "Y" if self._profile.side == "X" else "X")
+        if any(c >= 2 for c in other.counts) or next(other.pairs_with_overlap(), None):
+            return tuple(_components(self._profile))
+        return None
+
+
 def overlap_family(pair: UncertainPair, m_x: UncertaintyFunction,
                    m_y: UncertaintyFunction, delta: Fraction,
                    side: str) -> Optional[OverlapFamily]:
@@ -265,18 +298,12 @@ def overlap_family(pair: UncertainPair, m_x: UncertaintyFunction,
     side = side.upper()
     if not 0 <= delta <= 1:
         raise UvinfoError("delta must lie in [0, 1]")
-    profile = side_profile(pair, side)
-    values = _association_values(profile, m_x if side == "X" else m_y)
-    if not values or max(values) <= delta:
-        return OverlapFamily(profile.ranges, "associated", delta)
-    if min(values) <= delta:
+    levels = _SideLevels(pair, m_x if side == "X" else m_y, side)
+    sets = levels.family(delta)
+    if sets is None:
         return None
-    # the opposite association set is nonempty exactly when a range is
-    # produced twice or two ranges meet (m vanishes only on the empty set)
-    other = side_profile(pair, "Y" if side == "X" else "X")
-    if any(c >= 2 for c in other.counts) or next(other.pairs_with_overlap(), None):
-        return OverlapFamily(tuple(_components(profile)), "disassociated", delta)
-    return None
+    regime = "associated" if levels.associated(delta) else "disassociated"
+    return OverlapFamily(sets, regime, delta)
 
 
 @_frozen

@@ -35,17 +35,15 @@ from .uvcore import (
     format_ratio,
     ratio,
 )
-from .infocalc import mutual_information, overlap_family
+from .infocalc import EmptyPair, mutual_information, overlap_family
 from .chancap import (
     AlphabetTooLarge,
     Channel,
     DeltaOutOfRange,
-    _CodebookRow,
+    _codebook_row,
     _codebook_rows,
-    _delta_grid,
-    _front_end,
+    _noise_floor_search,
     _require_normalized,
-    _search,
     _sup,
     _uniform_x,
     as_codebook,
@@ -99,9 +97,6 @@ class ProductChannel:
         if self.horizon < 1:
             raise UvinfoError("the horizon must be a positive integer")
 
-    def input_count(self) -> int:
-        return len(self.base.x_symbols) ** self.horizon
-
     def output_count(self) -> int:
         return len(self.base.y_symbols) ** self.horizon
 
@@ -143,9 +138,6 @@ class Rate:
         left = self.count ** other.horizon
         right = other.count ** self.horizon
         return (left > right) - (left < right)
-
-    def same_rate(self, other: "Rate") -> bool:
-        return self.compare(other) == 0
 
     def render(self) -> str:
         return format_log2(self.count, self.horizon)
@@ -402,11 +394,9 @@ def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
     sweeping the finitely many thresholds where per-size feasibility can
     change (delta = size * equivocation), plus zero."""
     _require_normalized(ch, m)
-    # every delta of the grid is below the noise floor, so one front end,
-    # built once, serves them all; the least delta of the largest count wins
-    numbering, values, table = _front_end(ch, m, ch.min_image_uncertainty(m))
-    return max(((_search(ch.x_symbols, numbering, values, table, d).count, d)
-                for d in _delta_grid(ch, m, values)), key=operator.itemgetter(0))
+    # the least delta of the largest count wins
+    search, grid = _noise_floor_search(ch, m)
+    return max(((search(d).count, d) for d in grid), key=operator.itemgetter(0))
 
 
 def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
@@ -432,7 +422,7 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
         cb = as_codebook(ch, codebook)
         if delta_star is None:
             raise UvinfoError("T14 with an explicit codebook needs delta_star")
-        return _certify("T14", ch, m, _CodebookRow(ch, m, cb), *best,
+        return _certify("T14", ch, m, _codebook_row(ch, m, cb), *best,
                         ratio(delta_star), None)
     if variant == "Cor2":
         if codebook is None:
@@ -446,7 +436,7 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
     expected = capacity(ch, m, delta1).count
     if delta_bar is not None:
         delta_bar = ratio(delta_bar)
-    return _certify(variant, ch, m, _CodebookRow(ch, m, cb), expected, delta1,
+    return _certify(variant, ch, m, _codebook_row(ch, m, cb), expected, delta1,
                     delta_bar, sequence)
 
 
@@ -462,12 +452,13 @@ def _certify_t14(ch: Channel, m: UncertaintyFunction, rows: list,
 def _certify(variant: str, ch: Channel, m: UncertaintyFunction, row,
              expected: int, delta1: Fraction, delta_bar: Optional[Fraction],
              sequence: Optional[ConfidenceSequence]) -> SingleLetterCertificate:
-    """The certificate of the codebook of ``row`` (a ``chancap._CodebookRow``),
+    """The certificate of the codebook of ``row`` (``chancap._codebook_row``),
     whose family at level delta_bar / |X| must have ``expected`` sets: the
     capacity count at delta_1 (0 for Cor2), or for T14 the sup below the
     noise floor, attained at delta_1, with delta_bar = delta_star.  An unset
     ``delta_bar`` is the largest the level bound allows."""
-    cb, m_out = row.codebook, row.m_out
+    cb, levels = row
+    m_out = levels.m_marginal
     if variant == "Cor2":
         delta_bar = Fraction(0)
     elif variant != "T14":
@@ -482,7 +473,7 @@ def _certify(variant: str, ch: Channel, m: UncertaintyFunction, row,
     if not 0 <= theta <= 1:
         raise NotCapacityAchieving(
             f"level {format_ratio(theta)} for codebook {cb} outside [0, 1]")
-    sets = row.family(theta)
+    sets = levels.family(theta)
     if sets is None:
         raise NotCapacityAchieving(
             f"{variant}: codebook {cb} has no overlap family at level "
@@ -585,7 +576,7 @@ def _first_certificates(ch: Channel, m: UncertaintyFunction,
             continue
         expected = count_at(level)
         for row in itertools.dropwhile(
-                lambda r: len(r.codebook) < expected, rows):
+                lambda r: len(r[0]) < expected, rows):
             try:
                 cert = _certify(variant, ch, m, row, expected, level, None, seq)
             except NotCapacityAchieving:
@@ -672,10 +663,6 @@ class TensorizationReport:
     holds: Optional[bool] = None
     equality: Optional[bool] = None
 
-    @property
-    def rhs_product(self) -> int:
-        return math.prod(self.rhs_counts)
-
 
 def product_pair(base_pairs) -> UncertainPair:
     """The coordinatewise product of finite pairs: joint points are tuples
@@ -704,7 +691,8 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
     below the component range bound, and each component associated at
     (1, delta) or disassociated at (0, delta)) are verified first; any
     failure yields a ``skipped`` report, never a thrown error.  When they
-    hold, the inequality is asserted — with equality at delta = 0.
+    hold, the inequality is asserted — with equality at delta = 0.  An
+    empty component raises ``EmptyPair`` before any hypothesis is tried.
 
     The classifiability hypothesis matters even at delta = 0: a component
     whose conditioned side overlaps (so it is not associated) while the
@@ -717,6 +705,8 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
         raise UvinfoError("at least one component pair is needed")
     if delta < 0:
         raise UvinfoError("delta must be nonnegative")
+    if any(p.is_empty() for p in base_pairs):
+        raise EmptyPair("the joint range is empty")
     n = len(base_pairs)
 
     def skipped(reason):
@@ -728,13 +718,9 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
         return skipped(f"product rule fails for uncertainty kind {m.kind!r}")
     if m.exponent != 1:
         return skipped(f"subadditivity fails for exponent {m.exponent}")
-    bound = None
-    for pair in base_pairs:
-        for x in pair.marginal_range("X"):
-            value = m.of(pair.conditional_range("Y", x))
-            bound = value if bound is None else min(bound, value)
-    max_inputs = max(len(p.marginal_range("X")) for p in base_pairs)
-    bound = bound / max_inputs
+    bound = min(m.of(pair.conditional_range("Y", x)) for pair in base_pairs
+                for x in pair.marginal_range("X"))
+    bound /= max(len(pair.marginal_range("X")) for pair in base_pairs)
     if not delta < bound:
         return skipped(f"delta {format_ratio(delta)} not below the component "
                        f"range bound {format_ratio(bound)}")

@@ -439,11 +439,6 @@ class ExplicitWeights(UncertaintyFunction):
         return sum((table[s] for s in subset), Fraction(0)) / self.normalizer
 
 
-def uncertainty_of(m: UncertaintyFunction, subset: GroundSubset) -> Fraction:
-    """Apply an uncertainty function to a ground subset (exact Fraction)."""
-    return m.of(subset)
-
-
 # ---------------------------------------------------------------------------
 # uncertain pairs
 
@@ -653,5 +648,4 @@ __all__ = [
     "format_ratio",
     "hamming_diameter",
     "ratio",
-    "uncertainty_of",
 ]

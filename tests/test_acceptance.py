@@ -26,6 +26,7 @@ from uvinfo import (
     classify_levels,
     hamming_distance_bound,
     hamming_equivocation,
+    information_rate_at_horizon,
     mutual_information,
     overlap_family,
     rate_at_horizon,
@@ -35,7 +36,9 @@ from uvinfo import (
     verify_coding_theorem,
 )
 from uvinfo.chancap import avg_overlap_capacity
-from uvinfo.memoryless import information_rate_at_horizon
+
+# the exhaustive-subset capacity reference, shared with the solver tests
+from test_chancap import channel_oracle, whole
 
 F = Fraction
 
@@ -102,16 +105,6 @@ def straddling_grid(ch: Channel, m) -> list:
         grid.add((lo + hi) / 2)
     grid.add((anchors[-1] + v_min) / 2)
     return sorted(grid)
-
-
-def brute_force_capacity(ch: Channel, m, delta) -> int:
-    best = 1
-    for size in range(1, len(ch.x_symbols) + 1):
-        for cb in itertools.combinations(ch.x_symbols, size):
-            if all(m.of(ch.image(a) & ch.image(b)) <= delta / size
-                   for a, b in itertools.combinations(cb, 2)):
-                best = max(best, size)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +536,9 @@ def test_ac13_solver_exactness():
         grid = sorted({F(0), F(1, 7), F(1, 3), F(2, 3), F(9, 10)})
         previous = None
         for delta in grid:
-            count = capacity(ch, m, delta).count
-            assert count == brute_force_capacity(ch, m, delta)
+            result = capacity(ch, m, delta)
+            assert whole(result) == channel_oracle(ch, m, delta)
+            count = result.count
             if previous is not None:
                 assert count >= previous
             previous = count

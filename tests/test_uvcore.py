@@ -23,7 +23,6 @@ from uvinfo import (
     UvinfoError,
     format_ratio,
     ratio,
-    uncertainty_of,
 )
 
 F = Fraction
@@ -275,10 +274,6 @@ class TestExplicitWeights:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(UvinfoError):
             ExplicitWeights.of_mapping({"a": 0})
-
-    def test_uncertainty_of_helper(self):
-        m = ExplicitWeights.of_mapping({"a": 3})
-        assert uncertainty_of(m, frozenset(["a"])) == 3
 
 
 # ---------------------------------------------------------------------------
