@@ -16,9 +16,10 @@ values, and the table value of each cut.  The graph of a cut is one
 byte), in ``_at_most``.  Under a ``CardinalityPower`` a pair's value rises
 strictly with the integer ``|N(x1) ∩ N(x2)|``, so the fields are the counts
 themselves, each input's row the sum of its outputs' columns, with no
-``Fraction`` per pair.  Every other measure, and ``apps.matrix_capacity``,
-ranks the ``Fraction`` value of every pair and writes the ranks into the
-table by slice assignment.
+``Fraction`` per pair; the third source, an n-fold product, forms each
+block's row as one product of rows filled from its base's counts.  Every
+other measure, and ``apps.matrix_capacity``, ranks the ``Fraction`` value
+of every pair and writes the ranks into the table by slice assignment.
 
 The engine compares only integers: both front ends hand over the distinct
 pair values as integer ratios ``(p, q)``, within ``delta / k = dn / (dd k)``
@@ -26,8 +27,9 @@ exactly when ``p dd k <= dn q``, and a result's ``thresholds`` are derived.
 
 The cost of a colouring search depends on the order of its vertices.  The
 count front end numbers the inputs by ascending collision mass, which
-stands in for the descending degree of MCQ; the ``Fraction`` front end keeps
-the input order.  Any top-level search that visits more nodes than its
+stands in for the descending degree of MCQ, and a product's blocks in the
+Kronecker order of that numbering; the ``Fraction`` front end keeps the
+input order.  Any top-level search that visits more nodes than its
 graph has vertices is dropped, and that graph is renumbered once into
 smallest-last (degeneracy) order, where this and every later search on it
 run with no limit.  The witness scan walks the symbols in their own order
@@ -55,7 +57,7 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, cmp_to_key, partial
 from typing import Callable, Optional
 
 from .uvcore import (
@@ -165,7 +167,10 @@ def ball_channel(points, distance: Callable, radius) -> Channel:
 
 
 def _require_normalized(ch: Channel, m: UncertaintyFunction) -> None:
-    total = m.of(ch.y_ground)
+    _require_unit(m.of(ch.y_ground))
+
+
+def _require_unit(total: Fraction) -> None:
     if total != 1:
         raise NotNormalized(
             f"m(output alphabet) = {format_ratio(total)}, expected 1")
@@ -204,31 +209,37 @@ def _field_width(largest: int) -> int:
     return width
 
 
-def _count_table(images) -> tuple:
-    """The pair-count table of ``images``, with the inputs numbered by their
-    place: the field width ``w`` in bytes and, for each input ``i``, the
-    ``w``-byte big-endian fields of a row whose field ``j`` is
-    ``|N(i) ∩ N(j)|`` and whose own field ``i`` is all ones.
+def _count_table(images, horizon: int = 1) -> tuple:
+    """The pair-count table of the ``horizon``-fold product of inputs with
+    ``images``, blocks in the Kronecker order of the inputs' places: the
+    field width ``w`` in bytes and, for each block ``i``, the ``w``-byte
+    big-endian fields of a row whose field ``j`` is ``|N(i) ∩ N(j)|`` and
+    whose own field ``i`` is all ones.
 
-    ``col[y]`` has a 1 in the field of every input whose image holds ``y``,
-    so the row of ``i`` is the sum of the columns of ``N(i)``.  No field
-    sum passes the largest image, and ``w`` is wide enough for that size
-    and the all-ones mark above it, so no count carries into its neighbour
-    and no size ever reaches an input's own field.
+    ``col[y]`` has a 1 in field ``stride * j`` of each input ``j`` that sees
+    ``y``, so the columns of ``N(i)`` sum to the row of ``i``, re-spaced;
+    as ``|∏A_t ∩ ∏B_t| = ∏|A_t ∩ B_t|``, that of ``a`` spaced by the number
+    of blocks ``b`` times that of ``b`` is the row of ``(a, b)``.  ``w``
+    holds the largest block image below the all-ones mark: nothing carries.
     """
-    n, width = len(images), _field_width(max(map(len, images)))
+    width = _field_width(max(map(len, images)) ** horizon)
     bits, full = 8 * width, 256 ** width - 1
-    cols = {y: bytearray(n * width) for y in set().union(*images)}
-    for i, image in enumerate(images):
-        field = width * i
-        for y in image:
-            cols[y][field] = 1
-    # Each column is turned into an int as its bytearray is dropped, so at
-    # most one copy of the columns is alive at any time.
-    col = {y: int.from_bytes(cols.pop(y), "little") for y in list(cols)}
-    return width, [
-        (sum(map(col.__getitem__, image)) + (full - len(image) << bits * i))
-        .to_bytes(n * width, "big") for i, image in enumerate(images)]
+    def spaced(stride):
+        cols = {y: bytearray(len(images) * stride * width)
+                for y in set().union(*images)}
+        for i, image in enumerate(images):
+            field = width * stride * i
+            for y in image:
+                cols[y][field] = 1
+        # Each column is turned into an int as its bytearray is dropped, so
+        # at most one copy of the columns is alive at any time.
+        col = {y: int.from_bytes(cols.pop(y), "little") for y in list(cols)}
+        return [sum(map(col.__getitem__, image)) for image in images]
+    rows = spaced(1)
+    for _ in range(horizon - 1):
+        rows = [a * b for a in spaced(len(rows)) for b in rows]
+    return width, [(row | full << bits * i).to_bytes(len(rows) * width, "big")
+                   for i, row in enumerate(rows)]
 
 
 def _rank_table(n: int, pair_values, limit: Fraction) -> tuple:
@@ -243,11 +254,17 @@ def _rank_table(n: int, pair_values, limit: Fraction) -> tuple:
     # pairs are keyed by (numerator, denominator), exact in lowest terms and
     # far cheaper to hash than the Fraction itself; the distinct values sort
     # by their floats (integer division rounds monotonically; infinity from
-    # 2**1000 up), so only values with equal floats compare as Fractions
+    # 2**1000 up), then each run of equal floats by cross multiplication
     keys = list(map(operator.methodcaller("as_integer_ratio"), pair_values))
-    values = [key for _, _, key in sorted(
-        (p / q if p < q << 1000 else math.inf, Fraction(p, q), (p, q))
-        for p, q in set(keys))]
+    by_float = sorted((p / q if p < q << 1000 else math.inf, (p, q))
+                      for p, q in set(keys))
+    floats, values, end = [f for f, _ in by_float], [v for _, v in by_float], 0
+    for tie in itertools.compress(range(1, len(floats)),
+                                  map(operator.eq, floats[1:], floats)):
+        if tie > end:
+            start, end = tie - 1, bisect.bisect_right(floats, floats[tie], tie)
+            values[start:end] = sorted(values[start:end], key=cmp_to_key(
+                lambda a, b: a[0] * b[1] - b[0] * a[1]))
     ln, ld = limit.as_integer_ratio()
     top = bisect.bisect_right(values, False, key=lambda v: v[0] * ld > ln * v[1])
     rank = {v: min(r, top) for r, v in enumerate(values)}
@@ -308,7 +325,8 @@ def _at_most(width: int, rows: list, size: int) -> list:
     return adj
 
 
-def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
+def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction,
+               horizon: int = 1) -> tuple:
     """The engine's input for ``ch`` under ``m``: the vertex number of each
     input, the distinct pair values at most ``limit`` in increasing order,
     each as an integer ratio ``(p, q)``, and the table ``(w, rows,
@@ -324,8 +342,10 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
     of the inputs that also see ``y`` (ties by index): a heavy input meets
     many others, so it has few neighbours in every graph, and the colouring
     search does best with such inputs last, as MCQ numbers by descending
-    degree.  Every other measure, a subclass included, ranks its pair values
-    into a ``_rank_table`` and keeps the input numbering.
+    degree; past ``horizon`` 1 the table is the product's under its measure
+    ``m``, blocks in the Kronecker order of those numbers.  Every other
+    measure, a subclass included, ranks its pair values into a
+    ``_rank_table`` and keeps the input numbering.
     """
     n = len(ch.x_symbols)
     if type(m) is CardinalityPower:
@@ -333,15 +353,26 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction) -> tuple:
         mass = [sum(map(hits.__getitem__, image)) for image in ch.images]
         order = sorted(range(n), key=mass.__getitem__)
         numbering = sorted(range(n), key=order.__getitem__)  # the inverse
-        width, rows = _count_table([ch.images[i] for i in order])
+        width, rows = _count_table([ch.images[i] for i in order], horizon)
         e, whole = m.exponent, m.base_size ** m.exponent
         num, den = limit.as_integer_ratio()
-        largest, top = max(map(len, ch.images)), 0
+        largest, top = max(map(len, ch.images)) ** horizon, 0
         while top < largest and (top + 1) ** e * den <= num * whole:
             top += 1
         sizes = _table_sizes(width, rows, top)
         return numbering, [(s ** e, whole) for s in sizes], (width, rows, sizes)
     return (range(n), *_rank_table(n, _pair_values(ch, m), limit))
+
+
+def _product_search(ch: Channel, m: CardinalityPower, delta: Fraction,
+                    horizon: int) -> CapacityResult:
+    """``capacity`` of the ``horizon``-fold product of ``ch`` under its
+    measure ``m``, with no block built: its symbols are block numbers."""
+    _require_unit(m.of_size(len(ch.y_symbols) ** horizon))
+    _require_delta(delta)
+    _, values, table = _front_end(ch, m, delta, horizon)
+    blocks = range(len(table[1]))
+    return _search(blocks, blocks, values, table, delta)
 
 
 def _noise_floor_search(ch: Channel, m: UncertaintyFunction) -> tuple:

@@ -43,6 +43,7 @@ from .chancap import (
     _codebook_row,
     _codebook_rows,
     _noise_floor_search,
+    _product_search,
     _require_normalized,
     _sup,
     _uniform_x,
@@ -88,7 +89,7 @@ def product_uncertainty(m: UncertaintyFunction, n: int) -> UncertaintyFunction:
 @_frozen
 class ProductChannel:
     """The horizon-n extension of a base channel; images are per-symbol
-    products and are only materialized within the exact-search caps."""
+    products, built only within the exact-search caps, which bound rates."""
 
     base: Channel
     horizon: int
@@ -101,6 +102,15 @@ class ProductChannel:
         return len(self.base.y_symbols) ** self.horizon
 
     def materialize(self) -> Channel:
+        self._require_caps()
+        mapping = {}
+        for block in itertools.product(self.base.x_symbols, repeat=self.horizon):
+            mapping[block] = frozenset(
+                itertools.product(*(self.base.image(x) for x in block)))
+        y_blocks = itertools.product(self.base.y_symbols, repeat=self.horizon)
+        return Channel.of(mapping, y_alphabet=tuple(y_blocks))
+
+    def _require_caps(self) -> None:
         n = self.horizon
         for side, size, cap in (
                 ("inputs", len(self.base.x_symbols), CLIQUE_SEARCH_MAX_POINTS),
@@ -115,12 +125,6 @@ class ProductChannel:
             if n > cap:
                 raise HorizonTooLarge(
                     f"horizon {n} exceeds the cap of {cap} on block {side}")
-        mapping = {}
-        for block in itertools.product(self.base.x_symbols, repeat=n):
-            mapping[block] = frozenset(
-                itertools.product(*(self.base.image(x) for x in block)))
-        y_blocks = itertools.product(self.base.y_symbols, repeat=n)
-        return Channel.of(mapping, y_alphabet=tuple(y_blocks))
 
 
 @_frozen
@@ -147,9 +151,13 @@ def rate_at_horizon(ch: Channel, m: UncertaintyFunction, delta_n: Fraction,
                     n: int) -> Rate:
     """The largest distinguishable rate at one horizon: the exact capacity
     count of the n-fold product channel, as a per-symbol rate.  The two are
-    provably equal to ``information_rate_at_horizon``, the second route."""
-    mat = ProductChannel(ch, n).materialize()
-    return Rate(capacity(mat, product_uncertainty(m, n), delta_n).count, n)
+    provably equal to ``information_rate_at_horizon``, the second route.
+    Past horizon 1 no block is built: the base's counts fill the product's."""
+    product = ProductChannel(ch, n)
+    if n == 1:
+        return Rate(capacity(product.materialize(), m, delta_n).count, 1)
+    product._require_caps()
+    return Rate(_product_search(ch, product_uncertainty(m, n), delta_n, n).count, n)
 
 
 def information_rate_at_horizon(ch: Channel, m: UncertaintyFunction,

@@ -822,11 +822,15 @@ class TestCountFrontEnd:
     def test_rows_match_the_pair_loop(self, ch):
         assert table_rows(*chancap._count_table(ch.images)) == pair_loop_rows(ch)
 
-    @given(channels(max_inputs=4, max_outputs=3))
+    @given(channels(max_inputs=4, max_outputs=3), st.integers(2, 3))
     @settings(max_examples=40, deadline=None)
-    def test_rows_match_the_pair_loop_on_products(self, base):
-        ch = ProductChannel(base, 2).materialize()
+    def test_rows_match_the_pair_loop_on_products(self, base, n):
+        ch = ProductChannel(base, n).materialize()
         assert table_rows(*chancap._count_table(ch.images)) == pair_loop_rows(ch)
+        # filled from the base's counts: the built blocks are in the
+        # Kronecker order of the base's inputs too
+        assert table_rows(*chancap._count_table(base.images, n)) == \
+            pair_loop_rows(ch)
         every_cut_matches(ch, max(map(len, ch.images)))
 
     @given(channels(max_inputs=10, max_outputs=6), st.integers(1, 3))
@@ -1001,6 +1005,24 @@ class TestRankFrontEnd:
     def test_values_sort_exactly_where_floats_tie(self, drawn, limit):
         # the float sort key must order them as sorted(Fraction) does
         every_rank_cut_matches(*drawn, limit)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_float_ties_sort_as_fractions(self, seed):
+        # runs of up to six distinct values that share a float (steps of
+        # 10^-400 are far below the precision of a float at these centres,
+        # and 0.0 and infinity absorb them), drawn in random order: the
+        # values and their cut must be those of a Fraction-keyed sort
+        rng = random.Random(700 + seed)
+        pool = []
+        for _ in range(40):
+            centre = rng.choice([F(0), F(10 ** 400),
+                                 F(rng.randint(1, 999), rng.randint(1, 999))])
+            pool += [centre + F(k, 10 ** 400) for k in range(rng.randint(1, 6))]
+        assert len(set(pool)) > 40
+        n = 30
+        pair_values = [rng.choice(pool) for _ in range(n * (n - 1) // 2)]
+        limit = rng.choice(pool)
+        assert every_rank_cut_matches(n, pair_values, limit) == 1
 
     @given(pair_value_lists(), st.sampled_from(LEVELS))
     @settings(max_examples=150, deadline=None)
@@ -1237,7 +1259,9 @@ class TestStalledSearchRestart:
 
     def test_hard_horizon_three_base(self, monkeypatch):
         # numbered in input order, the search that refutes 37 took about
-        # 59,000 nodes (6.9 s); numbered by collision mass it takes 503
+        # 59,000 nodes (6.9 s); the built product numbered by collision mass
+        # took 111, and the blocks in the Kronecker order of the base's
+        # numbering take 1
         base = Channel.of({0: {0, 4, 5}, 1: {0, 6, 8}, 2: {5, 6, 8}, 3: {2, 4},
                            4: {3, 5}, 5: {1, 4, 5}, 6: {0, 2}}, y_alphabet=range(9))
         nodes = []

@@ -319,6 +319,13 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == f"error: 19^{horizon} block inputs exceed the cap of 500\n"
 
+    def test_unnormalized_product_names_its_value(self, capsys):
+        code, out, err = run(["rates", "--channel", "fig5.json", "--m",
+                              "card:20", "--delta", "2/9", "--horizon", "2"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: m(output alphabet) = 361/400, expected 1\n"
+
     def test_one_symbol_base_bounds_the_horizon(self, capsys, tmp_path):
         # a one-input, one-output base has one block per horizon, so the
         # block length is what meets the cap: neither command builds a

@@ -187,6 +187,83 @@ class TestRateAtHorizon:
         with pytest.raises(HorizonTooLarge, match="horizon 501 exceeds"):
             ProductChannel(one, 501).materialize()
 
+    def test_products_match_the_materialized_product(self):
+        # bases of 1-6 inputs, some sharing an image, at horizons 2 and 3,
+        # and 4 within 500 block inputs, at fixed deltas and at the base's
+        # own breakpoints: the count filled from the base's pair counts is
+        # the capacity count of the built product
+        rng = random.Random(22)
+        cases = 0
+        for _ in range(40):
+            outputs = rng.randint(1, 4)
+            shared = [frozenset(rng.sample(range(outputs), rng.randint(1, outputs)))
+                      for _ in range(rng.randint(1, 3))]
+            inputs = rng.randint(1, 6)
+            images = {x: rng.choice(shared) if rng.random() < 0.5 else
+                      frozenset(rng.sample(range(outputs), rng.randint(1, outputs)))
+                      for x in range(inputs)}
+            base = Channel.of(images, y_alphabet=range(outputs))
+            for exponent in (1, 2, 3, 64):
+                m = CardinalityPower(outputs, exponent)
+                grid = chancap._noise_floor_search(base, m)[1]
+                for n in (2, 3, 4):
+                    if inputs ** n > 500:
+                        continue
+                    block = ProductChannel(base, n).materialize()
+                    m_n = product_uncertainty(m, n)
+                    for delta in {F(0), F(1, 10), F(1, 2), F(9, 10), *grid}:
+                        assert rate_at_horizon(base, m, delta, n) == \
+                            Rate(capacity(block, m_n, delta).count, n)
+                        cases += 1
+        assert cases > 1500
+
+    def test_products_build_no_block(self, fig5, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block channel was built")
+
+        monkeypatch.setattr(ProductChannel, "materialize", refuse)
+        monkeypatch.setattr(Channel, "of", staticmethod(refuse))
+        assert rate_at_horizon(fig5, M1, F(2, 9), 2) == Rate(5, 2)
+        assert rate_at_horizon(fig5, M3, F(0), 2) == Rate(4, 2)
+        with pytest.raises(AssertionError, match="block channel"):
+            rate_at_horizon(fig5, M1, F(2, 9), 1)
+
+    @pytest.mark.parametrize("base,m,delta,n,error,message", [
+        ("fig5", M1, F(0), 3, HorizonTooLarge,
+         "6859 block inputs exceed the cap of 500"),
+        ("fig5", M1, F(0), 10 ** 6, HorizonTooLarge,
+         "19^1000000 block inputs exceed the cap of 500"),
+        ("wide", CardinalityPower(90), F(0), 2, HorizonTooLarge,
+         "8100 block outputs exceed the cap of 7000"),
+        ("one", CardinalityPower(1), F(0), 501, HorizonTooLarge,
+         "horizon 501 exceeds the cap of 500 on block inputs"),
+        # the caps come first, then the measure, its normalization and delta
+        ("fig5", LebesguePlusOffset(1), F(2), 3, HorizonTooLarge,
+         "6859 block inputs exceed the cap of 500"),
+        ("fig5", LebesguePlusOffset(1), F(2), 2, NonProductUncertainty,
+         "no product extension for uncertainty kind 'lebesgue_plus_offset'"),
+        ("fig5", CardinalityPower(20), F(1), 2, chancap.NotNormalized,
+         "m(output alphabet) = 361/400, expected 1"),
+        ("fig5", M1, F(1), 2, DeltaOutOfRange,
+         "need 0 <= delta < 1, got 1"),
+        ("fig5", M1, F(-1, 2), 2, DeltaOutOfRange,
+         "need 0 <= delta < 1, got -1/2"),
+        ("fig5", M1, F(0), 0, UvinfoError,
+         "the horizon must be a positive integer"),
+    ])
+    def test_refusals_keep_their_order_and_words(self, fig5, base, m, delta,
+                                                 n, error, message):
+        ch = {"fig5": fig5,
+              "wide": Channel.of({0: range(45), 1: range(45, 90)}),
+              "one": Channel.of({"a": {"x"}})}[base]
+        for route in (
+                lambda: rate_at_horizon(ch, m, delta, n),
+                lambda: capacity(ProductChannel(ch, n).materialize(),
+                                 product_uncertainty(m, n), delta)):
+            with pytest.raises(error) as caught:
+                route()
+            assert str(caught.value) == message
+
 
 # ---------------------------------------------------------------------------
 # confidence sequences
@@ -580,21 +657,26 @@ class TestCapacityProfile:
     ])
     def test_one_capacity_search_per_level(self, monkeypatch, seq, theorems):
         # six distinct images give 63 candidate codebooks per theorem; the
-        # rows take one search per horizon, the walked theorems one per
+        # rows take one search per horizon (horizon 1 through capacity, the
+        # others through the product search), the walked theorems one per
         # distinct level (T12, Cor2 and T13 all test delta_1) and T14, which
         # also reaches _certify when the sequence vanishes, none
         calls, tried = [], set()
 
-        def counting(*args):
-            calls.append(args[2])
-            return capacity(*args)
+        def counting(search):
+            def counted(*args):
+                calls.append(args[2])
+                return search(*args)
+            return counted
 
         def trying(variant, *args):
             tried.add(variant)
             return certify(variant, *args)
 
         certify = memoryless._certify
-        monkeypatch.setattr(memoryless, "capacity", counting)
+        monkeypatch.setattr(memoryless, "capacity", counting(capacity))
+        monkeypatch.setattr(memoryless, "_product_search",
+                            counting(memoryless._product_search))
         monkeypatch.setattr(memoryless, "_certify", trying)
         ch = Channel.of({x: frozenset([x, (x + 1) % 6, 6]) for x in range(6)})
         capacity_profile(ch, CardinalityPower(7), seq, 2)
