@@ -260,8 +260,7 @@ class EquivocationMatrix:
 def matrix_capacity(em: EquivocationMatrix, delta) -> CapacityResult:
     """The largest label subset with pairwise e <= delta/|subset| — the
     clique solver of the channel capacity, driven by a matrix."""
-    delta = ratio(delta)
-    _require_delta(delta, em.v_min, f"v_min = {format_ratio(em.v_min)}")
+    delta = _require_delta(delta, em.v_min, f"v_min = {format_ratio(em.v_min)}")
     return _capacity_search(em.labels, [v for _, v in em.entries], delta)
 
 

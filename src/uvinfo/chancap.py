@@ -26,14 +26,14 @@ pair values as integer ratios ``(p, q)``, within ``delta / k = dn / (dd k)``
 exactly when ``p dd k <= dn q``, and a result's ``thresholds`` are derived.
 
 The cost of a colouring search depends on the order of its vertices.  The
-count front end numbers the inputs by ascending collision mass, which
-stands in for the descending degree of MCQ, and a product's blocks in the
-Kronecker order of that numbering; the ``Fraction`` front end keeps the
-input order.  Any top-level search that visits more nodes than its
-graph has vertices is dropped, and that graph is renumbered once into
-smallest-last (degeneracy) order, where this and every later search on it
-run with no limit.  The witness scan walks the symbols in their own order
-whatever the numbering, so no answer depends on it.
+count front end numbers the inputs by ascending image size, which stands in
+for the descending degree of MCQ, and a product's blocks in the Kronecker
+order of that numbering; the ``Fraction`` front end keeps the input order.
+Any top-level search that visits more nodes than its graph has vertices is
+dropped, and that graph is renumbered once into smallest-last (degeneracy)
+order, where this and every later search on it run with no limit.  The
+witness scan walks the symbols in their own order whatever the numbering,
+so no answer depends on it.
 
 The information oracle, the second route to capacity, shares nothing with
 that engine: it reads the output side of each codebook of distinct-image
@@ -55,7 +55,6 @@ import math
 import operator
 import sys
 from array import array
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial
 from typing import Callable, Optional
@@ -69,6 +68,7 @@ from .uvcore import (
     _CountResult,
     _frozen,
     format_ratio,
+    ratio,
 )
 # overlap_family is unused here; bench/test_bench.py asserts this binding
 from .infocalc import _SideLevels, overlap_family
@@ -338,20 +338,17 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction,
     so its fields are the sizes that some pair has, up to the largest valued
     at most ``limit``, all read from one ``_count_table`` with no loop over
     pairs, and the value of size ``s`` is ``(s**e, base**e)``.  Its inputs
-    are numbered by ascending collision mass, the sum over ``y`` in ``N(i)``
-    of the inputs that also see ``y`` (ties by index): a heavy input meets
-    many others, so it has few neighbours in every graph, and the colouring
-    search does best with such inputs last, as MCQ numbers by descending
-    degree; past ``horizon`` 1 the table is the product's under its measure
-    ``m``, blocks in the Kronecker order of those numbers.  Every other
-    measure, a subclass included, ranks its pair values into a
-    ``_rank_table`` and keeps the input numbering.
+    are numbered by ascending image size (ties by index): a large image
+    meets many others, so it has few neighbours in every graph, and the
+    colouring search does best with such inputs last, as MCQ numbers by
+    descending degree; no answer depends on it.  Past ``horizon`` 1 the
+    table is the product's under its measure ``m``, blocks in the Kronecker
+    order of those numbers.  Every other measure, a subclass included,
+    ranks its pair values into a ``_rank_table`` and keeps the input order.
     """
     n = len(ch.x_symbols)
     if type(m) is CardinalityPower:
-        hits = Counter(itertools.chain.from_iterable(ch.images))
-        mass = [sum(map(hits.__getitem__, image)) for image in ch.images]
-        order = sorted(range(n), key=mass.__getitem__)
+        order = sorted(range(n), key=list(map(len, ch.images)).__getitem__)
         numbering = sorted(range(n), key=order.__getitem__)  # the inverse
         width, rows = _count_table([ch.images[i] for i in order], horizon)
         e, whole = m.exponent, m.base_size ** m.exponent
@@ -369,7 +366,7 @@ def _product_search(ch: Channel, m: CardinalityPower, delta: Fraction,
     """``capacity`` of the ``horizon``-fold product of ``ch`` under its
     measure ``m``, with no block built: its symbols are block numbers."""
     _require_unit(m.of_size(len(ch.y_symbols) ** horizon))
-    _require_delta(delta)
+    delta = _require_delta(delta)
     _, values, table = _front_end(ch, m, delta, horizon)
     blocks = range(len(table[1]))
     return _search(blocks, blocks, values, table, delta)
@@ -406,14 +403,17 @@ class Distinguishability:
     violating_value: Optional[Fraction] = None
 
 
-def _require_delta(delta: Fraction, bound: Fraction = Fraction(1),
-                   shown: str = "1") -> None:
-    # The strict theory restricts delta below the noise floor m(V_N); on
-    # finite alphabets the search stays exact and finite for any delta < 1,
-    # and values in [m(V_N), 1) are exercised by the reference material, so
-    # the capacity searches keep the default bound 1.
+def _require_delta(delta, bound: Fraction = Fraction(1),
+                   shown: str = "1") -> Fraction:
+    """``delta`` as ``ratio`` reads it, in ``[0, bound)``.  The strict theory
+    restricts delta below the noise floor m(V_N); on finite alphabets the
+    search stays exact and finite for any delta < 1, and values in [m(V_N),
+    1) are exercised by the reference material, so the capacity searches
+    keep the default bound 1."""
+    delta = ratio(delta)
     if not 0 <= delta < bound:
         raise DeltaOutOfRange(f"need 0 <= delta < {shown}, got {format_ratio(delta)}")
+    return delta
 
 
 def check_distinguishable(ch: Channel, m: UncertaintyFunction, codebook,
@@ -422,8 +422,7 @@ def check_distinguishable(ch: Channel, m: UncertaintyFunction, codebook,
     reporting the first (lexicographic) violation otherwise."""
     cb = as_codebook(ch, codebook)
     _require_normalized(ch, m)
-    _require_delta(delta)
-    threshold = delta / len(cb)
+    threshold = _require_delta(delta) / len(cb)
     for x1, x2 in itertools.combinations(cb, 2):
         value = m.of(ch.image(x1) & ch.image(x2))
         if value > threshold:
@@ -711,7 +710,7 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     members of the last certificate among the symbol's neighbours.
     """
     _require_normalized(ch, m)
-    _require_delta(delta)
+    delta = _require_delta(delta)
     return _search(ch.x_symbols, *_front_end(ch, m, delta), delta)
 
 
@@ -755,10 +754,10 @@ def _uniform_x(pair: UncertainPair) -> CardinalityPower:
 
 
 def _require_below_floor(ch: Channel, m: UncertaintyFunction,
-                         delta: Fraction) -> None:
+                         delta) -> Fraction:
     _require_normalized(ch, m)
     v_min = ch.min_image_uncertainty(m)
-    _require_delta(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
+    return _require_delta(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
 
 
 def _codebook_row(ch: Channel, m: UncertaintyFunction, codebook: tuple) -> tuple:
@@ -812,7 +811,7 @@ def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
     and at its largest output association value (see ``infocalc``), so
     those two levels, the second only when allowed, are tried exactly.
     """
-    _require_below_floor(ch, m, delta)
+    delta = _require_below_floor(ch, m, delta)
     return _sup(_codebook_rows(ch, m), delta, feasible_only)[0]
 
 
@@ -844,7 +843,7 @@ def verify_coding_theorem(ch: Channel, m: UncertaintyFunction,
     rows, codebooks = [], None
     for delta in delta_grid:
         cap = capacity(ch, m, delta)
-        _require_below_floor(ch, m, delta)
+        delta = _require_below_floor(ch, m, delta)
         codebooks = codebooks or _codebook_rows(ch, m)
         sup, free = (_sup(codebooks, delta, mode)[0] for mode in (True, False))
         rows.append(CodingTheoremRow(
@@ -882,6 +881,7 @@ def avg_overlap_capacity(ch: Channel, m: UncertaintyFunction,
     budget any completion could have.
     """
     _require_normalized(ch, m)
+    delta = ratio(delta)
     if delta < 0:
         raise DeltaOutOfRange(f"delta must be nonnegative, got {format_ratio(delta)}")
     symbols = ch.x_symbols

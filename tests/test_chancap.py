@@ -9,6 +9,7 @@ form, which makes it the anchor oracle throughout.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -871,11 +872,9 @@ class TestCountFrontEnd:
         m = CardinalityPower(len(ch.y_symbols), exponent)
         numbering, values, (width, table, fields) = \
             chancap._front_end(ch, m, limit)
-        # ascending collision mass, sum_j |N(i) ∩ N(j)| over every j, ties
-        # broken by index
+        # ascending image size |N(i)|, ties broken by index
         n = len(ch.images)
-        mass = [sum(len(a & b) for b in ch.images) for a in ch.images]
-        order = sorted(range(n), key=lambda i: (mass[i], i))
+        order = sorted(range(n), key=lambda i: (len(ch.images[i]), i))
         assert [numbering[i] for i in order] == list(range(n))
         back = chancap._permutation(numbering)
         expected = {s: row for s, row in pair_loop_rows(ch).items()
@@ -1261,7 +1260,7 @@ class TestStalledSearchRestart:
         # numbered in input order, the search that refutes 37 took about
         # 59,000 nodes (6.9 s); the built product numbered by collision mass
         # took 111, and the blocks in the Kronecker order of the base's
-        # numbering take 1
+        # numbering take 1, by image size as by collision mass
         base = Channel.of({0: {0, 4, 5}, 1: {0, 6, 8}, 2: {5, 6, 8}, 3: {2, 4},
                            4: {3, 5}, 5: {1, 4, 5}, 6: {0, 2}}, y_alphabet=range(9))
         nodes = []
@@ -1281,6 +1280,103 @@ class TestStalledSearchRestart:
         assert rate_at_horizon(base, CardinalityPower(9), F(1, 10), 3) == Rate(36, 3)
         assert sum(nodes) <= 5000
 
+
+def collision_mass_order(ch) -> list:
+    """The inputs by ascending collision mass, the sum over ``y`` in
+    ``N(i)`` of the inputs that see ``y`` (ties by index): the count front
+    end's numbering before it numbered by image size."""
+    hits = Counter(itertools.chain.from_iterable(ch.images))
+    mass = [sum(hits[y] for y in image) for image in ch.images]
+    return sorted(range(len(mass)), key=lambda i: (mass[i], i))
+
+
+def vertex_orders(ch) -> list:
+    """Three numberings of the inputs, each as the input of every vertex:
+    ascending image size (the front end's own), ascending collision mass
+    and input order."""
+    n = len(ch.images)
+    return [sorted(range(n), key=lambda i: (len(ch.images[i]), i)),
+            collision_mass_order(ch), list(range(n))]
+
+
+def kronecker(numbers, horizon) -> list:
+    """The number of each block, in ``itertools.product`` order of its
+    inputs, in the Kronecker order of the inputs' ``numbers``."""
+    blocks = list(numbers)
+    for _ in range(horizon - 1):
+        blocks = [a * len(blocks) + b for a in numbers for b in blocks]
+    return blocks
+
+
+def renumbered(front, order, horizon=1) -> tuple:
+    """The count front end ``front`` with its inputs numbered by ``order``
+    (the input of each vertex) instead, blocks in the Kronecker order of
+    that numbering: the rows of the table and the fields of each row move,
+    the values and the field of each cut stay.  A row's fields run from the
+    last vertex to the first."""
+    numbering, values, (width, rows, fields) = front
+    old = kronecker([numbering[i] for i in order], horizon)
+    cells = [[row[k:k + width] for k in range(0, len(row), width)][::-1]
+             for row in rows]
+    table = [b"".join(map(cells[v].__getitem__, old[::-1])) for v in old]
+    return (sorted(range(len(order)), key=order.__getitem__), values,
+            (width, table, fields))
+
+
+def repeating_channel(rng, inputs, outputs, image_sizes) -> Channel:
+    """A random channel whose inputs draw their images from a pool of half
+    as many, so that images repeat."""
+    pool = [frozenset(rng.sample(range(outputs), rng.randint(*image_sizes)))
+            for _ in range(max(1, inputs // 2))]
+    return Channel.of({x: rng.choice(pool) for x in range(inputs)},
+                      y_alphabet=range(outputs))
+
+
+class TestVertexOrder:
+    """The count front end numbers the inputs by ascending image size; the
+    whole result, witness included, is the same under the retired collision
+    mass numbering, under input order and on the materialized product."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_channels(self, seed):
+        rng = random.Random(2300 + seed)
+        make = repeating_channel if seed % 2 else random_channel
+        ch = make(rng, rng.randint(12, 60), 30, (2, 8))
+        m = CardinalityPower(30)
+        pair_values = chancap._pair_values(ch, m)
+        for delta in (F(0), F(1, 10), F(1, 3), F(1, 2)):
+            want = chancap._capacity_search(ch.x_symbols, pair_values, delta)
+            front = chancap._front_end(ch, m, delta)
+            # in input order, the table is the one built in that order
+            assert renumbered(front, range(len(ch.images)))[2][:2] == \
+                chancap._count_table(ch.images)
+            for order in vertex_orders(ch):
+                assert whole(chancap._search(
+                    ch.x_symbols, *renumbered(front, order), delta)) == whole(want)
+            assert capacity(ch, m, delta) == want
+
+    @pytest.mark.parametrize("seed, horizon",
+                             [(seed, 2) for seed in range(4)] +
+                             [(seed, 3) for seed in range(2)])
+    def test_products(self, seed, horizon):
+        rng = random.Random(2400 + seed)
+        make = repeating_channel if seed % 2 else random_channel
+        base = make(rng, 5, 5, (1, 3))
+        m = CardinalityPower(5)
+        pm = product_uncertainty(m, horizon)
+        ch = ProductChannel(base, horizon).materialize()
+        for delta in (F(0), F(1, 10), F(1, 3)):
+            want = capacity(ch, pm, delta)
+            front = chancap._front_end(base, pm, delta, horizon)
+            assert renumbered(front, range(5), horizon)[2][:2] == \
+                chancap._count_table(base.images, horizon)
+            for order in vertex_orders(base):
+                numbering, values, table = renumbered(front, order, horizon)
+                assert whole(chancap._search(
+                    ch.x_symbols, kronecker(numbering, horizon), values, table,
+                    delta)) == whole(want)
+            assert rate_at_horizon(base, m, delta, horizon) == \
+                Rate(want.count, horizon)
 
 def recursive_clique(adj, cand, need, budget):
     """The colouring search written as a recursion, one call per node: the
