@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "uvcore": (
         "CardinalityPower",
+        "DeltaOutOfRange",
         "DiameterPlusOne",
         "ExplicitWeights",
         "FiniteGround",
@@ -49,7 +50,6 @@ _EXPORTS = {
     "chancap": (
         "CapacityResult",
         "Channel",
-        "DeltaOutOfRange",
         "NotNormalized",
         "capacity",
         "check_distinguishable",

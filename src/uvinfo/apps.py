@@ -19,13 +19,11 @@ from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .uvcore import (CardinalityPower, UvinfoError, _frozen, format_ratio,
-                     hamming_diameter, ratio)
+                     hamming_diameter, level, positive_int, ratio)
 from .chancap import (
     Channel,
-    DeltaOutOfRange,
     _capacity_search,
     _pair_values,
-    _require_delta,
     _require_normalized,
     _sorted_symbols,
     CapacityResult,
@@ -62,11 +60,10 @@ class BitString:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise UvinfoError("bit strings must have positive length")
-        if not 0 <= self.bits < (1 << self.length):
+        positive_int(self.length, "the bit-string length")
+        if type(self.bits) is not int or not 0 <= self.bits < 1 << self.length:
             raise UvinfoError(
-                f"value {self.bits} does not fit in {self.length} bits")
+                f"value {self.bits!r} does not fit in {self.length} bits")
 
     @staticmethod
     def of(text: str) -> "BitString":
@@ -90,12 +87,19 @@ def _require_length(n: int) -> None:
             f"length {n} exceeds the exhaustive cap of {HAMMING_MAX_LENGTH}")
 
 
-def _radius(tau: Fraction, n: int) -> int:
+def _radius(tau, n: int) -> int:
     # Balls have integer radii; the fractional tau*n is floored once here and
     # used consistently in both the equivocation and the distance bound.
-    if not 0 <= tau <= 1:
-        raise UvinfoError(f"tau must lie in [0, 1], got {format_ratio(tau)}")
-    return math.floor(tau * n)
+    return math.floor(level(tau, 1, closed=True, name="tau") * n)
+
+
+def _words(words) -> tuple:
+    """``words`` as a tuple, each a ``BitString``."""
+    words = tuple(words)
+    for w in words:
+        if not isinstance(w, BitString):
+            raise UvinfoError(f"a codeword must be a BitString, got {w!r}")
+    return words
 
 
 def _ball(center: int, radius: int, n: int) -> list:
@@ -107,13 +111,14 @@ def hamming_equivocation(x1: BitString, x2: BitString, tau) -> Fraction:
     """The diameter-based equivocation of two radius-floor(tau*n) balls:
     (D + 1)/(n + 1) over the ball intersection, zero when the balls are
     disjoint.  Exhaustive over {0,1}^n, so capped at n <= 12."""
+    _words((x1, x2))
     if x1 == x2:
         raise UvinfoError("equivocation needs two distinct codewords")
     if x1.length != x2.length:
         raise LengthMismatch(f"lengths differ: {x1.length} vs {x2.length}")
     n = x1.length
     _require_length(n)
-    r = _radius(ratio(tau), n)
+    r = _radius(tau, n)
     if x1.distance(x2) > 2 * r:
         return Fraction(0)
     shared = [y for y in _ball(x1.bits, r, n)
@@ -154,7 +159,7 @@ def hamming_distance_bound(codebook: Iterable[BitString], tau,
     equivocation at most delta_n/|codebook|), otherwise NotDistinguishable
     is raised naming the first violating pair.  The bound itself is a
     theorem, so it is asserted, not reported as checkable."""
-    cb = tuple(sorted(set(codebook)))
+    cb = tuple(sorted(set(_words(codebook))))
     if not cb:
         raise UvinfoError("the codebook is empty")
     n = cb[0].length
@@ -162,12 +167,8 @@ def hamming_distance_bound(codebook: Iterable[BitString], tau,
         if w.length != n:
             raise LengthMismatch(f"lengths differ: {n} vs {w.length}")
     _require_length(n)
-    tau = ratio(tau)
-    delta_n = ratio(delta_n)
-    if delta_n < 0:
-        raise DeltaOutOfRange(f"delta must be nonnegative, "
-                              f"got {format_ratio(delta_n)}")
     r = _radius(tau, n)
+    delta_n = level(delta_n, None)
     threshold = delta_n / len(cb)
     if len(cb) == 1:
         return DistanceBoundReport((), r, threshold, None)
@@ -220,11 +221,7 @@ class EquivocationMatrix:
                 raise UvinfoError(f"diagonal entry for {l1!r} is not allowed")
             if l1 not in known or l2 not in known:
                 raise UvinfoError(f"unknown label in pair ({l1!r}, {l2!r})")
-            v = ratio(value)
-            if not 0 <= v <= 1:
-                raise UvinfoError(
-                    f"entry e({l1!r}, {l2!r}) = {format_ratio(v)} "
-                    "outside [0, 1]")
+            v = level(value, 1, closed=True, name=f"e({l1!r}, {l2!r})")
             pair = (min(l1, l2), max(l1, l2))
             if pair in table and table[pair] != v:
                 raise UvinfoError(
@@ -260,7 +257,7 @@ class EquivocationMatrix:
 def matrix_capacity(em: EquivocationMatrix, delta) -> CapacityResult:
     """The largest label subset with pairwise e <= delta/|subset| — the
     clique solver of the channel capacity, driven by a matrix."""
-    delta = _require_delta(delta, em.v_min, f"v_min = {format_ratio(em.v_min)}")
+    delta = level(delta, em.v_min, f"v_min = {format_ratio(em.v_min)}")
     return _capacity_search(em.labels, [v for _, v in em.entries], delta)
 
 

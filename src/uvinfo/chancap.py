@@ -43,8 +43,9 @@ certificates take their sup or their family.
 
 The uncertainty function must be normalized so the full output alphabet has
 uncertainty 1 (cardinality-power functions over the whole alphabet already
-are).  ``delta`` must stay below the uncertainty of the smallest image, or
-every threshold comparison becomes vacuous and capacity is infinite.
+are).  The theory, and the information oracle, keep ``delta`` below m(V_N),
+the uncertainty of the smallest image; the capacity searches stay exact and
+finite for any delta < 1, so they take [0, 1), as the reference material does.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from functools import cached_property, cmp_to_key, partial
 from typing import Callable, Optional
 
 from .uvcore import (
+    DeltaOutOfRange,
     FiniteGround,
     UncertainPair,
     UncertaintyFunction,
@@ -68,7 +70,7 @@ from .uvcore import (
     _CountResult,
     _frozen,
     format_ratio,
-    ratio,
+    level,
 )
 # overlap_family is unused here; bench/test_bench.py asserts this binding
 from .infocalc import _SideLevels, overlap_family
@@ -78,10 +80,6 @@ MI_SUP_MAX_SYMBOLS = 12
 
 class SamePoint(UvinfoError):
     """Equivocation of a codeword with itself is excluded."""
-
-
-class DeltaOutOfRange(UvinfoError):
-    """delta must satisfy 0 <= delta < m(V_N)."""
 
 
 class AlphabetTooLarge(UvinfoError):
@@ -366,7 +364,7 @@ def _product_search(ch: Channel, m: CardinalityPower, delta: Fraction,
     """``capacity`` of the ``horizon``-fold product of ``ch`` under its
     measure ``m``, with no block built: its symbols are block numbers."""
     _require_unit(m.of_size(len(ch.y_symbols) ** horizon))
-    delta = _require_delta(delta)
+    delta = level(delta)
     _, values, table = _front_end(ch, m, delta, horizon)
     blocks = range(len(table[1]))
     return _search(blocks, blocks, values, table, delta)
@@ -403,26 +401,13 @@ class Distinguishability:
     violating_value: Optional[Fraction] = None
 
 
-def _require_delta(delta, bound: Fraction = Fraction(1),
-                   shown: str = "1") -> Fraction:
-    """``delta`` as ``ratio`` reads it, in ``[0, bound)``.  The strict theory
-    restricts delta below the noise floor m(V_N); on finite alphabets the
-    search stays exact and finite for any delta < 1, and values in [m(V_N),
-    1) are exercised by the reference material, so the capacity searches
-    keep the default bound 1."""
-    delta = ratio(delta)
-    if not 0 <= delta < bound:
-        raise DeltaOutOfRange(f"need 0 <= delta < {shown}, got {format_ratio(delta)}")
-    return delta
-
-
 def check_distinguishable(ch: Channel, m: UncertaintyFunction, codebook,
                           delta: Fraction) -> Distinguishability:
     """Whether all distinct pairs satisfy e_N(x1, x2) <= delta / |codebook|,
     reporting the first (lexicographic) violation otherwise."""
     cb = as_codebook(ch, codebook)
     _require_normalized(ch, m)
-    threshold = _require_delta(delta) / len(cb)
+    threshold = level(delta) / len(cb)
     for x1, x2 in itertools.combinations(cb, 2):
         value = m.of(ch.image(x1) & ch.image(x2))
         if value > threshold:
@@ -710,7 +695,7 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     members of the last certificate among the symbol's neighbours.
     """
     _require_normalized(ch, m)
-    delta = _require_delta(delta)
+    delta = level(delta)
     return _search(ch.x_symbols, *_front_end(ch, m, delta), delta)
 
 
@@ -757,7 +742,7 @@ def _require_below_floor(ch: Channel, m: UncertaintyFunction,
                          delta) -> Fraction:
     _require_normalized(ch, m)
     v_min = ch.min_image_uncertainty(m)
-    return _require_delta(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
+    return level(delta, v_min, f"m(V_N) = {format_ratio(v_min)}")
 
 
 def _codebook_row(ch: Channel, m: UncertaintyFunction, codebook: tuple) -> tuple:
@@ -881,9 +866,7 @@ def avg_overlap_capacity(ch: Channel, m: UncertaintyFunction,
     budget any completion could have.
     """
     _require_normalized(ch, m)
-    delta = ratio(delta)
-    if delta < 0:
-        raise DeltaOutOfRange(f"delta must be nonnegative, got {format_ratio(delta)}")
+    delta = level(delta, None)
     symbols = ch.x_symbols
     n = len(symbols)
     if n > 20:

@@ -43,7 +43,9 @@ from .uvcore import (
     UvinfoError,
     _CountResult,
     _frozen,
+    _normalize_side,
     format_ratio,
+    level,
 )
 
 
@@ -99,7 +101,7 @@ def _sections(pair: UncertainPair, side: str) -> dict:
 
 
 def side_profile(pair: UncertainPair, side: str) -> _SideProfile:
-    side = side.upper()
+    side = _normalize_side(side)
     if pair.is_empty():
         raise EmptyPair("the joint range is empty")
     marginal = pair.marginal_range(side)
@@ -164,8 +166,8 @@ def classify_levels(assoc: AssociationSets, delta1: Fraction, delta2: Fraction) 
     and both sets nonempty; associated needs every value at or below its
     level (an empty set passes).  The two can never hold together.
     """
-    if not (0 <= delta1 <= 1 and 0 <= delta2 <= 1):
-        raise UvinfoError("levels must lie in [0, 1]")
+    delta1 = level(delta1, 1, closed=True, name="delta1")
+    delta2 = level(delta2, 1, closed=True, name="delta2")
     notes = []
     dis = bool(assoc.a_xy) and bool(assoc.a_yx) \
         and all(v > delta1 for v in assoc.a_xy) \
@@ -225,6 +227,7 @@ def delta_components(pair: UncertainPair, m: UncertaintyFunction, delta: Fractio
     merge, transitivity holds, and the component unions partition the
     marginal.
     """
+    delta = level(delta, 1, closed=True)
     profile = side_profile(pair, side)
     for value in _association_values(profile, m):
         if value <= delta:
@@ -295,9 +298,7 @@ def overlap_family(pair: UncertainPair, m_x: UncertaintyFunction,
     In the associated regime the family is the set of distinct conditional
     ranges; in the disassociated regime it is the component partition.
     """
-    side = side.upper()
-    if not 0 <= delta <= 1:
-        raise UvinfoError("delta must lie in [0, 1]")
+    side, delta = _normalize_side(side), level(delta, 1, closed=True)
     levels = _SideLevels(pair, m_x if side == "X" else m_y, side)
     sets = levels.family(delta)
     if sets is None:
@@ -381,6 +382,8 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
     (cover is automatic, so what can fail is column/row containment or the
     projection-overlap bounds).
     """
+    delta1 = level(delta1, 1, closed=True, name="delta1")
+    delta2 = level(delta2, 1, closed=True, name="delta2")
     if pair.is_empty():
         raise EmptyPair("the joint range is empty")
     points, rows = _taxicab_nodes(pair)

@@ -33,6 +33,8 @@ from .uvcore import (
     _frozen,
     format_log2,
     format_ratio,
+    level,
+    positive_int,
     ratio,
 )
 from .infocalc import EmptyPair, mutual_information, overlap_family
@@ -76,8 +78,7 @@ def product_uncertainty(m: UncertaintyFunction, n: int) -> UncertaintyFunction:
     into per-factor terms); for it the product is cardinality-power again,
     over the n-fold ground.
     """
-    if n < 1:
-        raise UvinfoError("the horizon must be a positive integer")
+    positive_int(n, "the horizon")
     if not isinstance(m, CardinalityPower):
         raise NonProductUncertainty(
             f"no product extension for uncertainty kind {m.kind!r}")
@@ -95,8 +96,7 @@ class ProductChannel:
     horizon: int
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise UvinfoError("the horizon must be a positive integer")
+        positive_int(self.horizon, "the horizon")
 
     def output_count(self) -> int:
         return len(self.base.y_symbols) ** self.horizon
@@ -203,23 +203,17 @@ class ConfidenceSequence:
 
     @staticmethod
     def explicit(values, first=None) -> "ConfidenceSequence":
-        vals = tuple(ratio(v) for v in values)
-        if any(v < 0 for v in vals):
-            raise UvinfoError("sequence values must be nonnegative")
+        vals = tuple(level(v, None, name="delta_n") for v in values)
         return ConfidenceSequence._of(vals, first=first)
 
     @staticmethod
     def geometric(base, scale=1, first=None) -> "ConfidenceSequence":
-        b, s = ratio(base), ratio(scale)
-        if b < 0 or s < 0:
-            raise UvinfoError("geometric parameters must be nonnegative")
+        b, s = level(base, None, name="base"), level(scale, None, name="scale")
         return ConfidenceSequence._of(scale=s, base=b, first=first)
 
     @staticmethod
     def constant(value, first=None) -> "ConfidenceSequence":
-        v = ratio(value)
-        if v < 0:
-            raise UvinfoError("the constant level must be nonnegative")
+        v = level(value, None, name="delta_n")
         return ConfidenceSequence._of(scale=v, base=Fraction(1), first=first)
 
     @staticmethod
@@ -227,9 +221,7 @@ class ConfidenceSequence:
         return ConfidenceSequence._of(first=first)
 
     def value_at(self, n: int) -> Fraction:
-        if n < 1:
-            raise UvinfoError("the horizon must be a positive integer")
-        if n <= len(self.head):
+        if positive_int(n, "the horizon") <= len(self.head):
             return self.head[n - 1]
         return self.scale * self.base ** n
 
@@ -568,25 +560,21 @@ class ProfileReport:
 
 
 def _first_certificates(ch: Channel, m: UncertaintyFunction,
-                        seq: ConfidenceSequence, rows: list) -> tuple:
+                        seq: ConfidenceSequence, rows: list,
+                        expected: int) -> tuple:
     """The first certifying codebook of each applicable theorem, trying the
     codebook ``rows`` in their order (by size, then in combination order);
-    below the capacity count a codebook has too few family sets, so the
-    walk starts at that count, found once for each distinct level."""
+    every walked theorem tests delta_1 (Cor2 applies only when it is 0), and
+    below ``expected``, the capacity count there, a codebook has too few
+    family sets, so the walk starts at that count."""
     found = []
     delta1 = seq.value_at(1)
-    count_at = functools.cache(lambda level: capacity(ch, m, level).count)
-    for variant, applicable, level in (
-            ("T12", True, delta1),
-            ("Cor2", seq.is_identically_zero(), Fraction(0)),
-            ("T13", True, delta1)):
-        if not applicable:
-            continue
-        expected = count_at(level)
+    zero = seq.is_identically_zero()
+    for variant in ("T12", "Cor2", "T13") if zero else ("T12", "T13"):
         for row in itertools.dropwhile(
                 lambda r: len(r[0]) < expected, rows):
             try:
-                cert = _certify(variant, ch, m, row, expected, level, None, seq)
+                cert = _certify(variant, ch, m, row, expected, delta1, None, seq)
             except NotCapacityAchieving:
                 continue
             if cert.certifies:
@@ -614,8 +602,7 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
     sequence vanishes).  Past ``MI_SUP_MAX_SYMBOLS`` distinct images no
     certificate is tried, and ``notes`` says so.
     """
-    if n_max < 1:
-        raise UvinfoError("n_max must be a positive integer")
+    positive_int(n_max, "n_max")
     # same domain as rate_at_horizon: every delta_n in [0, 1); the stricter
     # noise-floor constraints live inside the individual certificates
     if not 0 <= seq.value_at(1) < 1:
@@ -647,7 +634,8 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
     except AlphabetTooLarge as exc:
         notes.append(f"certificates skipped: {exc}")
     else:
-        certificates = _first_certificates(ch, m, seq, codebooks)
+        certificates = _first_certificates(ch, m, seq, codebooks,
+                                           rows[0].rate.count)
     return ProfileReport(
         tuple(rows), inf_rate, sup_rate,
         f"inf over horizons 1..{horizon_span} (upper bound on the "
@@ -708,11 +696,9 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
     either) carries no family, yet its product with another pair can still
     split, and the count comparison would be vacuous.
     """
-    delta = ratio(delta)
+    delta = level(delta, None)
     if not base_pairs:
         raise UvinfoError("at least one component pair is needed")
-    if delta < 0:
-        raise UvinfoError("delta must be nonnegative")
     if any(p.is_empty() for p in base_pairs):
         raise EmptyPair("the joint range is empty")
     n = len(base_pairs)

@@ -18,6 +18,10 @@ An :class:`UncertainPair` stores a joint range as a finite relation
 stored relation; for the interval axis the pair can also produce its
 *arrangement*: the finitely many classes of points with identical
 conditional range, which is what makes the downstream calculus finite.
+
+Its readers own the reading of every exact number the library takes:
+:func:`ratio` a rational, :func:`level` a delta or a level in its domain,
+and :func:`positive_int` a horizon, a size or a length.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 
 class UvinfoError(Exception):
@@ -38,6 +42,10 @@ class PointOutsideRange(UvinfoError):
 
 class IncompatibleGround(UvinfoError):
     """An uncertainty function was applied to the wrong kind of subset."""
+
+
+class DeltaOutOfRange(UvinfoError):
+    """A delta or a level lies outside its domain, as ``level`` reads it."""
 
 
 class FrozenInstanceError(AttributeError):
@@ -148,6 +156,25 @@ def ratio(value: Union[int, str, Fraction]) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise UvinfoError(f"not a valid ratio: {value!r}") from exc
     raise UvinfoError(f"not a valid ratio: {value!r}")
+
+
+def level(value, bound=Fraction(1), shown="", closed=False, name="delta") -> Fraction:
+    """``value`` as ``ratio`` reads it, in ``[0, bound)``, ``[0, bound]`` when
+    ``closed`` or ``[0, oo)`` when ``bound`` is None; outside, the refusal
+    shows the bound as ``shown`` spells it, by default its value."""
+    v = ratio(value)
+    if 0 <= v and (bound is None or v < bound or closed and v == bound):
+        return v
+    top = "" if bound is None else f" {'<=' if closed else '<'} {shown or format_ratio(bound)}"
+    raise DeltaOutOfRange(f"need 0 <= {name}{top}, got {format_ratio(v)}")
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` when it is an int of at least 1; a bool, a float, a string
+    or anything else is refused, so that no count is read from them."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+        return value
+    raise UvinfoError(f"{name} must be a positive integer")
 
 
 def format_ratio(value: Fraction) -> str:
@@ -325,8 +352,8 @@ class CardinalityPower(UncertaintyFunction):
     kind = "cardinality_power"
 
     def __post_init__(self) -> None:
-        if self.base_size <= 0 or self.exponent <= 0:
-            raise UvinfoError("base_size and exponent must be positive")
+        positive_int(self.base_size, "base_size")
+        positive_int(self.exponent, "exponent")
         _set(self, "_by_size", {})
 
     def of(self, subset: GroundSubset) -> Fraction:
@@ -631,6 +658,7 @@ class UncertainPair:
 __all__ = [
     "ArrangementCell",
     "CardinalityPower",
+    "DeltaOutOfRange",
     "DiameterPlusOne",
     "ExplicitWeights",
     "FiniteGround",

@@ -53,6 +53,20 @@ class TestBitString:
     def test_orders_like_integers(self):
         assert sorted([bs("10"), bs("01")]) == [bs("01"), bs("10")]
 
+    @pytest.mark.parametrize("length,bits,message", [
+        (3, "1", "value '1' does not fit in 3 bits"),
+        (3, True, "value True does not fit in 3 bits"),
+        (3, 1.0, "value 1.0 does not fit in 3 bits"),
+        (3, 8, "value 8 does not fit in 3 bits"),
+        ("3", 1, "the bit-string length must be a positive integer"),
+        (True, 1, "the bit-string length must be a positive integer"),
+        (0, 0, "the bit-string length must be a positive integer"),
+    ])
+    def test_refuses_what_is_not_an_int_in_range(self, length, bits, message):
+        with pytest.raises(UvinfoError) as info:
+            BitString(length, bits)
+        assert str(info.value) == message
+
 
 class TestHammingEquivocation:
     def test_disjoint_balls(self):
@@ -73,6 +87,12 @@ class TestHammingEquivocation:
     def test_tau_domain(self):
         with pytest.raises(UvinfoError, match="tau"):
             hamming_equivocation(bs("0000"), bs("1111"), F(3, 2))
+
+    def test_codewords_must_be_bit_strings(self):
+        with pytest.raises(UvinfoError, match="must be a BitString, got '01'"):
+            hamming_equivocation("01", bs("10"), F(1, 4))
+        with pytest.raises(UvinfoError, match="must be a BitString, got '01'"):
+            hamming_distance_bound(["01", "10"], 0, 0)
 
     def test_length_cap(self):
         long1 = BitString(13, 0)

@@ -1,8 +1,9 @@
 """The library's exit contract, the twin of the CLI's ``TestExitContract``:
 every call of a public function ends in a result or a ``UvinfoError``,
-whatever its arguments.  A delta is read exactly: an int, a ``Fraction`` or
-a "p/q" string gives the result of its ``Fraction``, and a float, a decimal
-string, a boolean or ``None`` is refused."""
+whatever its arguments.  A delta or a level is read exactly: an int, a
+``Fraction`` or a "p/q" string gives the result of its ``Fraction``, and a
+float, a decimal string, a boolean or ``None`` is refused.  A horizon, a
+size or a length is an int of at least 1, and anything else is refused."""
 
 from fractions import Fraction
 
@@ -14,17 +15,28 @@ from uvinfo import (
     CardinalityPower,
     Channel,
     ConfidenceSequence,
+    DeltaOutOfRange,
     EquivocationMatrix,
+    ProductChannel,
+    UncertainPair,
     UvinfoError,
+    association_sets,
     capacity,
+    capacity_profile,
     check_distinguishable,
+    classify_levels,
+    delta_components,
     hamming_distance_bound,
     induced_pair,
     information_rate_at_horizon,
     matrix_capacity,
     mi_sup_oracle,
+    mutual_information,
+    overlap_family,
+    product_uncertainty,
     rate_at_horizon,
     single_letter_check,
+    taxicab_family,
     tensorization_check,
     verify_coding_theorem,
 )
@@ -60,6 +72,17 @@ def deltas():
     )
 
 
+def _pair(ch):
+    """The induced pair of the whole input alphabet, with its uniform input
+    measure."""
+    return induced_pair(ch, ch.x_symbols), CardinalityPower(len(ch.x_symbols))
+
+
+def _assoc(ch, m):
+    pair, m_x = _pair(ch)
+    return association_sets(pair, m_x, m)
+
+
 DELTA_CALLS = {
     "capacity": lambda ch, m, d: capacity(ch, m, d),
     "check_distinguishable": lambda ch, m, d:
@@ -85,7 +108,51 @@ DELTA_CALLS = {
     "single_letter_check T12": lambda ch, m, d: single_letter_check(
         ch, m, "T12", codebook=ch.x_symbols[:1], delta1=d,
         sequence=ConfidenceSequence.zero()),
+    "overlap_family": lambda ch, m, d:
+        overlap_family(*_pair(ch), m, d, "Y"),
+    "mutual_information": lambda ch, m, d:
+        mutual_information(*_pair(ch), m, d, "XgivenY"),
+    "delta_components": lambda ch, m, d:
+        delta_components(_pair(ch)[0], m, d, "Y"),
+    "taxicab_family, delta1": lambda ch, m, d:
+        taxicab_family(*_pair(ch), m, d, F(1, 2)),
+    "taxicab_family, delta2": lambda ch, m, d:
+        taxicab_family(*_pair(ch), m, F(1, 2), d),
+    "classify_levels, delta1": lambda ch, m, d:
+        classify_levels(_assoc(ch, m), d, F(1, 2)),
+    "classify_levels, delta2": lambda ch, m, d:
+        classify_levels(_assoc(ch, m), F(1, 2), d),
 }
+
+# every count input: a horizon, a size or a length
+COUNT_CALLS = {
+    "rate_at_horizon": lambda ch, m, n: rate_at_horizon(ch, m, 0, n),
+    "information_rate_at_horizon": lambda ch, m, n:
+        information_rate_at_horizon(ch, m, 0, n),
+    "capacity_profile": lambda ch, m, n:
+        capacity_profile(ch, m, ConfidenceSequence.zero(), n),
+    "ProductChannel": lambda ch, m, n: ProductChannel(ch, n),
+    "product_uncertainty": lambda ch, m, n: product_uncertainty(m, n),
+    "value_at": lambda ch, m, n: ConfidenceSequence.zero().value_at(n),
+    "CardinalityPower base_size": lambda ch, m, n: CardinalityPower(n),
+    "CardinalityPower exponent": lambda ch, m, n: CardinalityPower(4, n),
+    "BitString length": lambda ch, m, n: BitString(n, 0),
+}
+
+
+def counts():
+    """``(value, valid)``: a count in some spelling, and whether it must be
+    taken."""
+    return st.one_of(
+        st.integers(1, 2).map(lambda i: (i, True)),
+        st.integers(-2, 0).map(lambda i: (i, False)),
+        st.sampled_from([True, False, None]).map(lambda v: (v, False)),
+        st.sampled_from([1.0, 2.0, 1.5, 0.5, float("nan")]).map(
+            lambda v: (v, False)),
+        st.sampled_from(["1", "2", " 2 ", "1/1", "0"]).map(
+            lambda v: (v, False)),
+    )
+
 
 CODEBOOK_CALLS = {
     "check_distinguishable": lambda ch, m, cb:
@@ -128,3 +195,25 @@ class TestLibraryContract:
                              codebook)
         if not codebook or not set(codebook) <= set(ch.x_symbols):
             assert refused is not None
+
+    @given(channels(), counts(), st.sampled_from(sorted(COUNT_CALLS)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_count_is_a_positive_int_or_refused(self, ch, drawn, name):
+        call, (n, valid) = COUNT_CALLS[name], drawn
+        refused, message = outcome(call, ch, CardinalityPower(4), n)
+        counted = refused is UvinfoError and message.endswith(
+            "must be a positive integer")
+        assert counted != valid
+
+    def test_the_knife_edge_is_read_exactly(self):
+        # the two ranges [Y|1] and [Y|2] overlap in 3 of 10 outputs, so the
+        # level 3/10 associates them; the float 0.3 lies just below 3/10
+        pair = UncertainPair.finite(
+            {(1, y) for y in range(5)} | {(2, y) for y in range(2, 10)})
+        m_x, m_y = CardinalityPower(2), CardinalityPower(10)
+        with pytest.raises(UvinfoError, match="not a valid ratio: 0.3"):
+            mutual_information(pair, m_x, m_y, 0.3, "YgivenX")
+        result = mutual_information(pair, m_x, m_y, "3/10", "YgivenX")
+        assert (result.count, result.status) == (2, "associated")
+        with pytest.raises(DeltaOutOfRange):
+            mutual_information(pair, m_x, m_y, "-3/10", "YgivenX")

@@ -658,9 +658,10 @@ class TestCapacityProfile:
     def test_one_capacity_search_per_level(self, monkeypatch, seq, theorems):
         # six distinct images give 63 candidate codebooks per theorem; the
         # rows take one search per horizon (horizon 1 through capacity, the
-        # others through the product search), the walked theorems one per
-        # distinct level (T12, Cor2 and T13 all test delta_1) and T14, which
-        # also reaches _certify when the sequence vanishes, none
+        # others through the product search), and the walked theorems none:
+        # T12, Cor2 and T13 all test delta_1, whose count the horizon-1 row
+        # holds; T14, which also reaches _certify when the sequence
+        # vanishes, none either
         calls, tried = [], set()
 
         def counting(search):
@@ -682,7 +683,7 @@ class TestCapacityProfile:
         capacity_profile(ch, CardinalityPower(7), seq, 2)
         assert len(tried) == theorems + seq.vanishes()
         assert ("T14" in tried) == seq.vanishes()
-        assert calls == [seq.value_at(1), seq.value_at(2), seq.value_at(1)]
+        assert calls == [seq.value_at(1), seq.value_at(2)]
 
     @pytest.mark.parametrize("m,seq", [
         (M1, ConfidenceSequence.zero()),
@@ -701,7 +702,7 @@ class TestCapacityProfile:
         monkeypatch.setattr(memoryless, "capacity", counting)
         report = capacity_profile(fig5, m, seq, 1)
         assert report == reference and report.certificates
-        assert calls == [seq.value_at(1)] * 2  # the row, then the theorems
+        assert calls == [seq.value_at(1)]  # the row, which the theorems read
 
 
 # ---------------------------------------------------------------------------
