@@ -293,7 +293,12 @@ def confusion_ingest(source: Union[str, Iterable]) -> Channel:
             pairs.append((row[0].strip(), row[1].strip()))
     else:
         pairs = []
-        for item in source:
+        try:
+            items = iter(source)
+        except TypeError:
+            raise MalformedRow(
+                f"not CSV text, pairs or a mapping: {source!r}") from None
+        for item in items:
             try:
                 true, predicted = item
             except (TypeError, ValueError):

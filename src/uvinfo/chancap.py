@@ -4,9 +4,11 @@ A channel maps each input symbol to a nonempty set of output symbols; the
 equivocation of two inputs is the (normalized) uncertainty of their image
 intersection.  Capacity is the log of the largest codebook whose pairwise
 equivocations all clear the size-dependent threshold ``delta / k``; it is
-found by a bitset clique search over the ranks of the distinct pair values,
-whose clique carries over to later sizes, cut down to what survives in their
-graphs and completed greedily, and certified by refuting size ``count + 1``.
+found by a bitset clique search over the ranks of the distinct pair values.
+A greedy clique of the sparsest graph, that of the largest size, settles the
+sizes up to its own; the clique then carries over to later sizes, cut down to
+what survives in their graphs and completed greedily, and the count is
+certified by refuting size ``count + 1``.
 
 Two front ends feed that one engine, and both hand it one packed table per
 channel: a row per vertex with a fixed-width big-endian field per vertex,
@@ -20,6 +22,8 @@ themselves, each input's row the sum of its outputs' columns, with no
 block's row as one product of rows filled from its base's counts.  Every
 other measure, and ``apps.matrix_capacity``, ranks the ``Fraction`` value
 of every pair and writes the ranks into the table by slice assignment.
+At zero error a plain channel's one graph, of disjoint images, needs no
+table: a row is the complement of the union of its outputs' input columns.
 
 The engine compares only integers: both front ends hand over the distinct
 pair values as integer ratios ``(p, q)``, within ``delta / k = dn / (dd k)``
@@ -57,7 +61,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cached_property, cmp_to_key, partial, reduce
 from typing import Callable, Optional
 
 from .uvcore import (
@@ -116,7 +120,10 @@ class Channel:
         if not mapping:
             raise UvinfoError("a channel needs at least one input symbol")
         xs = _sorted_symbols(mapping, "input")
-        image_list = [frozenset(mapping[x]) for x in xs]
+        try:
+            image_list = [frozenset(mapping[x]) for x in xs]
+        except (TypeError, LookupError):
+            raise UvinfoError("a channel maps inputs to sets of outputs") from None
         for x, img in zip(xs, image_list):
             if not img:
                 raise UvinfoError(f"image of {x!r} is empty")
@@ -323,6 +330,20 @@ def _at_most(width: int, rows: list, size: int) -> list:
     return adj
 
 
+def _disjointness(images) -> list:
+    """The graph of inputs with pairwise disjoint ``images``: ``col[y]`` is
+    the bitset of the inputs that see ``y``, so ``adj[i]`` is every input
+    outside the union of the columns of ``N(i)``."""
+    col = dict.fromkeys(set().union(*images), 0)
+    for i, image in enumerate(images):
+        bit = 1 << i
+        for y in image:
+            col[y] |= bit
+    everyone = (1 << len(images)) - 1
+    return [everyone ^ reduce(operator.or_, map(col.__getitem__, image))
+            for image in images]
+
+
 def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction,
                horizon: int = 1) -> tuple:
     """The engine's input for ``ch`` under ``m``: the vertex number of each
@@ -330,7 +351,8 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction,
     each as an integer ratio ``(p, q)``, and the table ``(w, rows,
     fields)``: ``w``-byte fields as in ``_count_table``, and for each cut
     ``c`` of those values, ``fields[c - 1]``, the field value up to which
-    ``_at_most`` joins the pairs whose value is among the first ``c``.
+    ``_at_most`` joins the pairs whose value is among the first ``c``; or,
+    at width 0, the adjacency of the one field, 0, as the rows.
 
     A ``CardinalityPower`` itself rises strictly with the intersection size,
     so its fields are the sizes that some pair has, up to the largest valued
@@ -339,7 +361,9 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction,
     are numbered by ascending image size (ties by index): a large image
     meets many others, so it has few neighbours in every graph, and the
     colouring search does best with such inputs last, as MCQ numbers by
-    descending degree; no answer depends on it.  Past ``horizon`` 1 the
+    descending degree; no answer depends on it.  A ``limit`` below the
+    value of size 1 joins only disjoint images: at ``horizon`` 1 the rows
+    are then ``_disjointness``, with no count.  Past ``horizon`` 1 the
     table is the product's under its measure ``m``, blocks in the Kronecker
     order of those numbers.  Every other measure, a subclass included,
     ranks its pair values into a ``_rank_table`` and keeps the input order.
@@ -348,13 +372,18 @@ def _front_end(ch: Channel, m: UncertaintyFunction, limit: Fraction,
     if type(m) is CardinalityPower:
         order = sorted(range(n), key=list(map(len, ch.images)).__getitem__)
         numbering = sorted(range(n), key=order.__getitem__)  # the inverse
-        width, rows = _count_table([ch.images[i] for i in order], horizon)
+        images = [ch.images[i] for i in order]
         e, whole = m.exponent, m.base_size ** m.exponent
         num, den = limit.as_integer_ratio()
         largest, top = max(map(len, ch.images)) ** horizon, 0
         while top < largest and (top + 1) ** e * den <= num * whole:
             top += 1
-        sizes = _table_sizes(width, rows, top)
+        if top or horizon > 1:
+            width, rows = _count_table(images, horizon)
+            sizes = _table_sizes(width, rows, top)
+        else:
+            width, rows = 0, _disjointness(images)
+            sizes = [0] if any(rows) else []
         return numbering, [(s ** e, whole) for s in sizes], (width, rows, sizes)
     return (range(n), *_rank_table(n, _pair_values(ch, m), limit))
 
@@ -615,32 +644,46 @@ def _search(symbols, numbering, values, table,
     values in increasing order as integer ratios ``(p, q)``, every value at
     most ``delta`` among them, and the table of the front end (see
     ``_front_end``): the graph of cut ``c``, as one neighbour bitset per
-    vertex, is ``_at_most`` of the table at ``fields[c - 1]``."""
+    vertex, is ``_at_most`` of the table at ``fields[c - 1]`` (see there for
+    width 0)."""
     n, (width, rows, fields) = len(symbols), table
     all_vertices = (1 << n) - 1
-    per_size, cut, graph, clique = [], len(values), None, 0
     # value p/q is at most delta/k = dn/(dd k) exactly when p dd k <= dn q
     dn, dd = delta.as_integer_ratio()
     keys = [(p * dd, dn * q) for p, q in values]
-    for k in range(1, n + 1):
-        size_cut = cut
-        while size_cut and keys[size_cut - 1][0] * k > keys[size_cut - 1][1]:
-            size_cut -= 1
+    graphs = {}  # by cut: no cut's graph is built twice
+
+    def graph(k: int) -> _Graph:
+        cut = len(keys)
+        while cut and keys[cut - 1][0] * k > keys[cut - 1][1]:
+            cut -= 1
+        if cut not in graphs:
+            graphs[cut] = _Graph(
+                [0] * n if not cut else
+                _at_most(width, rows, fields[cut - 1]) if width else rows)
+        return graphs[cut]
+
+    # size n has the lowest cut, so its graph is a subgraph of every size's:
+    # its greedy maximal clique of c vertices proves sizes 1..c
+    last = graph(n)
+    certificate = clique = _maximal(last.adj, 0, all_vertices)
+    count, final = clique.bit_count(), None
+    per_size = [(k, True) for k in range(1, count + 1)]
+    for k in range(count + 1, n + 1):
         # the maximal clique of the last size certifies this one while it has
         # k vertices in this size's graph; a graph that drops some of its
         # pairs keeps what is left of it, completed greedily, and searches
         # only when that is too small
-        fresh = graph is None or size_cut != cut
-        if fresh:
-            cut = size_cut
-            graph = _Graph(_at_most(width, rows, fields[cut - 1]) if cut
-                           else [0] * n)
-        if fresh or clique.bit_count() < k:
-            clique = graph.clique(all_vertices, k, clique)
+        size_graph = graph(k)
+        if size_graph is not last or clique.bit_count() < k:
+            clique = size_graph.clique(all_vertices, k, clique)
+        last = size_graph
         per_size.append((k, clique is not None))
         if clique is None:
             break
-        count, final, certificate = k, graph, clique
+        count, final, certificate = k, size_graph, clique
+    if final is None:  # the clique of size n's graph is the count's
+        final = graph(count)
     # include-first scan in symbol order: commit the next symbol exactly
     # when the prefix still completes to a count-clique among the later
     # candidates; ``certificate`` stays such a completion, so a symbol in it
@@ -675,24 +718,26 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
     """The exact (N, delta)-capacity: the largest codebook size with all
     pairwise equivocations at most delta/size.
 
-    Sizes are searched in increasing order; feasibility is monotone
-    nonincreasing in the size (the threshold delta/k shrinks while the
-    constraint set grows), so the search stops at the first infeasible size,
-    which also certifies count + 1 exhaustively.  Size k is feasible when
-    the graph joining inputs with equivocation at most delta/k has a k-clique.
-    The distinct equivocations are ranked once into one packed table (see
-    the module docstring), so a graph is one byte translation of each row,
-    built only when delta/k passes a pair value, and the search, a branch
-    and bound under a greedy-colouring bound, compares only integer keys;
-    ``thresholds`` is derived from the result when read.  Every
-    clique is kept maximal, as a certificate that carries over from size to
-    size: a size whose graph drops pairs it used keeps what survives of it,
-    least vertex first, and completes that greedily, and a search runs only
-    where that falls short, as at the refutation of count + 1.  The witness
-    is the lexicographically least optimal codebook, found once at the final
-    size by an include-first scan in symbol order, whatever the numbering,
-    whose completion test is the same clique query, started from the
-    members of the last certificate among the symbol's neighbours.
+    Size k is feasible when the graph G_k joining inputs with equivocation
+    at most delta/k has a k-clique; feasibility is monotone nonincreasing in
+    the size, as G_k keeps only pairs of G_(k-1) (the threshold delta/k
+    shrinks).  So a greedy maximal clique of G_n, of c vertices, proves
+    sizes 1..c with no other graph; from c + 1, sizes are searched in
+    increasing order up to the first infeasible one, which also certifies
+    count + 1 exhaustively.  The distinct equivocations are ranked once into
+    one packed table (see the module docstring; zero error needs none), so a
+    graph is one byte translation of each row, built at most once per cut,
+    and the search, a branch and bound under a greedy-colouring bound,
+    compares only integer keys; ``thresholds`` is derived from the result
+    when read.  Every clique is kept maximal, as a certificate that carries
+    over from size to size: a size whose graph drops pairs it used keeps
+    what survives of it, least vertex first, and completes that greedily,
+    and a search runs only where that falls short, as at the refutation of
+    count + 1.  The witness is the lexicographically least optimal codebook,
+    found once at the final size by an include-first scan in symbol order,
+    whatever the numbering, whose completion test is the same clique query,
+    started from the members of the last certificate among the symbol's
+    neighbours.
     """
     _require_normalized(ch, m)
     delta = level(delta)

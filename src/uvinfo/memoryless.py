@@ -376,7 +376,10 @@ def _product_rule_condition(m: UncertaintyFunction) -> Condition:
 
 
 def _subadditivity_condition(m: UncertaintyFunction) -> Condition:
-    ok = isinstance(m, CardinalityPower) and m.exponent == 1
+    if not isinstance(m, CardinalityPower):
+        return Condition("union subadditivity", False,
+                         f"kind {m.kind!r} is not checked for subadditivity")
+    ok = m.exponent == 1
     return Condition(
         "union subadditivity", ok,
         "exponent 1" if ok else "fails for exponents above 1")

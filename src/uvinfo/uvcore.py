@@ -214,7 +214,11 @@ class IntervalUnion:
 
     @staticmethod
     def of(pairs: Iterable[tuple[Union[int, str, Fraction], Union[int, str, Fraction]]]) -> "IntervalUnion":
-        raw = sorted((ratio(lo), ratio(hi)) for lo, hi in pairs)
+        try:
+            raw = sorted((ratio(lo), ratio(hi)) for lo, hi in pairs)
+        except (TypeError, ValueError):
+            raise UvinfoError(
+                "an interval union is read from (lo, hi) pairs") from None
         for lo, hi in raw:
             if lo > hi:
                 raise UvinfoError(f"interval endpoints out of order: [{lo}, {hi}]")
@@ -512,8 +516,12 @@ class UncertainPair:
     @staticmethod
     def finite(joint: Iterable[tuple], x_ground: FiniteGround | None = None,
                y_ground: FiniteGround | None = None) -> "UncertainPair":
-        pairs = frozenset(joint)
-        xs = {x for x, _ in pairs}
+        try:
+            pairs = frozenset(joint)
+            xs = {x for x, _ in pairs}
+        except (TypeError, ValueError):
+            raise UvinfoError(
+                "a finite joint range is a set of (x, y) pairs") from None
         ys = {y for _, y in pairs}
         if x_ground is None:
             x_ground = FiniteGround.of(xs) if xs else FiniteGround((None,))

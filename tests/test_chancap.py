@@ -882,8 +882,11 @@ class TestCountFrontEnd:
         sizes = sorted(expected)
         assert [F(p, q) for p, q in values] == [m.of_size(s) for s in sizes]
         assert fields == sizes
+        # below the value of size 1 the table is the zero graph itself
+        assert (width == 0) == (limit < m.of_size(1))
         for cut in range(1, len(sizes) + 1):
-            adj = chancap._at_most(width, table, fields[cut - 1])
+            adj = chancap._at_most(width, table, fields[cut - 1]) if width \
+                else table
             want = cut_adjacency(expected, sizes[:cut])
             assert [back(adj[numbering[i]]) for i in range(n)] == \
                 [want.get(i, 0) for i in range(n)]
@@ -1323,6 +1326,17 @@ def renumbered(front, order, horizon=1) -> tuple:
             (width, table, fields))
 
 
+def renumbered_graph(front, order) -> tuple:
+    """The zero-error front end ``front``, whose table of width 0 holds the
+    graph itself, with its inputs numbered by ``order`` instead: the
+    vertices of the graph move, the values and the field stay."""
+    numbering, values, (width, adj, fields) = front
+    old = [numbering[i] for i in order]
+    into = chancap._permutation(old)
+    return (sorted(range(len(order)), key=order.__getitem__), values,
+            (width, [into(adj[v]) for v in old], fields))
+
+
 def repeating_channel(rng, inputs, outputs, image_sizes) -> Channel:
     """A random channel whose inputs draw their images from a pool of half
     as many, so that images repeat."""
@@ -1344,15 +1358,20 @@ class TestVertexOrder:
         ch = make(rng, rng.randint(12, 60), 30, (2, 8))
         m = CardinalityPower(30)
         pair_values = chancap._pair_values(ch, m)
+        n = len(ch.images)
+        zero = cut_adjacency(pair_loop_rows(ch), [0])
         for delta in (F(0), F(1, 10), F(1, 3), F(1, 2)):
             want = chancap._capacity_search(ch.x_symbols, pair_values, delta)
             front = chancap._front_end(ch, m, delta)
-            # in input order, the table is the one built in that order
-            assert renumbered(front, range(len(ch.images)))[2][:2] == \
-                chancap._count_table(ch.images)
+            # in input order, the table is the one built in that order, and
+            # at delta 0 the zero graph is the pair loop's
+            move = renumbered if delta else renumbered_graph
+            assert move(front, range(n))[2][:2] == (
+                chancap._count_table(ch.images) if delta
+                else (0, [zero.get(i, 0) for i in range(n)]))
             for order in vertex_orders(ch):
                 assert whole(chancap._search(
-                    ch.x_symbols, *renumbered(front, order), delta)) == whole(want)
+                    ch.x_symbols, *move(front, order), delta)) == whole(want)
             assert capacity(ch, m, delta) == want
 
     @pytest.mark.parametrize("seed, horizon",
@@ -1456,3 +1475,73 @@ class TestDeepSearch:
         greedy = chancap._Graph(adj).clique(everyone, 1100)
         assert greedy.bit_count() == 1100 and is_clique(adj, greedy)
         assert chancap._Graph(adj).clique(everyone, 1101) is None
+
+
+def built_graphs(call) -> tuple:
+    """``call()`` and the adjacency of every graph the engine built."""
+    built, init = [], chancap._Graph.__init__
+
+    def recording(graph, adj):
+        built.append(tuple(adj))
+        init(graph, adj)
+
+    with mock.patch.object(chancap._Graph, "__init__", recording):
+        return call(), built
+
+
+def sparse_first_case(seed) -> Channel:
+    """A channel of 1-45 inputs: random, with repeated images, the identity
+    (every size feasible at every delta, so no size is refuted) or one whose
+    images all share output 0 (no pair is disjoint)."""
+    rng = random.Random(2600 + seed)
+    n, outputs = rng.randint(1, 20 if seed % 3 else 45), rng.randint(3, 12)
+    kind = seed % 4
+    if kind == 0:
+        return random_channel(rng, n, outputs, (1, outputs // 2))
+    if kind == 1:
+        return repeating_channel(rng, n, outputs, (1, 4))
+    if kind == 2:
+        return Channel.of({x: {x} for x in range(n)})
+    return Channel.of({x: {0, *rng.sample(range(1, outputs), rng.randint(0, 3))}
+                       for x in range(n)}, y_alphabet=range(outputs))
+
+
+class TestSparseFirst:
+    """Each search builds size n's graph first, whose greedy clique proves
+    the sizes up to its own, and at zero error the front end reads the
+    disjointness graph off the output columns with no table.  Whole results
+    must match the rank front end, which keeps its table, and subset search;
+    no cut's graph is built twice in one search."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_against_the_rank_front_end_and_subset_search(self, seed,
+                                                          monkeypatch):
+        ch = sparse_first_case(seed)
+        n, count_table = len(ch.x_symbols), chancap._count_table
+
+        def refuse(images, horizon=1):
+            raise AssertionError("count table built at zero error")
+
+        for exponent in (1, 2, 3):
+            m = CardinalityPower(len(ch.y_symbols), exponent)
+            pair_values = chancap._pair_values(ch, m)
+            one = m.of_size(1)  # the value of one shared output
+            grid = chancap._delta_grid(ch, m, ratios(pair_values))
+            for delta in sorted({F(0), one - F(1, 10 ** 6), one, *grid[:6],
+                                 F(1, 2)}):
+                monkeypatch.setattr(chancap, "_count_table",
+                                    refuse if delta < one else count_table)
+                result, built = built_graphs(lambda: capacity(ch, m, delta))
+                monkeypatch.setattr(chancap, "_count_table", count_table)
+                assert len(set(built)) == len(built)
+                assert result == chancap._capacity_search(
+                    ch.x_symbols, pair_values, delta)
+                if n <= 20:
+                    assert whole(result) == subset_search(
+                        ch.x_symbols,
+                        lambda a, b: m.of(ch.image(a) & ch.image(b)), delta)
+                if seed % 4 == 2:  # the identity: every size, one graph
+                    assert result.per_size_feasibility[-1] == (n, True)
+                    assert len(built) == 1
+                if seed % 4 == 3 and delta < one:  # no disjoint pair
+                    assert result.count == 1

@@ -17,6 +17,7 @@ from uvinfo import (
     ConfidenceSequence,
     DeltaOutOfRange,
     EquivocationMatrix,
+    IntervalUnion,
     ProductChannel,
     UncertainPair,
     UvinfoError,
@@ -25,6 +26,7 @@ from uvinfo import (
     capacity_profile,
     check_distinguishable,
     classify_levels,
+    confusion_ingest,
     delta_components,
     hamming_distance_bound,
     induced_pair,
@@ -166,6 +168,16 @@ CODEBOOK_CALLS = {
 }
 
 
+# inputs whose structure is wrong where each value is read
+STRUCTURAL_CALLS = {
+    "Channel.of, a list": lambda: Channel.of([1, 2]),
+    "Channel.of, an int image": lambda: Channel.of({1: 5}),
+    "IntervalUnion.of, a pair of one": lambda: IntervalUnion.of([(1,)]),
+    "UncertainPair.finite, ints for pairs": lambda: UncertainPair.finite([1, 2]),
+    "confusion_ingest, an int": lambda: confusion_ingest(5),
+}
+
+
 def outcome(call, *args) -> tuple:
     """``(None, result)`` of ``call(*args)``, or the type and message of the
     ``UvinfoError`` it raised; any other exception propagates."""
@@ -204,6 +216,11 @@ class TestLibraryContract:
         counted = refused is UvinfoError and message.endswith(
             "must be a positive integer")
         assert counted != valid
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURAL_CALLS))
+    def test_a_malformed_structure_is_refused(self, name):
+        with pytest.raises(UvinfoError):
+            STRUCTURAL_CALLS[name]()
 
     def test_the_knife_edge_is_read_exactly(self):
         # the two ranges [Y|1] and [Y|2] overlap in 3 of 10 outputs, so the

@@ -21,6 +21,7 @@ from uvinfo import (
     Channel,
     ConfidenceSequence,
     DeltaOutOfRange,
+    ExplicitWeights,
     HorizonTooLarge,
     LebesguePlusOffset,
     NonProductUncertainty,
@@ -564,6 +565,18 @@ class TestZeroErrorCertificate:
         assert not cert.certifies
         failing = [c.name for c in cert.conditions if not c.holds]
         assert failing == ["uncovered-codeword containment"]
+
+    def test_subadditivity_names_the_kind_of_a_measure_with_no_exponent(
+            self, fig5):
+        # uniform weights give the values of card:19, but no exponent
+        weights = ExplicitWeights.of_mapping(
+            {y: 1 for y in fig5.y_symbols}, 19)
+        cert = single_letter_check(fig5, weights, "Cor2", codebook=(1, 7, 13))
+        assert cert.conditions[-1] == Condition(
+            "union subadditivity", False,
+            "kind 'explicit_weights' is not checked for subadditivity")
+        assert _subadditivity_condition(M3) == Condition(
+            "union subadditivity", False, "fails for exponents above 1")
 
 
 class TestInfCertificate:
