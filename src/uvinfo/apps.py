@@ -18,14 +18,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
-from .uvcore import (CardinalityPower, UvinfoError, _frozen, format_ratio,
-                     hamming_diameter, level, positive_int, ratio)
+from .uvcore import (CardinalityPower, UvinfoError, _frozen, _sorted_symbols,
+                     format_ratio, hamming_diameter, level, positive_int, ratio)
 from .chancap import (
     Channel,
     _capacity_search,
     _pair_values,
     _require_normalized,
-    _sorted_symbols,
     CapacityResult,
 )
 
@@ -310,9 +309,8 @@ def confusion_ingest(source: Union[str, Iterable]) -> Channel:
     images: dict = {}
     for true, predicted in pairs:
         images.setdefault(true, set()).add(predicted)
-    alphabet = sorted(set(images) | {p for _, p in pairs})
     return Channel.of({l: frozenset(ns) for l, ns in images.items()},
-                      y_alphabet=tuple(alphabet))
+                      y_alphabet=set(images) | {p for _, p in pairs})
 
 
 def label_uncertainty(ch: Channel) -> CardinalityPower:

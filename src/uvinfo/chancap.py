@@ -73,6 +73,7 @@ from .uvcore import (
     CardinalityPower,
     _CountResult,
     _frozen,
+    _sorted_symbols,
     format_ratio,
     level,
 )
@@ -92,15 +93,6 @@ class AlphabetTooLarge(UvinfoError):
 
 class NotNormalized(UvinfoError):
     """The uncertainty of the full output alphabet must equal 1."""
-
-
-def _sorted_symbols(symbols, side: str) -> tuple:
-    """The distinct symbols in sorted order."""
-    try:
-        return tuple(sorted(set(symbols)))
-    except TypeError:
-        raise UvinfoError(
-            f"{side} symbols must be hashable and mutually comparable") from None
 
 
 @_frozen
@@ -166,7 +158,7 @@ def ball_channel(points, distance: Callable, radius) -> Channel:
     """The metric-ball channel x -> {y : distance(x, y) <= radius} on a
     finite point set; the packing capacities of metric spaces are the
     special case of channel capacity this constructs."""
-    pts = sorted(set(points))
+    pts = _sorted_symbols(points, "point")
     return Channel.of({x: frozenset(y for y in pts if distance(x, y) <= radius)
                        for x in pts})
 
@@ -182,7 +174,7 @@ def _require_unit(total: Fraction) -> None:
 
 
 def as_codebook(ch: Channel, points) -> tuple:
-    cb = tuple(sorted(set(points)))
+    cb = _sorted_symbols(points, "codebook")
     if not cb:
         raise UvinfoError("a codebook must be nonempty")
     known = set(ch.x_symbols)

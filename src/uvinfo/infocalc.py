@@ -377,10 +377,13 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
     Moves between joint points: same x with the two points' x-side ranges
     overlapping strictly above ``delta1 * m(marginal X)``, or same point
     with the two x's y-side ranges overlapping strictly above
-    ``delta2 * m(marginal Y)``.  The components are returned as the
-    candidate family; ``exists`` is false when any family property fails
-    (cover is automatic, so what can fail is column/row containment or the
-    projection-overlap bounds).
+    ``delta2 * m(marginal Y)``.  The components cover the joint range and
+    are returned as the family when every column (the nodes of one point)
+    and every row (the nodes of one x) lies in one component.  That
+    containment implies the projection-overlap bounds: each x and each
+    point then lies in one component, so the projections of two components
+    never meet.  So ``exists`` is false exactly when joining the twins of a
+    multi-point cell, a column or a row would merge two components.
     """
     delta1 = level(delta1, 1, closed=True, name="delta1")
     delta2 = level(delta2, 1, closed=True, name="delta2")
@@ -389,15 +392,15 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
     points, rows = _taxicab_nodes(pair)
     total_x = m_x.of(pair.marginal_range("X"))
     total_y = m_y.of(pair.marginal_range("Y"))
-    nodes = []
-    for pid, xset, _cell in points:
-        for x in sorted(xset):
-            nodes.append((x, pid))
+    nodes = [(x, pid) for pid, xset, _ in points for x in sorted(xset)]
     index = {node: k for k, node in enumerate(nodes)}
     parent = list(range(len(nodes)))
 
-    def join(a, b) -> None:
-        parent[_find(parent, index[a])] = _find(parent, index[b])
+    def join(a, b) -> bool:
+        """Merge the components of nodes ``a`` and ``b``; whether they were two."""
+        root_a, root_b = _find(parent, index[a]), _find(parent, index[b])
+        parent[root_a] = root_b
+        return root_a != root_b
 
     # A1 moves: same x across two points, gated on the x-side overlap.  The
     # two representatives of a multi-point cell are among these pairs; their
@@ -417,76 +420,37 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
                 if inter and m_y.of(inter) > delta2 * total_y:
                     join((x1, pid), (x2, pid))
 
+    def crosses(key) -> bool:
+        """Whether joining each node to the first node with its key merges
+        two components."""
+        first: dict = {}
+        return any(join(node, first.setdefault(key(node), node)) for node in nodes)
+
+    checks = [(lambda node: node[1], "a column crosses components"),
+              (lambda node: node[0], "a row crosses components")]
+    # a multi-point cell whose twin representatives are separated means the
+    # true family would need infinitely many sets; only an interval pair's
+    # points are (cell, twin) ids (a finite pair's y label may be a tuple)
+    if pair.is_hybrid():
+        checks.insert(0, (lambda node: (node[0], node[1][0]),
+                          "a multi-point class splits; no finite family"))
+    for key, reason in checks:
+        if crosses(key):
+            return TaxicabFamily((), (delta1, delta2), False, reason)
+
     components: dict[int, set] = {}
     for node in nodes:
         components.setdefault(_find(parent, index[node]), set()).add(node)
-    comp_list = sorted(components.values(), key=min)
-
-    # a multi-point cell whose twin representatives are separated means the
-    # true family would need infinitely many sets
-    for pid, xset, cell in points:
-        if cell is not None and cell.multi_point and pid[1] == 0:
-            for x in xset:
-                if _find(parent, index[(x, pid)]) != _find(parent, index[(x, (pid[0], 1))]):
-                    return TaxicabFamily((), (delta1, delta2), False,
-                                         "a multi-point class splits; no finite family")
-
-    reason = ""
-    exists = True
-    # every column and every row must sit inside one component (this is both
-    # the singly-connected containment property and, together with the
-    # components covering everything, the contains-a-column/row property)
-    for pid, xset, _ in points:
-        roots = {_find(parent, index[(x, pid)]) for x in xset}
-        if len(roots) > 1:
-            exists, reason = False, "a column crosses components"
-            break
-    if exists:
-        for x, yrange in rows.items():
-            roots = set()
-            for pid, xset, _ in points:
-                if x in xset:
-                    roots.add(_find(parent, index[(x, pid)]))
-            if len(roots) > 1:
-                exists, reason = False, "a row crosses components"
-                break
-    if exists:
-        # projection overlap bounds
-        xprojs = [frozenset(x for x, _ in comp) for comp in comp_list]
-        for i in range(len(xprojs)):
-            for j in range(i + 1, len(xprojs)):
-                inter = xprojs[i] & xprojs[j]
-                if inter and m_x.of(inter) > delta1 * total_x:
-                    exists, reason = False, "x-projections overlap beyond delta1"
-        if exists and not pair.is_hybrid():
-            yprojs = [frozenset(pid for _, pid in comp) for comp in comp_list]
-            for i in range(len(yprojs)):
-                for j in range(i + 1, len(yprojs)):
-                    inter = yprojs[i] & yprojs[j]
-                    if inter and m_y.of(inter) > delta2 * total_y:
-                        exists, reason = False, "y-projections overlap beyond delta2"
-        # interval pairs: distinct cells are disjoint point classes, so two
-        # components never share y points and the delta2 bound holds with
-        # intersection measure zero
-
-    if not exists:
-        return TaxicabFamily((), (delta1, delta2), False, reason)
-
-    cell_support = {}
-    for pid, _, cell in points:
-        if cell is not None:
-            cell_support[pid] = cell.support
+    # a twin adds its cell's support again, which leaves the union as it is
+    cell_support = {pid: cell.support for pid, _, cell in points if cell is not None}
     sets = []
-    for comp in comp_list:
+    for comp in sorted(components.values(), key=min):
         if pair.is_hybrid():
             by_x: dict[object, IntervalUnion] = {}
             for x, pid in comp:
-                if pid[1] == 1:
-                    continue
                 by_x[x] = by_x.get(x, IntervalUnion.empty()) | cell_support[pid]
-            sets.append(frozenset(by_x.items()))
-        else:
-            sets.append(frozenset(comp))
+            comp = by_x.items()
+        sets.append(frozenset(comp))
     return TaxicabFamily(tuple(sets), (delta1, delta2), True)
 
 

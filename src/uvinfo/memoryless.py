@@ -152,11 +152,9 @@ def rate_at_horizon(ch: Channel, m: UncertaintyFunction, delta_n: Fraction,
     """The largest distinguishable rate at one horizon: the exact capacity
     count of the n-fold product channel, as a per-symbol rate.  The two are
     provably equal to ``information_rate_at_horizon``, the second route.
-    Past horizon 1 no block is built: the base's counts fill the product's."""
-    product = ProductChannel(ch, n)
-    if n == 1:
-        return Rate(capacity(product.materialize(), m, delta_n).count, 1)
-    product._require_caps()
+    No block is built: the base's counts fill the product's, and at horizon
+    1 the product's table is the base's own."""
+    ProductChannel(ch, n)._require_caps()
     return Rate(_product_search(ch, product_uncertainty(m, n), delta_n, n).count, n)
 
 
@@ -730,7 +728,7 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
                 "disassociated at (0, delta)")
         rhs_counts.append(family.count)
     combined = product_pair(base_pairs)
-    m_product = product_uncertainty(m, n) if n > 1 else m
+    m_product = product_uncertainty(m, n)
     lhs = mutual_information(combined, _uniform_x(combined), m_product,
                              delta ** n, "YgivenX")
     product = math.prod(rhs_counts)

@@ -169,6 +169,16 @@ def level(value, bound=Fraction(1), shown="", closed=False, name="delta") -> Fra
     raise DeltaOutOfRange(f"need 0 <= {name}{top}, got {format_ratio(v)}")
 
 
+def _sorted_symbols(symbols, side: str) -> tuple:
+    """The distinct symbols in sorted order: the one reader of the symbols,
+    labels and points of channels, codebooks, grounds and pairs."""
+    try:
+        return tuple(sorted(set(symbols)))
+    except TypeError:
+        raise UvinfoError(
+            f"{side} symbols must be hashable and mutually comparable") from None
+
+
 def positive_int(value, name: str) -> int:
     """``value`` when it is an int of at least 1; a bool, a float, a string
     or anything else is refused, so that no count is read from them."""
@@ -291,7 +301,7 @@ class FiniteGround:
 
     @staticmethod
     def of(labels: Iterable) -> "FiniteGround":
-        ordered = tuple(sorted(set(labels)))
+        ordered = _sorted_symbols(labels, "ground")
         if not ordered:
             raise UvinfoError("a finite ground needs at least one label")
         return FiniteGround(ordered)
@@ -527,6 +537,8 @@ class UncertainPair:
             x_ground = FiniteGround.of(xs) if xs else FiniteGround((None,))
         if y_ground is None:
             y_ground = FiniteGround.of(ys) if ys else FiniteGround((None,))
+        if not (isinstance(x_ground, FiniteGround) and isinstance(y_ground, FiniteGround)):
+            raise UvinfoError("the grounds of a finite pair are FiniteGround values")
         x_labels, y_labels = set(x_ground.labels), set(y_ground.labels)
         for x, y in pairs:
             if x not in x_labels or y not in y_labels:
@@ -537,7 +549,10 @@ class UncertainPair:
     def hybrid(cells: Mapping[object, IntervalUnion],
                x_ground: FiniteGround | None = None,
                y_ground: IntervalGround | None = None) -> "UncertainPair":
-        items = tuple(sorted(cells.items(), key=lambda kv: kv[0]))
+        if not isinstance(cells, Mapping) or not all(
+                isinstance(iu, IntervalUnion) for iu in cells.values()):
+            raise UvinfoError("interval cells map each x to an IntervalUnion")
+        items = tuple((x, cells[x]) for x in _sorted_symbols(cells, "x"))
         if any(iu.is_empty() for _, iu in items):
             raise UvinfoError("every x must have a nonempty conditional range")
         if x_ground is None:
@@ -545,7 +560,10 @@ class UncertainPair:
         support = IntervalUnion.of(p for _, iu in items for p in iu.pieces)
         if y_ground is None:
             y_ground = IntervalGround(support)
-        elif not y_ground.support.covers(support):
+        if not (isinstance(x_ground, FiniteGround) and isinstance(y_ground, IntervalGround)):
+            raise UvinfoError(
+                "the grounds of an interval pair are a FiniteGround and an IntervalGround")
+        if not y_ground.support.covers(support):
             raise UvinfoError("cells extend outside the y ground")
         return UncertainPair(x_ground, y_ground, None, items)
 

@@ -17,6 +17,7 @@ from uvinfo import (
     ConfidenceSequence,
     DeltaOutOfRange,
     EquivocationMatrix,
+    FiniteGround,
     IntervalUnion,
     ProductChannel,
     UncertainPair,
@@ -42,7 +43,7 @@ from uvinfo import (
     tensorization_check,
     verify_coding_theorem,
 )
-from uvinfo.chancap import average_overlap, avg_overlap_capacity
+from uvinfo.chancap import average_overlap, avg_overlap_capacity, ball_channel
 
 F = Fraction
 WORDS = (BitString.of("0011"), BitString.of("1100"), BitString.of("0101"))
@@ -175,6 +176,27 @@ STRUCTURAL_CALLS = {
     "IntervalUnion.of, a pair of one": lambda: IntervalUnion.of([(1,)]),
     "UncertainPair.finite, ints for pairs": lambda: UncertainPair.finite([1, 2]),
     "confusion_ingest, an int": lambda: confusion_ingest(5),
+    "confusion_ingest, incomparable labels": lambda: confusion_ingest([(1, "a")]),
+    "FiniteGround.of, incomparable labels": lambda: FiniteGround.of([1, "a"]),
+    "ball_channel, incomparable points":
+        lambda: ball_channel([1, "a"], lambda a, b: 0, 1),
+    "UncertainPair.finite, incomparable labels":
+        lambda: UncertainPair.finite([(1, "a"), ("b", 2)]),
+    "UncertainPair.finite, an int x ground":
+        lambda: UncertainPair.finite([(1, 2)], x_ground=5),
+    "UncertainPair.finite, an int y ground":
+        lambda: UncertainPair.finite([(1, 2)], y_ground=3),
+    "UncertainPair.hybrid, an int cell": lambda: UncertainPair.hybrid({1: 5}),
+    "UncertainPair.hybrid, a list": lambda: UncertainPair.hybrid([(1, 2)]),
+    "UncertainPair.hybrid, incomparable x labels": lambda: UncertainPair.hybrid(
+        {1: IntervalUnion.of([(0, 1)]), "a": IntervalUnion.of([(0, 1)])}),
+    "UncertainPair.hybrid, an int x ground": lambda: UncertainPair.hybrid(
+        {1: IntervalUnion.of([(0, 1)])}, x_ground=3),
+    "UncertainPair.hybrid, an int y ground": lambda: UncertainPair.hybrid(
+        {1: IntervalUnion.of([(0, 1)])}, y_ground=3),
+    **{f"{name}, incomparable symbols": lambda call=call: call(
+        Channel.of({1: {0}, 2: {1}}), CardinalityPower(2), [1, "a"])
+       for name, call in CODEBOOK_CALLS.items()},
 }
 
 

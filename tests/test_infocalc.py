@@ -4,6 +4,7 @@ The running fixture is a hybrid pair of five labels over [0, 30] whose
 association values and families are known exactly in every regime.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,13 @@ from uvinfo import (
     overlap_family,
     taxicab_family,
 )
-from uvinfo.infocalc import side_profile
+from uvinfo.infocalc import (
+    TaxicabFamily,
+    _find,
+    _taxicab_nodes,
+    side_profile,
+)
+from uvinfo.uvcore import UncertaintyFunction, level
 
 F = Fraction
 M_X = CardinalityPower(5)
@@ -335,3 +342,163 @@ class TestSymmetry:
         fam = taxicab_family(p, m_x, m_y, d1, d2)
         if fam.exists:
             assert len(fam.sets) == lhs.count
+
+
+# ---------------------------------------------------------------------------
+# the taxicab family against a copy of the code that checked containment and
+# the projection-overlap bounds loop by loop
+
+
+def reference_taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
+                             m_y: UncertaintyFunction, delta1: Fraction,
+                             delta2: Fraction) -> TaxicabFamily:
+    """Taxicab-connected components of the joint range, property-checked.
+
+    Moves between joint points: same x with the two points' x-side ranges
+    overlapping strictly above ``delta1 * m(marginal X)``, or same point
+    with the two x's y-side ranges overlapping strictly above
+    ``delta2 * m(marginal Y)``.  The components are returned as the
+    candidate family; ``exists`` is false when any family property fails
+    (cover is automatic, so what can fail is column/row containment or the
+    projection-overlap bounds).
+    """
+    delta1 = level(delta1, 1, closed=True, name="delta1")
+    delta2 = level(delta2, 1, closed=True, name="delta2")
+    if pair.is_empty():
+        raise EmptyPair("the joint range is empty")
+    points, rows = _taxicab_nodes(pair)
+    total_x = m_x.of(pair.marginal_range("X"))
+    total_y = m_y.of(pair.marginal_range("Y"))
+    nodes = []
+    for pid, xset, _cell in points:
+        for x in sorted(xset):
+            nodes.append((x, pid))
+    index = {node: k for k, node in enumerate(nodes)}
+    parent = list(range(len(nodes)))
+
+    def join(a, b) -> None:
+        parent[_find(parent, index[a])] = _find(parent, index[b])
+
+    # A1 moves: same x across two points, gated on the x-side overlap.  The
+    # two representatives of a multi-point cell are among these pairs; their
+    # gate is the section's self-overlap.
+    for i, (pid_i, xset_i, _) in enumerate(points):
+        for pid_j, xset_j, _ in points[i + 1:]:
+            inter = xset_i & xset_j
+            if inter and m_x.of(inter) > delta1 * total_x:
+                for x in inter:
+                    join((x, pid_i), (x, pid_j))
+    # A2 moves: same point across two x's, gated on the y-side overlap.
+    for pid, xset, _ in points:
+        xs = sorted(xset)
+        for i, x1 in enumerate(xs):
+            for x2 in xs[i + 1:]:
+                inter = rows[x1] & rows[x2]
+                if inter and m_y.of(inter) > delta2 * total_y:
+                    join((x1, pid), (x2, pid))
+
+    components: dict[int, set] = {}
+    for node in nodes:
+        components.setdefault(_find(parent, index[node]), set()).add(node)
+    comp_list = sorted(components.values(), key=min)
+
+    # a multi-point cell whose twin representatives are separated means the
+    # true family would need infinitely many sets
+    for pid, xset, cell in points:
+        if cell is not None and cell.multi_point and pid[1] == 0:
+            for x in xset:
+                if _find(parent, index[(x, pid)]) != _find(parent, index[(x, (pid[0], 1))]):
+                    return TaxicabFamily((), (delta1, delta2), False,
+                                         "a multi-point class splits; no finite family")
+
+    reason = ""
+    exists = True
+    # every column and every row must sit inside one component (this is both
+    # the singly-connected containment property and, together with the
+    # components covering everything, the contains-a-column/row property)
+    for pid, xset, _ in points:
+        roots = {_find(parent, index[(x, pid)]) for x in xset}
+        if len(roots) > 1:
+            exists, reason = False, "a column crosses components"
+            break
+    if exists:
+        for x, yrange in rows.items():
+            roots = set()
+            for pid, xset, _ in points:
+                if x in xset:
+                    roots.add(_find(parent, index[(x, pid)]))
+            if len(roots) > 1:
+                exists, reason = False, "a row crosses components"
+                break
+    if exists:
+        # projection overlap bounds
+        xprojs = [frozenset(x for x, _ in comp) for comp in comp_list]
+        for i in range(len(xprojs)):
+            for j in range(i + 1, len(xprojs)):
+                inter = xprojs[i] & xprojs[j]
+                if inter and m_x.of(inter) > delta1 * total_x:
+                    exists, reason = False, "x-projections overlap beyond delta1"
+        if exists and not pair.is_hybrid():
+            yprojs = [frozenset(pid for _, pid in comp) for comp in comp_list]
+            for i in range(len(yprojs)):
+                for j in range(i + 1, len(yprojs)):
+                    inter = yprojs[i] & yprojs[j]
+                    if inter and m_y.of(inter) > delta2 * total_y:
+                        exists, reason = False, "y-projections overlap beyond delta2"
+        # interval pairs: distinct cells are disjoint point classes, so two
+        # components never share y points and the delta2 bound holds with
+        # intersection measure zero
+
+    if not exists:
+        return TaxicabFamily((), (delta1, delta2), False, reason)
+
+    cell_support = {}
+    for pid, _, cell in points:
+        if cell is not None:
+            cell_support[pid] = cell.support
+    sets = []
+    for comp in comp_list:
+        if pair.is_hybrid():
+            by_x: dict[object, IntervalUnion] = {}
+            for x, pid in comp:
+                if pid[1] == 1:
+                    continue
+                by_x[x] = by_x.get(x, IntervalUnion.empty()) | cell_support[pid]
+            sets.append(frozenset(by_x.items()))
+        else:
+            sets.append(frozenset(comp))
+    return TaxicabFamily(tuple(sets), (delta1, delta2), True)
+
+
+def random_taxicab_pairs(seed: int, count: int):
+    """Finite pairs with int and with tuple y labels, and interval pairs
+    whose cells have up to three pieces, all drawn from one seed."""
+    rng = random.Random(seed)
+    tuples = [(a, b) for a in range(2) for b in range(3)]
+    for _ in range(count):
+        xs = range(rng.randint(1, 5))
+        labels = rng.choice([list(range(5)), tuples])
+        yield UncertainPair.finite(
+            (x, y) for x in xs for y in rng.sample(labels, rng.randint(1, 3)))
+        yield UncertainPair.hybrid({x: IntervalUnion.of(
+            sorted(rng.sample(range(13), 2)) for _ in range(rng.randint(1, 3)))
+            for x in xs})
+
+
+class TestTaxicabFamilyMatchesReference:
+    def test_seeded_pairs_at_every_level_pair(self):
+        outcomes = {}
+        for pair in random_taxicab_pairs(27, 150):
+            m_x = CardinalityPower(len(pair.marginal_range("X")))
+            m_y = M_Y if pair.is_hybrid() else \
+                CardinalityPower(len(pair.marginal_range("Y")))
+            for delta1 in (F(0), F(1, 4), F(1, 2), F(1)):
+                for delta2 in (F(0), F(1, 3), F(1)):
+                    fam = taxicab_family(pair, m_x, m_y, delta1, delta2)
+                    assert fam == reference_taxicab_family(
+                        pair, m_x, m_y, delta1, delta2)
+                    outcomes[fam.reason] = outcomes.get(fam.reason, 0) + 1
+        assert sorted(outcomes) == [
+            "", "a column crosses components",
+            "a multi-point class splits; no finite family",
+            "a row crosses components"]
