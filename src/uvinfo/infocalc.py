@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Union
 
 from .uvcore import (
@@ -74,11 +75,10 @@ class _SideProfile:
         self.ranges, self.counts = ranges, counts
 
     def pairs_with_overlap(self):
-        for i in range(len(self.ranges)):
-            for j in range(i + 1, len(self.ranges)):
-                inter = self.ranges[i] & self.ranges[j]
-                if inter:
-                    yield i, j, inter
+        for (i, a), (j, b) in combinations(enumerate(self.ranges), 2):
+            inter = a & b
+            if inter:
+                yield i, j, inter
 
 
 def _subset_sort_key(s):
@@ -405,20 +405,17 @@ def taxicab_family(pair: UncertainPair, m_x: UncertaintyFunction,
     # A1 moves: same x across two points, gated on the x-side overlap.  The
     # two representatives of a multi-point cell are among these pairs; their
     # gate is the section's self-overlap.
-    for i, (pid_i, xset_i, _) in enumerate(points):
-        for pid_j, xset_j, _ in points[i + 1:]:
-            inter = xset_i & xset_j
-            if inter and m_x.of(inter) > delta1 * total_x:
-                for x in inter:
-                    join((x, pid_i), (x, pid_j))
+    for (pid_i, xset_i, _), (pid_j, xset_j, _) in combinations(points, 2):
+        inter = xset_i & xset_j
+        if inter and m_x.of(inter) > delta1 * total_x:
+            for x in inter:
+                join((x, pid_i), (x, pid_j))
     # A2 moves: same point across two x's, gated on the y-side overlap.
     for pid, xset, _ in points:
-        xs = sorted(xset)
-        for i, x1 in enumerate(xs):
-            for x2 in xs[i + 1:]:
-                inter = rows[x1] & rows[x2]
-                if inter and m_y.of(inter) > delta2 * total_y:
-                    join((x1, pid), (x2, pid))
+        for x1, x2 in combinations(sorted(xset), 2):
+            inter = rows[x1] & rows[x2]
+            if inter and m_y.of(inter) > delta2 * total_y:
+                join((x1, pid), (x2, pid))
 
     def crosses(key) -> bool:
         """Whether joining each node to the first node with its key merges

@@ -152,9 +152,12 @@ def rate_at_horizon(ch: Channel, m: UncertaintyFunction, delta_n: Fraction,
     """The largest distinguishable rate at one horizon: the exact capacity
     count of the n-fold product channel, as a per-symbol rate.  The two are
     provably equal to ``information_rate_at_horizon``, the second route.
-    No block is built: the base's counts fill the product's, and at horizon
-    1 the product's table is the base's own."""
-    ProductChannel(ch, n)._require_caps()
+    Past horizon 1 no block is built: the base's counts fill the product's;
+    a measure with no product extension is refused at every horizon."""
+    product = ProductChannel(ch, n)
+    if n == 1:
+        return Rate(capacity(product.materialize(), product_uncertainty(m, 1), delta_n).count, 1)
+    product._require_caps()
     return Rate(_product_search(ch, product_uncertainty(m, n), delta_n, n).count, n)
 
 

@@ -171,7 +171,7 @@ def level(value, bound=Fraction(1), shown="", closed=False, name="delta") -> Fra
 
 def _sorted_symbols(symbols, side: str) -> tuple:
     """The distinct symbols in sorted order: the one reader of the symbols,
-    labels and points of channels, codebooks, grounds and pairs."""
+    labels and points of channels, codebooks, grounds, pairs and weights."""
     try:
         return tuple(sorted(set(symbols)))
     except TypeError:
@@ -313,7 +313,8 @@ class FiniteGround:
         sub = frozenset(labels)
         stray = sub - set(self.labels)
         if stray:
-            raise UvinfoError(f"labels outside the ground: {sorted(stray)!r}")
+            raise UvinfoError(
+                f"labels outside the ground: {list(_sorted_symbols(stray, 'ground'))!r}")
         return sub
 
 
@@ -460,7 +461,7 @@ class ExplicitWeights(UncertaintyFunction):
 
     @staticmethod
     def of_mapping(weights: Mapping, normalizer: Union[int, str, Fraction] = 1) -> "ExplicitWeights":
-        items = tuple(sorted((label, ratio(w)) for label, w in weights.items()))
+        items = tuple((k, ratio(weights[k])) for k in _sorted_symbols(weights, "weight"))
         return ExplicitWeights(items, ratio(normalizer))
 
     def __post_init__(self) -> None:
@@ -561,8 +562,7 @@ class UncertainPair:
         if y_ground is None:
             y_ground = IntervalGround(support)
         if not (isinstance(x_ground, FiniteGround) and isinstance(y_ground, IntervalGround)):
-            raise UvinfoError(
-                "the grounds of an interval pair are a FiniteGround and an IntervalGround")
+            raise UvinfoError("an interval pair's grounds are FiniteGround and IntervalGround")
         if not y_ground.support.covers(support):
             raise UvinfoError("cells extend outside the y ground")
         return UncertainPair(x_ground, y_ground, None, items)

@@ -17,6 +17,7 @@ from uvinfo import (
     ConfidenceSequence,
     DeltaOutOfRange,
     EquivocationMatrix,
+    ExplicitWeights,
     FiniteGround,
     IntervalUnion,
     ProductChannel,
@@ -178,6 +179,10 @@ STRUCTURAL_CALLS = {
     "confusion_ingest, an int": lambda: confusion_ingest(5),
     "confusion_ingest, incomparable labels": lambda: confusion_ingest([(1, "a")]),
     "FiniteGround.of, incomparable labels": lambda: FiniteGround.of([1, "a"]),
+    "FiniteGround.subset, incomparable stray labels":
+        lambda: FiniteGround.of([1, 2]).subset([3, "a"]),
+    "ExplicitWeights.of_mapping, incomparable labels":
+        lambda: ExplicitWeights.of_mapping({1: 1, "a": 1}),
     "ball_channel, incomparable points":
         lambda: ball_channel([1, "a"], lambda a, b: 0, 1),
     "UncertainPair.finite, incomparable labels":

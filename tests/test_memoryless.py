@@ -226,7 +226,8 @@ class TestRateAtHorizon:
         monkeypatch.setattr(Channel, "of", staticmethod(refuse))
         assert rate_at_horizon(fig5, M1, F(2, 9), 2) == Rate(5, 2)
         assert rate_at_horizon(fig5, M3, F(0), 2) == Rate(4, 2)
-        assert rate_at_horizon(fig5, M1, F(2, 9), 1) == Rate(2, 1)
+        with pytest.raises(AssertionError, match="block channel"):
+            rate_at_horizon(fig5, M1, F(2, 9), 1)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_labelled_measure_is_refused_at_every_horizon(self, n):
@@ -678,7 +679,8 @@ class TestCapacityProfile:
     ])
     def test_one_capacity_search_per_level(self, monkeypatch, seq, theorems):
         # six distinct images give 63 candidate codebooks per theorem; the
-        # rows take one product search per horizon, and the walked theorems none:
+        # rows take one search per horizon (horizon 1 through capacity, the
+        # others through the product search), and the walked theorems none:
         # T12, Cor2 and T13 all test delta_1, whose count the horizon-1 row
         # holds; T14, which also reaches _certify when the sequence
         # vanishes, none either
@@ -715,15 +717,11 @@ class TestCapacityProfile:
         reference = _ref_profile(fig5, m, seq, 1)
         calls = []
 
-        def counting(search):
-            def counted(*args):
-                calls.append(args[2])
-                return search(*args)
-            return counted
+        def counting(*args):
+            calls.append(args[2])
+            return capacity(*args)
 
-        monkeypatch.setattr(memoryless, "capacity", counting(capacity))
-        monkeypatch.setattr(memoryless, "_product_search",
-                            counting(memoryless._product_search))
+        monkeypatch.setattr(memoryless, "capacity", counting)
         report = capacity_profile(fig5, m, seq, 1)
         assert report == reference and report.certificates
         assert calls == [seq.value_at(1)]  # the row, which the theorems read
