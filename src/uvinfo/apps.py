@@ -215,7 +215,11 @@ class EquivocationMatrix:
             raise UvinfoError("v_min must lie in (0, 1]")
         known = set(labs)
         table = {}
-        for (l1, l2), value in mapping.items():
+        for key, value in mapping.items():
+            try:
+                l1, l2 = key
+            except (TypeError, ValueError):
+                raise UvinfoError(f"a matrix key is a label pair, got {key!r}") from None
             if l1 == l2:
                 raise UvinfoError(f"diagonal entry for {l1!r} is not allowed")
             if l1 not in known or l2 not in known:
@@ -273,7 +277,11 @@ def confusion_ingest(source: Union[str, Iterable]) -> Channel:
     alphabet is every label seen on either side.
     """
     if isinstance(source, dict):
-        pairs = [(l, p) for l, preds in source.items() for p in preds]
+        try:
+            pairs = [(l, p) for l, preds in source.items() for p in preds]
+        except TypeError:
+            raise MalformedRow(
+                f"not a mapping label -> predicted labels: {source!r}") from None
     elif isinstance(source, str):
         reader = csv.reader(io.StringIO(source))
         try:
@@ -308,7 +316,10 @@ def confusion_ingest(source: Union[str, Iterable]) -> Channel:
         raise MalformedRow("no observations")
     images: dict = {}
     for true, predicted in pairs:
-        images.setdefault(true, set()).add(predicted)
+        try:
+            images.setdefault(true, set()).add(predicted)
+        except TypeError:
+            raise MalformedRow(f"labels must be hashable: {(true, predicted)!r}") from None
     return Channel.of({l: frozenset(ns) for l, ns in images.items()},
                       y_alphabet=set(images) | {p for _, p in pairs})
 

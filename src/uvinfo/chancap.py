@@ -738,14 +738,11 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
 
 def induced_pair(ch: Channel, codebook) -> UncertainPair:
     """The uncertain pair of a codebook sent through the channel: joint range
-    {(x, y) : x in codebook, y in N(x)}."""
+    {(x, y) : x in codebook, y in N(x)}, whose section [Y|x] is the image
+    N(x)."""
     cb = as_codebook(ch, codebook)
-    joint = frozenset((x, y) for x in cb for y in ch.image(x))
-    return UncertainPair.finite(
-        joint,
-        x_ground=FiniteGround.of(cb),
-        y_ground=FiniteGround.of(ch.y_symbols),
-    )
+    return UncertainPair(FiniteGround(cb), FiniteGround.of(ch.y_symbols),
+                         tuple((x, ch.image(x)) for x in cb))
 
 
 def distinct_image_representatives(ch: Channel) -> tuple:

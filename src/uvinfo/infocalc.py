@@ -6,7 +6,8 @@ definition — association sets, delta-connected components, overlap families,
 the taxicab relation on the joint range — is evaluated by exact rational
 comparison on that reduction.
 
-Each side's conditional ranges are read in one pass over the joint relation.
+A pair stores the conditional ranges [Y|x]; a finite pair's ranges [X|y] are
+read off them in one pass, an interval pair's X side from its arrangement.
 A side's family changes only at 0 and at its largest association value: the
 components (or none) below the least value, none up to the largest, the
 distinct ranges from it up.  ``_SideLevels`` is the one owner of that rule:
@@ -88,16 +89,16 @@ def _subset_sort_key(s):
 
 
 def _sections(pair: UncertainPair, side: str) -> dict:
-    """The conditional ranges of ``side``, keyed by their opposite point, in
-    one pass over the joint relation (over the cells for the Y side of an
-    interval pair; its X side goes through the arrangement instead)."""
-    if pair.is_hybrid():
+    """The conditional ranges of ``side``, keyed by their opposite point: the
+    stored sections [Y|x], or a finite pair's [X|y] read off them in one pass
+    (an interval pair's X side goes through the arrangement instead)."""
+    if side == "Y":
         return dict(pair.cells)
     sections: dict = {}
-    for x, y in pair.joint:
-        key, point = (y, x) if side == "X" else (x, y)
-        sections.setdefault(key, set()).add(point)
-    return {key: frozenset(points) for key, points in sections.items()}
+    for x, section in pair.cells:
+        for y in section:
+            sections.setdefault(y, set()).add(x)
+    return {y: frozenset(xs) for y, xs in sections.items()}
 
 
 def side_profile(pair: UncertainPair, side: str) -> _SideProfile:

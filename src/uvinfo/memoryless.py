@@ -667,11 +667,9 @@ class TensorizationReport:
 def product_pair(base_pairs) -> UncertainPair:
     """The coordinatewise product of finite pairs: joint points are tuples
     of per-component joint points."""
-    joints = []
-    for pair in base_pairs:
-        if pair.is_hybrid():
-            raise UvinfoError("only finite pairs have a materialized product")
-        joints.append(sorted(pair.joint))
+    if any(pair.is_hybrid() for pair in base_pairs):
+        raise UvinfoError("only finite pairs have a materialized product")
+    joints = [sorted(pair.joint) for pair in base_pairs]
     size = math.prod(len(j) for j in joints)
     if size > FAMILY_MAX_POINTS:
         raise HorizonTooLarge(
@@ -716,8 +714,7 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
         return skipped(f"product rule fails for uncertainty kind {m.kind!r}")
     if m.exponent != 1:
         return skipped(f"subadditivity fails for exponent {m.exponent}")
-    bound = min(m.of(pair.conditional_range("Y", x)) for pair in base_pairs
-                for x in pair.marginal_range("X"))
+    bound = min(m.of(section) for pair in base_pairs for _, section in pair.cells)
     bound /= max(len(pair.marginal_range("X")) for pair in base_pairs)
     if not delta < bound:
         return skipped(f"delta {format_ratio(delta)} not below the component "

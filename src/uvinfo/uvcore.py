@@ -12,10 +12,10 @@ Two kinds of ground space are supported:
   :class:`IntervalUnion` values (disjoint closed intervals with rational
   endpoints).
 
-An :class:`UncertainPair` stores a joint range as a finite relation
-(finite x finite) or as finitely many ``(x, interval-union)`` cells
-(finite x interval).  Marginal and conditional ranges are sections of the
-stored relation; for the interval axis the pair can also produce its
+An :class:`UncertainPair` stores a joint range as its sections: each x with
+its conditional range [Y|x], a ``frozenset`` on a finite Y ground or an
+:class:`IntervalUnion` on an interval one.  Marginal and conditional ranges
+are read off them; for the interval axis the pair can also produce its
 *arrangement*: the finitely many classes of points with identical
 conditional range, which is what makes the downstream calculus finite.
 
@@ -310,7 +310,10 @@ class FiniteGround:
         return label in set(self.labels)
 
     def subset(self, labels: Iterable) -> frozenset:
-        sub = frozenset(labels)
+        try:
+            sub = frozenset(labels)
+        except TypeError:
+            raise UvinfoError("a subset is an iterable of hashable labels") from None
         stray = sub - set(self.labels)
         if stray:
             raise UvinfoError(
@@ -510,17 +513,15 @@ def _normalize_side(side: str) -> str:
 
 @_frozen
 class UncertainPair:
-    """A joint range.
-
-    * finite x finite: ``joint`` is a frozenset of ``(x, y)`` pairs.
-    * finite x interval: ``cells`` maps each x to its conditional
-      interval union (the y-section), and ``joint`` is ``None``.
+    """A joint range, stored as its sections: ``cells`` holds each x of the
+    X marginal with its nonempty conditional range [Y|x], in x order.  A
+    section is a ``frozenset`` when the Y ground is a :class:`FiniteGround`
+    and an :class:`IntervalUnion` when it is an :class:`IntervalGround`.
     """
 
     x_ground: FiniteGround
     y_ground: GroundSet
-    joint: Union[frozenset, None]
-    cells: Union[tuple[tuple[object, IntervalUnion], ...], None]
+    cells: tuple[tuple[object, GroundSubset], ...]
 
     # -- constructors -------------------------------------------------
 
@@ -541,10 +542,13 @@ class UncertainPair:
         if not (isinstance(x_ground, FiniteGround) and isinstance(y_ground, FiniteGround)):
             raise UvinfoError("the grounds of a finite pair are FiniteGround values")
         x_labels, y_labels = set(x_ground.labels), set(y_ground.labels)
+        sections: dict = {}
         for x, y in pairs:
             if x not in x_labels or y not in y_labels:
                 raise UvinfoError(f"joint pair {(x, y)!r} outside the grounds")
-        return UncertainPair(x_ground, y_ground, pairs, None)
+            sections.setdefault(x, set()).add(y)
+        return UncertainPair(x_ground, y_ground, tuple(
+            (x, frozenset(sections[x])) for x in x_ground.labels if x in sections))
 
     @staticmethod
     def hybrid(cells: Mapping[object, IntervalUnion],
@@ -565,49 +569,49 @@ class UncertainPair:
             raise UvinfoError("an interval pair's grounds are FiniteGround and IntervalGround")
         if not y_ground.support.covers(support):
             raise UvinfoError("cells extend outside the y ground")
-        return UncertainPair(x_ground, y_ground, None, items)
+        return UncertainPair(x_ground, y_ground, items)
 
     # -- basic structure ----------------------------------------------
 
+    @property
+    def joint(self) -> Union[frozenset, None]:
+        """The ``(x, y)`` pairs of a finite pair; None for an interval pair."""
+        if isinstance(self.y_ground, IntervalGround):
+            return None
+        return frozenset((x, y) for x, section in self.cells for y in section)
+
     def is_hybrid(self) -> bool:
-        return self.cells is not None
+        return isinstance(self.y_ground, IntervalGround)
 
     def is_empty(self) -> bool:
-        if self.is_hybrid():
-            return not self.cells
-        return not self.joint
+        return not self.cells
 
     # -- ranges --------------------------------------------------------
 
     def marginal_range(self, side: str) -> GroundSubset:
         """The projection of the joint relation onto one axis."""
-        s = _normalize_side(side)
+        if _normalize_side(side) == "X":
+            return frozenset(x for x, _ in self.cells)
         if self.is_hybrid():
-            if s == "X":
-                return frozenset(x for x, _ in self.cells)
             return IntervalUnion.of(p for _, iu in self.cells for p in iu.pieces)
-        if s == "X":
-            return frozenset(x for x, _ in self.joint)
-        return frozenset(y for _, y in self.joint)
+        return frozenset().union(*(section for _, section in self.cells))
 
     def conditional_range(self, side: str, point) -> GroundSubset:
         """The section of the joint relation at ``point`` on the *other* axis."""
-        s = _normalize_side(side)
+        if _normalize_side(side) == "Y":
+            for x, section in self.cells:
+                if x == point:
+                    return section
+            opposite = "X" if self.is_hybrid() else "opposite"
+            raise PointOutsideRange(f"{point!r} not in the {opposite} marginal")
         if self.is_hybrid():
-            if s == "Y":
-                for x, iu in self.cells:
-                    if x == point:
-                        return iu
-                raise PointOutsideRange(f"{point!r} not in the X marginal")
             t = ratio(point)
             section = frozenset(x for x, iu in self.cells if iu.contains(t))
             if not section:
                 raise PointOutsideRange(f"{format_ratio(t)} not in the Y marginal")
             return section
-        if s == "Y":
-            section = frozenset(y for x, y in self.joint if x == point)
-        else:
-            section = frozenset(x for x, y in self.joint if y == point)
+        # equality, not hashing: an unhashable point lies in no section
+        section = frozenset(x for x, ys in self.cells if any(y == point for y in ys))
         if not section:
             raise PointOutsideRange(f"{point!r} not in the opposite marginal")
         return section
@@ -655,30 +659,19 @@ class UncertainPair:
 
     def reassembles(self) -> bool:
         """The defining identity: the joint equals the union over y of
-        ``section(y) x {y}`` (checked per arrangement cell for interval
-        pairs)."""
-        if self.is_empty():
-            return True
-        if not self.is_hybrid():
-            rebuilt = set()
-            for y in self.marginal_range("Y"):
-                for x in self.conditional_range("X", y):
-                    rebuilt.add((x, y))
-            return rebuilt == set(self.joint)
-        cells = self.arrangement()
-        for x, iu in self.cells:
-            for cell in cells:
-                hit = bool(cell.support & iu)
-                if (x in cell.xset) != hit and not cell.multi_point:
-                    # single-point classes must agree exactly
-                    return False
-        # every cell section must list exactly the x's whose stored cell
-        # contains the representative
-        for cell in cells:
-            for rep in cell.reps:
-                if self.conditional_range("X", rep) != cell.xset:
-                    return False
-        return True
+        ``section(y) x {y}``.  Each stored section [Y|x] is rebuilt as the
+        union of the Y classes whose section holds x: the points of a finite
+        axis, the arrangement cells' supports on an interval one."""
+        if self.is_hybrid():
+            classes = [(cell.xset, cell.support) for cell in self.arrangement()]
+        else:
+            classes = [(self.conditional_range("X", y), frozenset([y]))
+                       for y in self.marginal_range("Y")]
+        rebuilt: dict = {}
+        for xset, support in classes:
+            for x in xset:
+                rebuilt[x] = rebuilt[x] | support if x in rebuilt else support
+        return rebuilt == dict(self.cells)
 
 
 __all__ = [

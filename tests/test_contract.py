@@ -178,6 +178,15 @@ STRUCTURAL_CALLS = {
     "UncertainPair.finite, ints for pairs": lambda: UncertainPair.finite([1, 2]),
     "confusion_ingest, an int": lambda: confusion_ingest(5),
     "confusion_ingest, incomparable labels": lambda: confusion_ingest([(1, "a")]),
+    "confusion_ingest, an unhashable true label":
+        lambda: confusion_ingest([([1], "a")]),
+    "confusion_ingest, an unhashable predicted label":
+        lambda: confusion_ingest({1: [[1]]}),
+    "confusion_ingest, an int for predictions": lambda: confusion_ingest({1: 5}),
+    "EquivocationMatrix.of, an int key":
+        lambda: EquivocationMatrix.of([1, 2], {1: "1/2"}),
+    "FiniteGround.subset, an unhashable label":
+        lambda: FiniteGround.of([1, 2]).subset([[1]]),
     "FiniteGround.of, incomparable labels": lambda: FiniteGround.of([1, "a"]),
     "FiniteGround.subset, incomparable stray labels":
         lambda: FiniteGround.of([1, 2]).subset([3, "a"]),
