@@ -18,8 +18,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
-from .uvcore import (CardinalityPower, UvinfoError, _frozen, _sorted_symbols,
-                     format_ratio, hamming_diameter, level, positive_int, ratio)
+from .uvcore import (CardinalityPower, UvinfoError, _frozen, _items,
+                     _sorted_symbols, format_ratio, hamming_diameter, level,
+                     positive_int, ratio)
 from .chancap import (
     Channel,
     _capacity_search,
@@ -66,7 +67,7 @@ class BitString:
 
     @staticmethod
     def of(text: str) -> "BitString":
-        if not text or set(text) - {"0", "1"}:
+        if not isinstance(text, str) or not text or set(text) - {"0", "1"}:
             raise UvinfoError(f"not a bit string: {text!r}")
         return BitString(len(text), int(text, 2))
 
@@ -94,7 +95,7 @@ def _radius(tau, n: int) -> int:
 
 def _words(words) -> tuple:
     """``words`` as a tuple, each a ``BitString``."""
-    words = tuple(words)
+    words = _items(words, "a codebook")
     for w in words:
         if not isinstance(w, BitString):
             raise UvinfoError(f"a codeword must be a BitString, got {w!r}")
@@ -113,12 +114,10 @@ def hamming_equivocation(x1: BitString, x2: BitString, tau) -> Fraction:
     _words((x1, x2))
     if x1 == x2:
         raise UvinfoError("equivocation needs two distinct codewords")
-    if x1.length != x2.length:
-        raise LengthMismatch(f"lengths differ: {x1.length} vs {x2.length}")
-    n = x1.length
+    distance, n = x1.distance(x2), x1.length
     _require_length(n)
     r = _radius(tau, n)
-    if x1.distance(x2) > 2 * r:
+    if distance > 2 * r:
         return Fraction(0)
     shared = [y for y in _ball(x1.bits, r, n)
               if (y ^ x2.bits).bit_count() <= r]

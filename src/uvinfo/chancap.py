@@ -42,8 +42,9 @@ so no answer depends on it.
 The information oracle, the second route to capacity, shares nothing with
 that engine: it reads the output side of each codebook of distinct-image
 representatives once, into ``infocalc``'s reader of that side's overlap
-levels, from which every delta, both of its modes and the single-letter
-certificates take their sup or their family.
+levels.  Every delta takes its sup from one walk of those rows, each at its
+top level, which serves both of the oracle's modes (see ``_sup``); the
+single-letter certificates take their families from the same rows.
 
 The uncertainty function must be normalized so the full output alphabet has
 uncertainty 1 (cardinality-power functions over the whole alphabet already
@@ -73,6 +74,7 @@ from .uvcore import (
     CardinalityPower,
     _CountResult,
     _frozen,
+    _items,
     _sorted_symbols,
     format_ratio,
     level,
@@ -764,7 +766,7 @@ class MISupResult(_CountResult):
     count: int
     codebook: tuple
     delta_tilde: Fraction
-    feasible_only: bool
+    feasible_only: bool  # the mode asked for; both modes give one sup (_sup)
 
 
 def _uniform_x(pair: UncertainPair) -> CardinalityPower:
@@ -797,24 +799,22 @@ def _codebook_rows(ch: Channel, m: UncertaintyFunction) -> list:
             for cb in itertools.combinations(reps, size)]
 
 
-def _sup(rows: list, delta: Fraction, feasible_only: bool) -> tuple:
-    """The ``mi_sup_oracle`` result over ``rows``, and its codebook's row."""
-    best = None
+def _sup(rows: list, delta: Fraction) -> tuple:
+    """``(count, delta_tilde, row)``: the information sup over ``rows`` at
+    ``delta``, its level, and the first row to reach it.  Each row C is read
+    once, at its top level delta_tilde = |C| * its largest output association
+    value (0 when no two images of C meet), where its family is its |C|
+    images; it is allowed when delta_tilde * m([Y]) <= delta.  Its one other
+    family, the k < |C| components at level 0, never wins: a codebook with
+    one codeword per component is smaller, so an earlier row, and scores k
+    at level 0.  A missing family scores 1 in the unrestricted mode, as
+    every singleton row does first, so one walk serves both modes."""
+    best = 0, None, None
     for row in rows:
         codebook, levels = row
-        tries = [(levels.family(0), Fraction(0))]
-        if levels.largest is not None:
-            top = levels.largest * len(codebook)
-            if top * levels.m_marginal <= delta:
-                tries.append((levels.ranges, top))
-        for sets, delta_tilde in tries:
-            if sets is None and feasible_only:
-                continue
-            count = 1 if sets is None else len(sets)
-            if best is None or count > best[0].count:
-                best = MISupResult(count, codebook, delta_tilde,
-                                   feasible_only), row
-    assert best is not None, "the singleton codebook is always feasible"
+        top = Fraction(0) if levels.largest is None else levels.largest * len(codebook)
+        if top * levels.m_marginal <= delta and len(levels.ranges) > best[0]:
+            best = len(levels.ranges), top, row
     return best
 
 
@@ -826,12 +826,13 @@ def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
 
     With ``feasible_only`` the sup ranges over (X, delta_tilde) whose
     output-side overlap family exists (the feasible set); without it a
-    missing family scores 0 bits.  A codebook's family changes only at 0
-    and at its largest output association value (see ``infocalc``), so
-    those two levels, the second only when allowed, are tried exactly.
+    missing family scores 0 bits.  Both modes give the same sup: a
+    codebook's level-0 family never beats its top level, nor a missing one
+    a singleton codebook, so one walk at the top levels serves (``_sup``).
     """
     delta = _require_below_floor(ch, m, delta)
-    return _sup(_codebook_rows(ch, m), delta, feasible_only)[0]
+    count, delta_tilde, (codebook, _) = _sup(_codebook_rows(ch, m), delta)
+    return MISupResult(count, codebook, delta_tilde, feasible_only)
 
 
 @_frozen
@@ -842,7 +843,7 @@ class CodingTheoremRow:
     sup_count: int
     sup_codebook: tuple
     sup_delta_tilde: Fraction
-    unrestricted_count: int
+    unrestricted_count: int  # sup_count: both modes take one walk (_sup)
     match: bool
 
 
@@ -856,18 +857,18 @@ def verify_coding_theorem(ch: Channel, m: UncertaintyFunction,
                           delta_grid) -> CodingTheoremReport:
     """Check, for every delta in the grid, that the exact capacity equals
     the feasible-set mutual-information sup, and that dropping the
-    feasibility restriction changes nothing.  The oracle's codebook rows
-    are built once, at the first delta that passes its checks, and both
-    modes of every delta read them."""
+    feasibility restriction changes nothing: it cannot, as ``_sup`` shows,
+    so both sups are one walk of the oracle's codebook rows, built once, at
+    the first delta that passes its checks."""
     rows, codebooks = [], None
-    for delta in delta_grid:
+    for delta in _items(delta_grid, "the delta grid"):
         cap = capacity(ch, m, delta)
         delta = _require_below_floor(ch, m, delta)
         codebooks = codebooks or _codebook_rows(ch, m)
-        sup, free = (_sup(codebooks, delta, mode)[0] for mode in (True, False))
+        count, delta_tilde, (codebook, _) = _sup(codebooks, delta)
         rows.append(CodingTheoremRow(
-            delta, cap.count, cap.witness, sup.count, sup.codebook,
-            sup.delta_tilde, free.count, cap.count == sup.count == free.count))
+            delta, cap.count, cap.witness, count, codebook, delta_tilde,
+            count, cap.count == count))
     return CodingTheoremReport(tuple(rows), all(row.match for row in rows))
 
 

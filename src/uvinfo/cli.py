@@ -740,17 +740,12 @@ _EXAMPLE_CASES = (_walkers_case, _capacity_case, _sup_sequence_case,
 
 
 def _cmd_examples(args):
-    cases = []
-    failures = 0
+    cases, failures = [], 0
     for name, checks in (case() for case in _EXAMPLE_CASES):
-        rows = []
-        for label, got, want in checks:
-            ok = got == want
-            failures += 0 if ok else 1
-            rows.append({"check": label, "ok": ok,
-                         "got": got, "want": want})
-        cases.append({"case": name,
-                      "ok": all(r["ok"] for r in rows),
+        rows = [{"check": label, "ok": got == want, "got": got, "want": want}
+                for label, got, want in checks]
+        failures += sum(not row["ok"] for row in rows)
+        cases.append({"case": name, "ok": all(row["ok"] for row in rows),
                       "checks": rows})
     payload = {"command": "examples", "cases": cases, "failures": failures}
     return payload, (1 if failures else 0)

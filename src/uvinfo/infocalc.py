@@ -35,10 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
 from .uvcore import (
-    ArrangementCell,
     IntervalUnion,
     UncertainPair,
     UncertaintyFunction,
@@ -180,10 +179,9 @@ def classify_levels(assoc: AssociationSets, delta1: Fraction, delta2: Fraction) 
         notes.append(f"min a_yx {format_ratio(min(assoc.a_yx))} > {format_ratio(delta2)}")
         return LevelStatus("disassociated", tuple(notes))
     if asc:
-        notes.append("max a_xy " + (format_ratio(max(assoc.a_xy)) if assoc.a_xy else "(empty)")
-                     + f" <= {format_ratio(delta1)}")
-        notes.append("max a_yx " + (format_ratio(max(assoc.a_yx)) if assoc.a_yx else "(empty)")
-                     + f" <= {format_ratio(delta2)}")
+        for name, values, bound in (("a_xy", assoc.a_xy, delta1), ("a_yx", assoc.a_yx, delta2)):
+            top = format_ratio(max(values)) if values else "(empty)"
+            notes.append(f"max {name} {top} <= {format_ratio(bound)}")
         return LevelStatus("associated", tuple(notes))
     if assoc.a_xy and min(assoc.a_xy) <= delta1 < max(assoc.a_xy):
         notes.append(f"a_xy straddles {format_ratio(delta1)}")

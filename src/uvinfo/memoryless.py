@@ -31,6 +31,7 @@ from .uvcore import (
     UncertaintyFunction,
     UvinfoError,
     _frozen,
+    _items,
     format_log2,
     format_ratio,
     level,
@@ -204,7 +205,8 @@ class ConfidenceSequence:
 
     @staticmethod
     def explicit(values, first=None) -> "ConfidenceSequence":
-        vals = tuple(level(v, None, name="delta_n") for v in values)
+        vals = tuple(level(v, None, name="delta_n")
+                     for v in _items(values, "the listed values"))
         return ConfidenceSequence._of(vals, first=first)
 
     @staticmethod
@@ -256,6 +258,7 @@ class ConfidenceSequence:
 
     def within_noise_floor(self, v_min: Fraction) -> tuple[bool, str]:
         """Exactly decide 0 <= delta_n < v_min**n for every n."""
+        v_min = ratio(v_min)
         if not 0 < v_min <= 1:
             raise UvinfoError("the noise floor must lie in (0, 1]")
         if self.value_at(1) < 0:
@@ -357,7 +360,7 @@ _NOTIONS = {"T12": "C_N({delta_n})^*", "Cor2": "C_N^{0*}",
 
 
 def _containment_condition(ch: Channel, codebook, sets) -> Condition:
-    outside = [x for x in ch.x_symbols if x not in set(codebook)]
+    outside = sorted(set(ch.x_symbols).difference(codebook))
     for x in outside:
         if not any(ch.image(x) <= s for s in sets):
             return Condition(
@@ -417,7 +420,7 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
     emitted only when every condition holds, and equals the log-count of the
     one-dimensional family.
     """
-    if variant not in _NOTIONS:
+    if not isinstance(variant, str) or variant not in _NOTIONS:
         raise UvinfoError(f"unknown certificate variant {variant!r}")
     if variant == "T14":
         best = _horizon_one_sup(ch, m)
@@ -448,9 +451,9 @@ def _certify_t14(ch: Channel, m: UncertaintyFunction, rows: list,
                  best_count: int, best_delta: Fraction) -> SingleLetterCertificate:
     """T14 on the codebook and level of the information sup at
     ``best_delta``, the least delta_1 of the largest capacity count."""
-    sup, row = _sup(rows, best_delta, True)
-    return _certify("T14", ch, m, row, best_count, best_delta,
-                    sup.delta_tilde, None)
+    _, delta_tilde, row = _sup(rows, best_delta)
+    return _certify("T14", ch, m, row, best_count, best_delta, delta_tilde,
+                    None)
 
 
 def _certify(variant: str, ch: Channel, m: UncertaintyFunction, row,
@@ -575,8 +578,7 @@ def _first_certificates(ch: Channel, m: UncertaintyFunction,
     delta1 = seq.value_at(1)
     zero = seq.is_identically_zero()
     for variant in ("T12", "Cor2", "T13") if zero else ("T12", "T13"):
-        for row in itertools.dropwhile(
-                lambda r: len(r[0]) < expected, rows):
+        for row in itertools.dropwhile(lambda r: len(r[0]) < expected, rows):
             try:
                 cert = _certify(variant, ch, m, row, expected, delta1, None, seq)
             except NotCapacityAchieving:
@@ -626,11 +628,9 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
         rows.append(ProfileRow(n, seq.value_at(n), rate, f"horizon-{n} bound"))
     if not rows:
         raise HorizonTooLarge("no horizon fits the exact-search caps")
-    def _rate_order(a: Rate, b: Rate) -> int:
-        return a.compare(b) or (a.horizon - b.horizon)
-
-    inf_rate = min((r.rate for r in rows), key=functools.cmp_to_key(_rate_order))
-    sup_rate = max((r.rate for r in rows), key=functools.cmp_to_key(_rate_order))
+    by_rate = sorted((r.rate for r in rows), key=functools.cmp_to_key(
+        lambda a, b: a.compare(b) or a.horizon - b.horizon))
+    inf_rate, sup_rate = by_rate[0], by_rate[-1]
     horizon_span = rows[-1].horizon
     certificates = ()
     try:
@@ -699,6 +699,7 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
     split, and the count comparison would be vacuous.
     """
     delta = level(delta, None)
+    base_pairs = _items(base_pairs, "the component pairs")
     if not base_pairs:
         raise UvinfoError("at least one component pair is needed")
     if any(p.is_empty() for p in base_pairs):

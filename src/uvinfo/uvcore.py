@@ -187,6 +187,14 @@ def positive_int(value, name: str) -> int:
     raise UvinfoError(f"{name} must be a positive integer")
 
 
+def _items(values, name: str) -> tuple:
+    """``values`` as a tuple; anything that is not iterable is refused."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise UvinfoError(f"{name} must be iterable, got {values!r}") from None
+
+
 def format_ratio(value: Fraction) -> str:
     """Render a Fraction canonically as ``p`` or ``p/q``."""
     if value.denominator == 1:
@@ -235,8 +243,7 @@ class IntervalUnion:
         merged: list[tuple[Fraction, Fraction]] = []
         for lo, hi in raw:
             if merged and lo <= merged[-1][1]:
-                prev_lo, prev_hi = merged[-1]
-                merged[-1] = (prev_lo, max(prev_hi, hi))
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
         return IntervalUnion(tuple(merged))
@@ -277,11 +284,7 @@ class IntervalUnion:
         return other.intersect(self) == other
 
     def endpoints(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for lo, hi in self.pieces:
-            out.append(lo)
-            out.append(hi)
-        return out
+        return [p for piece in self.pieces for p in piece]
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         if not self.pieces:
@@ -464,6 +467,8 @@ class ExplicitWeights(UncertaintyFunction):
 
     @staticmethod
     def of_mapping(weights: Mapping, normalizer: Union[int, str, Fraction] = 1) -> "ExplicitWeights":
+        if not isinstance(weights, Mapping):
+            raise UvinfoError(f"weights map each label to a weight, got {weights!r}")
         items = tuple((k, ratio(weights[k])) for k in _sorted_symbols(weights, "weight"))
         return ExplicitWeights(items, ratio(normalizer))
 

@@ -19,7 +19,9 @@ from uvinfo import (
     EquivocationMatrix,
     ExplicitWeights,
     FiniteGround,
+    IntervalGround,
     IntervalUnion,
+    LengthMismatch,
     ProductChannel,
     UncertainPair,
     UvinfoError,
@@ -31,12 +33,15 @@ from uvinfo import (
     confusion_ingest,
     delta_components,
     hamming_distance_bound,
+    hamming_equivocation,
     induced_pair,
     information_rate_at_horizon,
     matrix_capacity,
     mi_sup_oracle,
     mutual_information,
     overlap_family,
+    parse_sequence_spec,
+    product_pair,
     product_uncertainty,
     rate_at_horizon,
     single_letter_check,
@@ -44,7 +49,9 @@ from uvinfo import (
     tensorization_check,
     verify_coding_theorem,
 )
-from uvinfo.chancap import average_overlap, avg_overlap_capacity, ball_channel
+from uvinfo.apps import MalformedRow
+from uvinfo.chancap import (AlphabetTooLarge, average_overlap,
+                            avg_overlap_capacity, ball_channel)
 
 F = Fraction
 WORDS = (BitString.of("0011"), BitString.of("1100"), BitString.of("0101"))
@@ -208,9 +215,76 @@ STRUCTURAL_CALLS = {
         {1: IntervalUnion.of([(0, 1)])}, x_ground=3),
     "UncertainPair.hybrid, an int y ground": lambda: UncertainPair.hybrid(
         {1: IntervalUnion.of([(0, 1)])}, y_ground=3),
+    "ExplicitWeights.of_mapping, a list": lambda: ExplicitWeights.of_mapping([1, 2]),
+    "BitString.of, an int": lambda: BitString.of(5),
+    "hamming_distance_bound, an int codebook":
+        lambda: hamming_distance_bound(5, 0, 0),
+    "ConfidenceSequence.explicit, an int": lambda: ConfidenceSequence.explicit(5),
+    "within_noise_floor, a float floor":
+        lambda: ConfidenceSequence.explicit([F(1, 10)]).within_noise_floor(0.1),
+    "verify_coding_theorem, an int grid": lambda: verify_coding_theorem(
+        Channel.of({1: {0}}), CardinalityPower(1), 0),
+    "tensorization_check, an int": lambda: tensorization_check(
+        5, CardinalityPower(4), 0),
+    "single_letter_check, a list for the variant": lambda: single_letter_check(
+        Channel.of({1: {0}}), CardinalityPower(1), ["T12"]),
     **{f"{name}, incomparable symbols": lambda call=call: call(
         Channel.of({1: {0}, 2: {1}}), CardinalityPower(2), [1, "a"])
        for name, call in CODEBOOK_CALLS.items()},
+}
+
+
+# refusals pinned by class and message
+B = BitString.of
+PINNED_REFUSALS = {
+    "hamming_equivocation, lengths": (
+        lambda: hamming_equivocation(B("01"), B("011"), 0),
+        LengthMismatch, "lengths differ: 2 vs 3"),
+    "hamming_distance_bound, empty": (
+        lambda: hamming_distance_bound([], 0, 0),
+        UvinfoError, "the codebook is empty"),
+    "hamming_distance_bound, lengths": (
+        lambda: hamming_distance_bound([B("011"), B("01")], 0, 0),
+        LengthMismatch, "lengths differ: 2 vs 3"),
+    "EquivocationMatrix.of, a diagonal entry": (
+        lambda: EquivocationMatrix.of([1, 2], {(1, 1): 0}),
+        UvinfoError, "diagonal entry for 1 is not allowed"),
+    "EquivocationMatrix.of, asymmetric entries": (
+        lambda: EquivocationMatrix.of([1, 2], {(1, 2): "1/2", (2, 1): "1/3"}),
+        UvinfoError, "asymmetric entries for pair (1, 2): 1/2 vs 1/3"),
+    "confusion_ingest, empty text": (
+        lambda: confusion_ingest(""), MalformedRow, "empty CSV input"),
+    "confusion_ingest, a triple": (
+        lambda: confusion_ingest([(1, 2, 3)]),
+        MalformedRow, "not a (true, predicted) pair: (1, 2, 3)"),
+    "avg_overlap_capacity, 21 inputs": (
+        lambda: avg_overlap_capacity(Channel.of({x: {x} for x in range(21)}),
+                                     CardinalityPower(21), 0),
+        AlphabetTooLarge, "21 inputs exceed the brute-force cap of 20"),
+    "parse_sequence_spec, no base": (
+        lambda: parse_sequence_spec({"kind": "geometric"}),
+        UvinfoError, "a geometric sequence needs a base"),
+    "parse_sequence_spec, no value": (
+        lambda: parse_sequence_spec({"kind": "constant"}),
+        UvinfoError, "a constant sequence needs a value"),
+    "tensorization_check, no component": (
+        lambda: tensorization_check([], CardinalityPower(4), 0),
+        UvinfoError, "at least one component pair is needed"),
+    "product_pair, an interval pair": (
+        lambda: product_pair([UncertainPair.hybrid({1: IntervalUnion.of([(0, 1)])})]),
+        UvinfoError, "only finite pairs have a materialized product"),
+    "IntervalUnion.of, endpoints out of order": (
+        lambda: IntervalUnion.of([(2, 1)]),
+        UvinfoError, "interval endpoints out of order: [2, 1]"),
+    "FiniteGround.of, no label": (
+        lambda: FiniteGround.of([]),
+        UvinfoError, "a finite ground needs at least one label"),
+    "IntervalGround.of, no support": (
+        lambda: IntervalGround.of([]),
+        UvinfoError, "an interval ground needs nonempty support"),
+    "within_noise_floor, a zero floor": (
+        lambda: ConfidenceSequence.zero().within_noise_floor(0),
+        UvinfoError, "the noise floor must lie in (0, 1]"),
 }
 
 
@@ -257,6 +331,11 @@ class TestLibraryContract:
     def test_a_malformed_structure_is_refused(self, name):
         with pytest.raises(UvinfoError):
             STRUCTURAL_CALLS[name]()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REFUSALS))
+    def test_a_refusal_keeps_its_class_and_message(self, name):
+        call, refusal, message = PINNED_REFUSALS[name]
+        assert outcome(call) == (refusal, message)
 
     def test_the_knife_edge_is_read_exactly(self):
         # the two ranges [Y|1] and [Y|2] overlap in 3 of 10 outputs, so the

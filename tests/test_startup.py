@@ -1,6 +1,7 @@
 """Start-up: the lazy public namespace of ``uvinfo`` and the modules each
 command loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -158,3 +159,33 @@ class TestImportFootprint:
             {"labels": ["a", "b", "c"], "entries": [["a", "b", "1/8"]],
              "v_min": "1/2"}))
         assert _command_loads(argv, tmp_path, CODE_GENERATION) == []
+
+
+def _unused_imports(path: str) -> list:
+    """The names a module imports and never reads: no ``Name`` node and no
+    entry of its ``__all__`` refers to them."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.partition(".")[0], a.name)
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, a.name) for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant))
+    return sorted(set(imported) - used)
+
+
+@pytest.mark.parametrize("module", ("__init__",) + SUBMODULES + ("cli",))
+def test_every_imported_name_is_used(module):
+    # chancap keeps overlap_family: bench/test_bench.py checks that the
+    # tracer patches that binding in chancap as in the modules that call it
+    allowed = {"chancap": ["overlap_family"]}.get(module, [])
+    path = os.path.join(SRC, "uvinfo", f"{module}.py")
+    assert _unused_imports(path) == allowed
