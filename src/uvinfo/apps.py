@@ -15,8 +15,8 @@ import io
 import itertools
 import math
 from fractions import Fraction
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, Optional, Union
 
 from .uvcore import (CardinalityPower, UvinfoError, _frozen, _items,
                      _sorted_symbols, format_ratio, hamming_diameter, level,
@@ -93,15 +93,6 @@ def _radius(tau, n: int) -> int:
     return math.floor(level(tau, 1, closed=True, name="tau") * n)
 
 
-def _words(words) -> tuple:
-    """``words`` as a tuple, each a ``BitString``."""
-    words = _items(words, "a codebook")
-    for w in words:
-        if not isinstance(w, BitString):
-            raise UvinfoError(f"a codeword must be a BitString, got {w!r}")
-    return words
-
-
 def _ball(center: int, radius: int, n: int) -> list:
     return [y for y in range(1 << n)
             if (y ^ center).bit_count() <= radius]
@@ -111,7 +102,7 @@ def hamming_equivocation(x1: BitString, x2: BitString, tau) -> Fraction:
     """The diameter-based equivocation of two radius-floor(tau*n) balls:
     (D + 1)/(n + 1) over the ball intersection, zero when the balls are
     disjoint.  Exhaustive over {0,1}^n, so capped at n <= 12."""
-    _words((x1, x2))
+    _items((x1, x2), "the codewords", BitString)
     if x1 == x2:
         raise UvinfoError("equivocation needs two distinct codewords")
     distance, n = x1.distance(x2), x1.length
@@ -139,10 +130,10 @@ class DistanceBoundReport:
     rows: tuple
     radius: int
     threshold: Fraction          # delta_n / |codebook|
-    min_distance: Optional[int]  # None for codebooks without pairs
+    min_distance: int | None  # None for codebooks without pairs
 
     @property
-    def correctable(self) -> Optional[int]:
+    def correctable(self) -> int | None:
         if self.min_distance is None:
             return None
         return (self.min_distance - 1) // 2
@@ -157,7 +148,7 @@ def hamming_distance_bound(codebook: Iterable[BitString], tau,
     equivocation at most delta_n/|codebook|), otherwise NotDistinguishable
     is raised naming the first violating pair.  The bound itself is a
     theorem, so it is asserted, not reported as checkable."""
-    cb = tuple(sorted(set(_words(codebook))))
+    cb = tuple(sorted(set(_items(codebook, "a codebook", BitString))))
     if not cb:
         raise UvinfoError("the codebook is empty")
     n = cb[0].length
@@ -267,7 +258,7 @@ def matrix_capacity(em: EquivocationMatrix, delta) -> CapacityResult:
 # confusion ingestion
 
 
-def confusion_ingest(source: Union[str, Iterable]) -> Channel:
+def confusion_ingest(source: str | Iterable) -> Channel:
     """Build a label channel l -> N(l) from classification observations.
 
     Accepts CSV text with header ``true,predicted``, an iterable of

@@ -61,9 +61,9 @@ import math
 import operator
 import sys
 from array import array
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial, reduce
-from typing import Callable, Optional
 
 from .uvcore import (
     DeltaOutOfRange,
@@ -141,7 +141,7 @@ class Channel:
     def image(self, x) -> frozenset:
         try:
             return self._by_x[x]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
             raise UvinfoError(f"{x!r} is not an input symbol") from None
 
     @property
@@ -420,8 +420,8 @@ def _delta_grid(ch: Channel, m: UncertaintyFunction, values) -> list:
 class Distinguishability:
     ok: bool
     threshold: Fraction
-    violating_pair: Optional[tuple] = None
-    violating_value: Optional[Fraction] = None
+    violating_pair: tuple | None = None
+    violating_value: Fraction | None = None
 
 
 def check_distinguishable(ch: Channel, m: UncertaintyFunction, codebook,
@@ -463,7 +463,7 @@ class _Stalled(Exception):
 
 
 def _clique(adj: list, non: list, cand: int, need: int,
-            budget: list) -> Optional[int]:
+            budget: list) -> int | None:
     """A clique of at least ``need`` vertices within the vertex bitset
     ``cand``, as a bitset, or None when there is none: branch and bound
     under a greedy-colouring bound (MCQ, Tomita and Seki 2003, on bitsets as
@@ -583,7 +583,7 @@ class _Graph:
         self._non = None
         self._relabelled = None
 
-    def clique(self, cand: int, need: int, hint: int = 0) -> Optional[int]:
+    def clique(self, cand: int, need: int, hint: int = 0) -> int | None:
         """A clique of at least ``need`` vertices within ``cand``, maximal
         there, or None when there is none.  The members of ``hint`` that
         are still a clique here (see ``_maximal``), completed greedily
@@ -596,7 +596,7 @@ class _Graph:
         found = self._branch_and_bound(cand, need)
         return None if found is None else _maximal(self.adj, found, cand)
 
-    def _branch_and_bound(self, cand: int, need: int) -> Optional[int]:
+    def _branch_and_bound(self, cand: int, need: int) -> int | None:
         if self._relabelled is None:
             if self._non is None:
                 self._non = _complements(self.adj)

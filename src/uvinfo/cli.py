@@ -13,8 +13,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
-from typing import TYPE_CHECKING, Optional
 
 from .uvcore import (
     CardinalityPower,
@@ -29,8 +27,6 @@ from .uvcore import (
 
 # infocalc, chancap, memoryless and apps are imported inside the functions
 # that use them, so each command loads only the layers it runs
-if TYPE_CHECKING:
-    from . import apps, chancap, memoryless
 
 # card:<base>:<exp> computes (|S| / base) ** exp exactly, at a cost that grows
 # with the exponent without bound; the CLI refuses exponents past this cap
@@ -98,7 +94,7 @@ def _load_json(text: str):
         raise ParseError("invalid JSON: too many digits or too deep") from None
 
 
-def parse_channel_spec(text: str) -> chancap.Channel:
+def parse_channel_spec(text: str):
     """Parse {"map": {input: [outputs...]}, "outputs": [...]} into a Channel.
 
     Input, image, and alphabet symbols are normalized to ints when all of
@@ -219,7 +215,7 @@ def parse_m_spec(text: str):
         "use card:<base>[:<exp>], leb+<offset>, or diam:<normalizer>")
 
 
-def parse_matrix_spec(text: str) -> apps.EquivocationMatrix:
+def parse_matrix_spec(text: str):
     """Parse {"labels": [...], "entries": [[l1, l2, "p/q"], ...],
     "v_min": "p/q"} into an EquivocationMatrix."""
     from . import apps
@@ -245,24 +241,27 @@ def parse_matrix_spec(text: str) -> apps.EquivocationMatrix:
         raise ValidationError(str(exc)) from None
 
 
-def _read_input(path: Optional[str], flag: str) -> str:
-    """Read the file given to ``--<flag>``.  A bare name with no directory
-    component that is not a file here falls back to the bundled data
-    directory, so the shipped fixtures work by name (fig5.json,
-    walkers.json); a path with a directory never does."""
+def _read_input(path: str | None, flag: str) -> str:
+    """Read the UTF-8 text file given to ``--<flag>``.  A bare name that is
+    not a file here falls back to the ``data`` directory beside this module,
+    so the shipped fixtures work by name (fig5.json, walkers.json); a path
+    with a directory never does.  An unreadable file is a ``ParseError``."""
     if not path:
         raise ParseError(f"missing required input --{flag}")
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
+    name = path
+    if not os.path.dirname(path) and not os.path.exists(path):
+        name = os.path.join(os.path.dirname(__file__), "data", path)
+    try:
+        with open(name, encoding="utf-8") as fh:
             return fh.read()
-    if not os.path.dirname(path):
-        try:
-            bundle = resources.files("uvinfo").joinpath("data", path)
-            if bundle.is_file():
-                return bundle.read_text(encoding="utf-8")
-        except (FileNotFoundError, ModuleNotFoundError):
-            pass
-    raise ParseError(f"no such input file: {path}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input file {path} is not UTF-8 text "
+                         f"(byte {exc.start})") from None
+    except (FileNotFoundError, ValueError):  # ValueError: a NUL in the path
+        raise ParseError(f"no such input file: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read input file {path}: {exc.strerror}") \
+            from None
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +334,7 @@ def _emit(payload: dict, fmt: str) -> None:
         print("\n".join(_text_lines(payload)))
 
 
-def _family_payload(family) -> Optional[dict]:
+def _family_payload(family) -> dict | None:
     if family is None:
         return None
     return {"regime": family.regime,
@@ -487,15 +486,12 @@ def _cmd_rates(args):
     return payload, 0
 
 
-def _parse_sequence(text: str) -> memoryless.ConfidenceSequence:
-    """Accept inline JSON (an object, so it starts with ``{``) or a path to
-    a JSON file; anything else is a missing file, not bad JSON."""
+def _parse_sequence(text: str):
+    """The ConfidenceSequence of inline JSON (an object, so it starts with
+    ``{``) or of a JSON file read by ``_read_input``."""
     from . import memoryless
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif not text.lstrip().startswith("{"):
-        raise ParseError(f"no such input file: {text}")
+    if not text.lstrip().startswith("{"):
+        text = _read_input(text, "sequence")
     try:
         return memoryless.parse_sequence_spec(_load_json(text))
     except UvinfoError as exc:

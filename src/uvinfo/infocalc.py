@@ -35,7 +35,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Optional
 
 from .uvcore import (
     IntervalUnion,
@@ -268,7 +267,7 @@ class _SideLevels:
     def associated(self, delta: Fraction) -> bool:
         return self.largest is None or delta >= self.largest
 
-    def family(self, delta: Fraction) -> Optional[tuple]:
+    def family(self, delta: Fraction) -> tuple | None:
         """The family's sets at ``delta``: the ranges from the largest value
         up, None from the least value, and the components or None below."""
         if self.associated(delta):
@@ -276,7 +275,7 @@ class _SideLevels:
         return None if delta >= self.least else self._below_least
 
     @cached_property
-    def _below_least(self) -> Optional[tuple]:
+    def _below_least(self) -> tuple | None:
         # the opposite association set is nonempty exactly when a range is
         # produced twice or two ranges meet (m vanishes only on the empty set)
         other = side_profile(self._pair, "Y" if self._profile.side == "X" else "X")
@@ -287,7 +286,7 @@ class _SideLevels:
 
 def overlap_family(pair: UncertainPair, m_x: UncertaintyFunction,
                    m_y: UncertaintyFunction, delta: Fraction,
-                   side: str) -> Optional[OverlapFamily]:
+                   side: str) -> OverlapFamily | None:
     """Construct the delta-overlap family of one side, or ``None``.
 
     The regime is decided by the requested side's association values at
@@ -312,7 +311,7 @@ class MIResult(_CountResult):
 
     count: int
     status: str  # "associated" | "disassociated" | "no_family"
-    family: Optional[OverlapFamily]
+    family: OverlapFamily | None
 
 
 def mutual_information(pair: UncertainPair, m_x: UncertaintyFunction,

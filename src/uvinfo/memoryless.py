@@ -23,7 +23,6 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Optional
 
 from .uvcore import (
     CardinalityPower,
@@ -334,8 +333,8 @@ class SingleLetterCertificate:
     codebook: tuple
     level: Fraction        # the one-dimensional feasibility level used
     conditions: tuple
-    capacity_count: Optional[int]
-    delta_hat: Optional[Fraction] = None
+    capacity_count: int | None
+    delta_hat: Fraction | None = None
 
     def __post_init__(self) -> None:
         assert (self.capacity_count is not None) == all(c.holds for c in self.conditions), \
@@ -408,7 +407,7 @@ def _horizon_one_sup(ch: Channel, m: UncertaintyFunction):
 
 def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
                         codebook=None, delta1=None, delta_bar=None,
-                        sequence: Optional[ConfidenceSequence] = None,
+                        sequence: ConfidenceSequence | None = None,
                         delta_star=None) -> SingleLetterCertificate:
     """Evaluate one of the sufficient-condition certificates exactly.
 
@@ -436,7 +435,8 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
             raise UvinfoError("Cor2 needs a codebook")
         # the zero-error corollary ignores any delta_1 or delta_bar given
         delta1, delta_bar = Fraction(0), None
-    elif codebook is None or delta1 is None or sequence is None:
+    elif (codebook is None or delta1 is None
+          or not isinstance(sequence, ConfidenceSequence)):
         raise UvinfoError(f"{variant} needs a codebook, delta_1, and a sequence")
     cb = as_codebook(ch, codebook)
     delta1 = ratio(delta1)
@@ -457,8 +457,8 @@ def _certify_t14(ch: Channel, m: UncertaintyFunction, rows: list,
 
 
 def _certify(variant: str, ch: Channel, m: UncertaintyFunction, row,
-             expected: int, delta1: Fraction, delta_bar: Optional[Fraction],
-             sequence: Optional[ConfidenceSequence]) -> SingleLetterCertificate:
+             expected: int, delta1: Fraction, delta_bar: Fraction | None,
+             sequence: ConfidenceSequence | None) -> SingleLetterCertificate:
     """The certificate of the codebook of ``row`` (``chancap._codebook_row``),
     whose family at level delta_bar / |X| must have ``expected`` sets: the
     capacity count at delta_1 (0 for Cor2), or for T14 the sup below the
@@ -609,6 +609,8 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
     certificate is tried, and ``notes`` says so.
     """
     positive_int(n_max, "n_max")
+    if not isinstance(seq, ConfidenceSequence):
+        raise UvinfoError(f"the sequence must be a ConfidenceSequence, got {seq!r}")
     # same domain as rate_at_horizon: every delta_n in [0, 1); the stricter
     # noise-floor constraints live inside the individual certificates
     if not 0 <= seq.value_at(1) < 1:
@@ -658,15 +660,16 @@ class TensorizationReport:
     status: str                 # "ok" | "skipped"
     reason: str
     delta: Fraction
-    lhs_count: Optional[int] = None
+    lhs_count: int | None = None
     rhs_counts: tuple = ()
-    holds: Optional[bool] = None
-    equality: Optional[bool] = None
+    holds: bool | None = None
+    equality: bool | None = None
 
 
 def product_pair(base_pairs) -> UncertainPair:
     """The coordinatewise product of finite pairs: joint points are tuples
     of per-component joint points."""
+    base_pairs = _items(base_pairs, "the component pairs", UncertainPair)
     if any(pair.is_hybrid() for pair in base_pairs):
         raise UvinfoError("only finite pairs have a materialized product")
     joints = [sorted(pair.joint) for pair in base_pairs]
@@ -699,7 +702,7 @@ def tensorization_check(base_pairs, m: UncertaintyFunction,
     split, and the count comparison would be vacuous.
     """
     delta = level(delta, None)
-    base_pairs = _items(base_pairs, "the component pairs")
+    base_pairs = _items(base_pairs, "the component pairs", UncertainPair)
     if not base_pairs:
         raise UvinfoError("at least one component pair is needed")
     if any(p.is_empty() for p in base_pairs):

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 
 class UvinfoError(Exception):
@@ -135,7 +135,7 @@ class _CountResult:
 # rationals
 
 
-def ratio(value: Union[int, str, Fraction]) -> Fraction:
+def ratio(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" string.
 
     Decimal notation is rejected on purpose: every threshold in the
@@ -187,12 +187,18 @@ def positive_int(value, name: str) -> int:
     raise UvinfoError(f"{name} must be a positive integer")
 
 
-def _items(values, name: str) -> tuple:
-    """``values`` as a tuple; anything that is not iterable is refused."""
+def _items(values, name: str, kind: type = object) -> tuple:
+    """``values`` as a tuple; anything that is not iterable is refused, and
+    so is an item that is not a ``kind``."""
     try:
-        return tuple(values)
+        items = tuple(values)
     except TypeError:
         raise UvinfoError(f"{name} must be iterable, got {values!r}") from None
+    for v in items:
+        if not isinstance(v, kind):
+            raise UvinfoError(
+                f"an item of {name} must be a {kind.__name__}, got {v!r}")
+    return items
 
 
 def format_ratio(value: Fraction) -> str:
@@ -231,7 +237,7 @@ class IntervalUnion:
     pieces: tuple[tuple[Fraction, Fraction], ...]
 
     @staticmethod
-    def of(pairs: Iterable[tuple[Union[int, str, Fraction], Union[int, str, Fraction]]]) -> "IntervalUnion":
+    def of(pairs: Iterable[tuple[int | str | Fraction, int | str | Fraction]]) -> "IntervalUnion":
         try:
             raw = sorted((ratio(lo), ratio(hi)) for lo, hi in pairs)
         except (TypeError, ValueError):
@@ -338,8 +344,8 @@ class IntervalGround:
         return IntervalGround(support)
 
 
-GroundSet = Union[FiniteGround, IntervalGround]
-GroundSubset = Union[frozenset, IntervalUnion]
+GroundSet = FiniteGround | IntervalGround
+GroundSubset = frozenset | IntervalUnion
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +472,7 @@ class ExplicitWeights(UncertaintyFunction):
     kind = "explicit_weights"
 
     @staticmethod
-    def of_mapping(weights: Mapping, normalizer: Union[int, str, Fraction] = 1) -> "ExplicitWeights":
+    def of_mapping(weights: Mapping, normalizer: int | str | Fraction = 1) -> "ExplicitWeights":
         if not isinstance(weights, Mapping):
             raise UvinfoError(f"weights map each label to a weight, got {weights!r}")
         items = tuple((k, ratio(weights[k])) for k in _sorted_symbols(weights, "weight"))
@@ -579,7 +585,7 @@ class UncertainPair:
     # -- basic structure ----------------------------------------------
 
     @property
-    def joint(self) -> Union[frozenset, None]:
+    def joint(self) -> frozenset | None:
         """The ``(x, y)`` pairs of a finite pair; None for an interval pair."""
         if isinstance(self.y_ground, IntervalGround):
             return None

@@ -249,6 +249,21 @@ class TestCommands:
         assert "ok=no" not in out
 
 
+# a command that reads its input file from each flag that takes one
+READERS = {
+    "--channel": lambda path: ["capacity", "--channel", path,
+                               "--m", "card:19", "--delta", "0"],
+    "--pair": lambda path: ["analyze", "--pair", path],
+    "--matrix": lambda path: ["classify", "--matrix", path, "--delta", "0"],
+    "--confusion": lambda path: ["classify", "--confusion", path,
+                                 "--delta", "0"],
+    "--codebook": lambda path: ["hamming", "--codebook", path, "--tau", "1"],
+    "--sequence": lambda path: ["rates", "--channel", "fig5.json",
+                                "--m", "card:19", "--sequence", path,
+                                "--n-max", "2"],
+}
+
+
 class TestErrorHandling:
     def test_decimal_delta_exits_two(self, capsys):
         code, _, err = run(["capacity", "--channel", "fig5.json",
@@ -268,6 +283,14 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == "error: no such input file: /nowhere/fig5.json\n"
 
+    @pytest.mark.parametrize("path", ["a\0b.json", "/nowhere/a\0b.json"])
+    def test_path_with_a_nul_is_a_missing_file(self, capsys, path):
+        # open() refuses a NUL with ValueError, not an OSError
+        code, out, err = run(["capacity", "--channel", path, "--m", "card:19",
+                              "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: no such input file: {path}\n"
+
     def test_missing_sequence_file_exits_two(self, capsys, tmp_path,
                                              monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -276,6 +299,24 @@ class TestErrorHandling:
                               "--n-max", "2"], capsys)
         assert (code, out) == (2, "")
         assert err == "error: no such input file: seq.json\n"
+
+    @pytest.mark.parametrize("flag", sorted(READERS))
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+    def test_unreadable_input_file_exits_two(self, capsys, tmp_path,
+                                             monkeypatch, flag, unreadable):
+        # a directory and bytes that are not UTF-8 used to end in an
+        # IsADirectoryError or a UnicodeDecodeError and exit 3
+        monkeypatch.chdir(tmp_path)
+        if unreadable == "directory":
+            path, message = ".", "cannot read input file .: "
+        else:
+            path = "bad.json"
+            (tmp_path / path).write_bytes(b"\xff\xfe{}")
+            message = "input file bad.json is not UTF-8 text (byte 0)\n"
+        code, out, err = run(READERS[flag](path), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_zero_lebesgue_offset_exits_two(self, capsys, tmp_path):
         # with offset 0 the single point [1, 1] where a and b meet would

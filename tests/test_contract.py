@@ -226,6 +226,17 @@ STRUCTURAL_CALLS = {
         Channel.of({1: {0}}), CardinalityPower(1), 0),
     "tensorization_check, an int": lambda: tensorization_check(
         5, CardinalityPower(4), 0),
+    "tensorization_check, an int component": lambda: tensorization_check(
+        [5], CardinalityPower(4), 0),
+    "product_pair, an int": lambda: product_pair(5),
+    "product_pair, an int component": lambda: product_pair([5]),
+    "Channel.image, an unhashable symbol":
+        lambda: Channel.of({1: {0}}).image([1]),
+    "capacity_profile, an int sequence": lambda: capacity_profile(
+        Channel.of({1: {0}, 3: {1}}), CardinalityPower(2), 5, 1),
+    "single_letter_check, an int sequence": lambda: single_letter_check(
+        Channel.of({1: {0}, 3: {1}}), CardinalityPower(2), "T12",
+        codebook=(1, 3), delta1=0, sequence=5),
     "single_letter_check, a list for the variant": lambda: single_letter_check(
         Channel.of({1: {0}}), CardinalityPower(1), ["T12"]),
     **{f"{name}, incomparable symbols": lambda call=call: call(
@@ -285,6 +296,9 @@ PINNED_REFUSALS = {
     "within_noise_floor, a zero floor": (
         lambda: ConfidenceSequence.zero().within_noise_floor(0),
         UvinfoError, "the noise floor must lie in (0, 1]"),
+    "Channel.image, an unhashable symbol": (
+        lambda: Channel.of({1: {0}}).image([1]),
+        UvinfoError, "[1] is not an input symbol"),
 }
 
 

@@ -78,28 +78,52 @@ class TestNamespace:
         assert vars(uvinfo)["__version__"] == "0.1.0"
 
 
-def _loaded(code: str, cwd, tops=("uvinfo",)) -> list:
-    """The modules under ``tops`` that a fresh interpreter holds after
-    running ``code`` and did not hold before it."""
+def _loaded(code: str, cwd, tops=("uvinfo",), flags=()) -> list:
+    """The modules under ``tops`` that a fresh interpreter, started with
+    ``flags``, holds after running ``code`` and did not hold before it."""
     script = ("before = set(sys.modules)\n" + code +
               "\nprint(json.dumps(sorted(m for m in sys.modules"
               f" if m.split('.')[0] in {tuple(tops)!r} and m not in before)))")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + script],
+        [sys.executable, *flags, "-c", "import json, sys\n" + script],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _command_loads(argv: list, cwd, tops=("uvinfo",)) -> list:
+def _command_loads(argv: list, cwd, tops=("uvinfo",), flags=()) -> list:
     code = ("import contextlib, io, uvinfo.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
             f"        uvinfo.cli.main({argv!r})\n"
             "    except SystemExit as exc:\n"
             "        assert exc.code == 0, exc.code")
-    return _loaded(code, cwd, tops)
+    return _loaded(code, cwd, tops, flags)
+
+
+# one run of each command; classify reads matrix.json from its directory
+COMMANDS = {
+    "analyze": ["analyze", "--pair", "walkers.json"],
+    "mi": ["mi", "--pair", "walkers.json", "--delta1", "1/6"],
+    "capacity": ["capacity", "--channel", "fig5.json", "--m", "card:19",
+                 "--delta", "2/9"],
+    "rates-sequence": [
+        "rates", "--channel", "fig5.json", "--m", "card:19", "--sequence",
+        '{"kind": "geometric", "base": "7/342", "first": "2/9"}',
+        "--n-max", "2"],
+    "verify": ["verify", "--channel", "fig5.json", "--m", "card:19",
+               "--deltas", "0,2/9"],
+    "classify-matrix": ["classify", "--matrix", "matrix.json",
+                        "--delta", "1/4"],
+    "examples": ["examples"],
+}
+
+
+def _write_matrix(directory) -> None:
+    (directory / "matrix.json").write_text(json.dumps(
+        {"labels": ["a", "b", "c"], "entries": [["a", "b", "1/8"]],
+         "v_min": "1/2"}))
 
 
 # dataclasses and what it imports to generate the methods of its classes
@@ -140,32 +164,57 @@ class TestImportFootprint:
     def test_cli_import_loads_no_code_generation(self, tmp_path):
         assert _loaded("import uvinfo.cli", tmp_path, CODE_GENERATION) == []
 
-    @pytest.mark.parametrize("argv", [
-        ["capacity", "--channel", "fig5.json", "--m", "card:19",
-         "--delta", "2/9"],
-        ["rates", "--channel", "fig5.json", "--m", "card:19", "--sequence",
-         '{"kind": "geometric", "base": "7/342", "first": "2/9"}',
-         "--n-max", "2"],
-        ["verify", "--channel", "fig5.json", "--m", "card:19",
-         "--deltas", "0,2/9"],
-        ["classify", "--matrix", "matrix.json", "--delta", "1/4"],
-        ["examples"],
-    ], ids=["capacity", "rates-sequence", "verify", "classify-matrix",
-            "examples"])
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
     def test_commands_load_no_code_generation(self, argv, tmp_path):
         # every value class is a frozen record built from closures, so no
         # command needs dataclasses, inspect or the compiler modules
-        (tmp_path / "matrix.json").write_text(json.dumps(
-            {"labels": ["a", "b", "c"], "entries": [["a", "b", "1/8"]],
-             "v_min": "1/2"}))
+        _write_matrix(tmp_path)
         assert _command_loads(argv, tmp_path, CODE_GENERATION) == []
 
 
-def _unused_imports(path: str) -> list:
+# modules that no command needs: annotations are never evaluated, and the
+# bundled fixtures are plain files beside the package
+UNNEEDED = ("typing", "importlib.resources", "pathlib", "tempfile", "zipfile")
+UNNEEDED_TOPS = tuple({name.partition(".")[0] for name in UNNEEDED})
+
+
+def _unneeded(loaded: list) -> set:
+    return {m for m in loaded for name in UNNEEDED
+            if m == name or m.startswith(name + ".")}
+
+
+class TestBareInterpreterFootprint:
+    """The same footprint under ``python -S``: with no site module, no
+    ``.pth`` hook can load a module before ``uvinfo`` does and hide it."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self, tmp_path_factory):
+        # what the standard modules the CLI always runs load by themselves
+        return _unneeded(_loaded("import argparse, fractions",
+                                 tmp_path_factory.mktemp("baseline"),
+                                 UNNEEDED_TOPS, ("-S",)))
+
+    def test_cli_import_loads_nothing_unneeded(self, baseline, tmp_path):
+        loaded = _loaded("import uvinfo.cli", tmp_path, UNNEEDED_TOPS, ("-S",))
+        assert _unneeded(loaded) <= baseline
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+    def test_commands_load_nothing_unneeded(self, argv, baseline, tmp_path):
+        _write_matrix(tmp_path)
+        loaded = _command_loads(argv, tmp_path, UNNEEDED_TOPS, ("-S",))
+        assert _unneeded(loaded) <= baseline
+
+
+def _tree(module: str) -> ast.Module:
+    with open(os.path.join(SRC, "uvinfo", f"{module}.py"),
+              encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _unused_imports(module: str) -> list:
     """The names a module imports and never reads: no ``Name`` node and no
     entry of its ``__all__`` refers to them."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = _tree(module)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -187,5 +236,17 @@ def test_every_imported_name_is_used(module):
     # chancap keeps overlap_family: bench/test_bench.py checks that the
     # tracer patches that binding in chancap as in the modules that call it
     allowed = {"chancap": ["overlap_family"]}.get(module, [])
-    path = os.path.join(SRC, "uvinfo", f"{module}.py")
-    assert _unused_imports(path) == allowed
+    assert _unused_imports(module) == allowed
+
+
+@pytest.mark.parametrize("module", ("__init__",) + SUBMODULES + ("cli",))
+def test_no_module_imports_typing_or_importlib_resources(module):
+    named = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            named.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            named.add(node.module)
+            named.update(f"{node.module}.{a.name}" for a in node.names)
+    assert not {m for m in named if m == "typing" or m.startswith("typing.")
+                or m.startswith("importlib.resources")}
