@@ -2,7 +2,7 @@
 
 Everything is computed over rationals (`fractions.Fraction`); no floats enter
 any comparison.  The package models nonempty-range uncertain variables on
-finite or interval grounds, measures sets with uncertainty functions, and
+finite or interval axes, measures sets with uncertainty functions, and
 builds overlap families, capacities, and single-letter certificates on top.
 
 ``import uvinfo`` loads no submodule: each public name (and each submodule
@@ -20,9 +20,7 @@ _EXPORTS = {
         "DeltaOutOfRange",
         "DiameterPlusOne",
         "ExplicitWeights",
-        "FiniteGround",
         "IncompatibleGround",
-        "IntervalGround",
         "IntervalUnion",
         "LebesguePlusOffset",
         "PointOutsideRange",

@@ -264,11 +264,13 @@ def confusion_ingest(source: str | Iterable) -> Channel:
     Accepts CSV text with header ``true,predicted``, an iterable of
     (true, predicted) pairs, or a mapping label -> iterable of predicted
     labels.  The input alphabet is the set of true labels; the output
-    alphabet is every label seen on either side.
+    alphabet is every label seen on either side.  A string given as the
+    predicted labels or as a pair is refused, not split into characters.
     """
     if isinstance(source, dict):
         try:
-            pairs = [(l, p) for l, preds in source.items() for p in preds]
+            pairs = [(l, p) for l, preds in source.items()
+                     for p in (None if isinstance(preds, str) else preds)]
         except TypeError:
             raise MalformedRow(
                 f"not a mapping label -> predicted labels: {source!r}") from None
@@ -297,7 +299,7 @@ def confusion_ingest(source: str | Iterable) -> Channel:
                 f"not CSV text, pairs or a mapping: {source!r}") from None
         for item in items:
             try:
-                true, predicted = item
+                true, predicted = () if isinstance(item, str) else item
             except (TypeError, ValueError):
                 raise MalformedRow(f"not a (true, predicted) pair: {item!r}") \
                     from None

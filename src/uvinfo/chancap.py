@@ -67,7 +67,6 @@ from functools import cached_property, cmp_to_key, partial, reduce
 
 from .uvcore import (
     DeltaOutOfRange,
-    FiniteGround,
     UncertainPair,
     UncertaintyFunction,
     UvinfoError,
@@ -740,11 +739,9 @@ def capacity(ch: Channel, m: UncertaintyFunction, delta: Fraction) -> CapacityRe
 
 def induced_pair(ch: Channel, codebook) -> UncertainPair:
     """The uncertain pair of a codebook sent through the channel: joint range
-    {(x, y) : x in codebook, y in N(x)}, whose section [Y|x] is the image
-    N(x)."""
-    cb = as_codebook(ch, codebook)
-    return UncertainPair(FiniteGround(cb), FiniteGround.of(ch.y_symbols),
-                         tuple((x, ch.image(x)) for x in cb))
+    {(x, y) : x in codebook, y in N(x)}, whose sections [Y|x] are the images
+    N(x) of the codebook's symbols, in symbol order."""
+    return UncertainPair(tuple((x, ch.image(x)) for x in as_codebook(ch, codebook)))
 
 
 def distinct_image_representatives(ch: Channel) -> tuple:

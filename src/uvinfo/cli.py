@@ -456,6 +456,10 @@ def _cmd_capacity(args):
 
 def _cmd_rates(args):
     from . import memoryless
+    if args.sequence is None and args.n_max is not None:
+        raise ParseError("--n-max needs --sequence")
+    if args.sequence is not None and (args.delta, args.horizon) != (None, None):
+        raise ParseError("--sequence (profile) takes no --delta or --horizon")
     ch, m = _channel_and_measure(args)
     if args.sequence:
         seq = _parse_sequence(args.sequence)
@@ -568,6 +572,8 @@ def _cmd_verify(args):
 
 def _cmd_hamming(args):
     from . import apps
+    if args.words is not None and args.codebook is not None:
+        raise ParseError("give --words or --codebook, not both")
     if args.words:
         words = [w.strip() for w in args.words.split(",")]
     else:
@@ -597,6 +603,8 @@ def _cmd_hamming(args):
 
 def _cmd_classify(args):
     from . import apps, chancap
+    if args.matrix is not None and args.confusion is not None:
+        raise ParseError("give --confusion or --matrix, not both")
     delta = _parse_ratio(args.delta)
     if args.matrix:
         em = parse_matrix_spec(_read_input(args.matrix, "matrix"))

@@ -15,7 +15,7 @@ it reads a side once for every level that ``overlap_family``, the
 information oracle and the certificates ask for.
 Finite (``frozenset``) and interval (:class:`~uvinfo.uvcore.IntervalUnion`)
 subsets share one algebra, ``&``, ``|`` and truthiness (nonempty is true), so
-only sorting asks which kind of ground a subset lives on.
+only sorting asks which kind of axis a subset lives on.
 
 Conventions that matter and are easy to get wrong:
 

@@ -76,7 +76,7 @@ def product_uncertainty(m: UncertaintyFunction, n: int) -> UncertaintyFunction:
 
     Only the cardinality-power family factorizes ((|A x B| / b^2)^e splits
     into per-factor terms); for it the product is cardinality-power again,
-    over the n-fold ground.
+    over the n-fold output alphabet.
     """
     positive_int(n, "the horizon")
     if not isinstance(m, CardinalityPower):
@@ -112,6 +112,8 @@ class ProductChannel:
 
     def _require_caps(self) -> None:
         n = self.horizon
+        if n == 1:  # one-symbol blocks are the base's own inputs and outputs
+            return
         for side, size, cap in (
                 ("inputs", len(self.base.x_symbols), CLIQUE_SEARCH_MAX_POINTS),
                 ("outputs", len(self.base.y_symbols), FAMILY_MAX_POINTS)):
@@ -129,10 +131,15 @@ class ProductChannel:
 
 @_frozen
 class Rate:
-    """log2(count)/horizon bits per symbol, kept exact as the pair."""
+    """log2(count)/horizon bits per symbol, kept exact as the pair; both
+    are ints of at least 1, so every rate renders."""
 
     count: int
     horizon: int
+
+    def __post_init__(self) -> None:
+        positive_int(self.count, "the count")
+        positive_int(self.horizon, "the horizon")
 
     @property
     def bits(self) -> float:
@@ -628,8 +635,6 @@ def capacity_profile(ch: Channel, m: UncertaintyFunction,
             notes.append(f"horizon {n} skipped: {exc}")
             break
         rows.append(ProfileRow(n, seq.value_at(n), rate, f"horizon-{n} bound"))
-    if not rows:
-        raise HorizonTooLarge("no horizon fits the exact-search caps")
     by_rate = sorted((r.rate for r in rows), key=functools.cmp_to_key(
         lambda a, b: a.compare(b) or a.horizon - b.horizon))
     inf_rate, sup_rate = by_rate[0], by_rate[-1]

@@ -1,23 +1,22 @@
-"""Ground spaces, uncertainty functions, and uncertain pairs.
+"""Subsets, uncertainty functions, and uncertain pairs.
 
 Everything in this module is exact: set sizes, interval lengths and all
 derived quantities are :class:`fractions.Fraction` values, so downstream
 comparisons against thresholds are knife-edge-safe.
 
-Two kinds of ground space are supported:
+Two kinds of axis are supported:
 
-* finite spaces, whose subsets are ``frozenset`` values over the ground's
-  labels, and
-* one-dimensional interval spaces, whose subsets are
-  :class:`IntervalUnion` values (disjoint closed intervals with rational
-  endpoints).
+* finite axes, whose subsets are ``frozenset`` values of labels, and
+* one-dimensional interval axes, whose subsets are :class:`IntervalUnion`
+  values (disjoint closed intervals with rational endpoints).
 
 An :class:`UncertainPair` stores a joint range as its sections: each x with
-its conditional range [Y|x], a ``frozenset`` on a finite Y ground or an
-:class:`IntervalUnion` on an interval one.  Marginal and conditional ranges
-are read off them; for the interval axis the pair can also produce its
-*arrangement*: the finitely many classes of points with identical
-conditional range, which is what makes the downstream calculus finite.
+its conditional range [Y|x], a ``frozenset`` on a finite Y axis or an
+:class:`IntervalUnion` on an interval one, so the type of the sections tells
+the two kinds apart.  Marginal and conditional ranges are read off them; for
+the interval axis the pair can also produce its *arrangement*: the finitely
+many classes of points with identical conditional range, which is what makes
+the downstream calculus finite.
 
 Its readers own the reading of every exact number the library takes:
 :func:`ratio` a rational, :func:`level` a delta or a level in its domain,
@@ -171,7 +170,7 @@ def level(value, bound=Fraction(1), shown="", closed=False, name="delta") -> Fra
 
 def _sorted_symbols(symbols, side: str) -> tuple:
     """The distinct symbols in sorted order: the one reader of the symbols,
-    labels and points of channels, codebooks, grounds, pairs and weights."""
+    labels and points of channels, codebooks, pairs and weights."""
     try:
         return tuple(sorted(set(symbols)))
     except TypeError:
@@ -298,53 +297,6 @@ class IntervalUnion:
         return " u ".join(f"[{format_ratio(lo)}, {format_ratio(hi)}]" for lo, hi in self.pieces)
 
 
-# ---------------------------------------------------------------------------
-# ground sets
-
-
-@_frozen
-class FiniteGround:
-    """A finite ground space with distinct, canonically ordered labels."""
-
-    labels: tuple
-
-    @staticmethod
-    def of(labels: Iterable) -> "FiniteGround":
-        ordered = _sorted_symbols(labels, "ground")
-        if not ordered:
-            raise UvinfoError("a finite ground needs at least one label")
-        return FiniteGround(ordered)
-
-    def __contains__(self, label) -> bool:
-        return label in set(self.labels)
-
-    def subset(self, labels: Iterable) -> frozenset:
-        try:
-            sub = frozenset(labels)
-        except TypeError:
-            raise UvinfoError("a subset is an iterable of hashable labels") from None
-        stray = sub - set(self.labels)
-        if stray:
-            raise UvinfoError(
-                f"labels outside the ground: {list(_sorted_symbols(stray, 'ground'))!r}")
-        return sub
-
-
-@_frozen
-class IntervalGround:
-    """A one-dimensional ground space: a closed interval union."""
-
-    support: IntervalUnion
-
-    @staticmethod
-    def of(pairs: Iterable[tuple]) -> "IntervalGround":
-        support = IntervalUnion.of(pairs)
-        if support.is_empty():
-            raise UvinfoError("an interval ground needs nonempty support")
-        return IntervalGround(support)
-
-
-GroundSet = FiniteGround | IntervalGround
 GroundSubset = frozenset | IntervalUnion
 
 
@@ -526,73 +478,52 @@ def _normalize_side(side: str) -> str:
 class UncertainPair:
     """A joint range, stored as its sections: ``cells`` holds each x of the
     X marginal with its nonempty conditional range [Y|x], in x order.  A
-    section is a ``frozenset`` when the Y ground is a :class:`FiniteGround`
-    and an :class:`IntervalUnion` when it is an :class:`IntervalGround`.
+    section is a ``frozenset`` on a finite Y axis and an
+    :class:`IntervalUnion` on an interval one; a pair with no section is a
+    finite one.
     """
 
-    x_ground: FiniteGround
-    y_ground: GroundSet
     cells: tuple[tuple[object, GroundSubset], ...]
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def finite(joint: Iterable[tuple], x_ground: FiniteGround | None = None,
-               y_ground: FiniteGround | None = None) -> "UncertainPair":
+    def finite(joint: Iterable[tuple]) -> "UncertainPair":
+        sections: dict = {}
         try:
-            pairs = frozenset(joint)
-            xs = {x for x, _ in pairs}
+            for x, y in frozenset(joint):
+                sections.setdefault(x, set()).add(y)
         except (TypeError, ValueError):
             raise UvinfoError(
                 "a finite joint range is a set of (x, y) pairs") from None
-        ys = {y for _, y in pairs}
-        if x_ground is None:
-            x_ground = FiniteGround.of(xs) if xs else FiniteGround((None,))
-        if y_ground is None:
-            y_ground = FiniteGround.of(ys) if ys else FiniteGround((None,))
-        if not (isinstance(x_ground, FiniteGround) and isinstance(y_ground, FiniteGround)):
-            raise UvinfoError("the grounds of a finite pair are FiniteGround values")
-        x_labels, y_labels = set(x_ground.labels), set(y_ground.labels)
-        sections: dict = {}
-        for x, y in pairs:
-            if x not in x_labels or y not in y_labels:
-                raise UvinfoError(f"joint pair {(x, y)!r} outside the grounds")
-            sections.setdefault(x, set()).add(y)
-        return UncertainPair(x_ground, y_ground, tuple(
-            (x, frozenset(sections[x])) for x in x_ground.labels if x in sections))
+        xs = _sorted_symbols(sections, "x")
+        # the side profiles sort the y labels too
+        _sorted_symbols(set().union(*sections.values()), "y")
+        return UncertainPair(tuple((x, frozenset(sections[x])) for x in xs))
 
     @staticmethod
-    def hybrid(cells: Mapping[object, IntervalUnion],
-               x_ground: FiniteGround | None = None,
-               y_ground: IntervalGround | None = None) -> "UncertainPair":
+    def hybrid(cells: Mapping[object, IntervalUnion]) -> "UncertainPair":
         if not isinstance(cells, Mapping) or not all(
                 isinstance(iu, IntervalUnion) for iu in cells.values()):
             raise UvinfoError("interval cells map each x to an IntervalUnion")
+        if not cells:
+            raise UvinfoError("an interval pair needs at least one x")
         items = tuple((x, cells[x]) for x in _sorted_symbols(cells, "x"))
         if any(iu.is_empty() for _, iu in items):
             raise UvinfoError("every x must have a nonempty conditional range")
-        if x_ground is None:
-            x_ground = FiniteGround.of(x for x, _ in items)
-        support = IntervalUnion.of(p for _, iu in items for p in iu.pieces)
-        if y_ground is None:
-            y_ground = IntervalGround(support)
-        if not (isinstance(x_ground, FiniteGround) and isinstance(y_ground, IntervalGround)):
-            raise UvinfoError("an interval pair's grounds are FiniteGround and IntervalGround")
-        if not y_ground.support.covers(support):
-            raise UvinfoError("cells extend outside the y ground")
-        return UncertainPair(x_ground, y_ground, items)
+        return UncertainPair(items)
 
     # -- basic structure ----------------------------------------------
 
     @property
     def joint(self) -> frozenset | None:
         """The ``(x, y)`` pairs of a finite pair; None for an interval pair."""
-        if isinstance(self.y_ground, IntervalGround):
+        if self.cells and isinstance(self.cells[0][1], IntervalUnion):
             return None
         return frozenset((x, y) for x, section in self.cells for y in section)
 
     def is_hybrid(self) -> bool:
-        return isinstance(self.y_ground, IntervalGround)
+        return bool(self.cells) and isinstance(self.cells[0][1], IntervalUnion)
 
     def is_empty(self) -> bool:
         return not self.cells
@@ -691,12 +622,9 @@ __all__ = [
     "DeltaOutOfRange",
     "DiameterPlusOne",
     "ExplicitWeights",
-    "FiniteGround",
     "FrozenInstanceError",
-    "GroundSet",
     "GroundSubset",
     "IncompatibleGround",
-    "IntervalGround",
     "IntervalUnion",
     "LebesguePlusOffset",
     "PointOutsideRange",

@@ -264,6 +264,18 @@ class TestConfusionIngest:
         with pytest.raises(MalformedRow):
             confusion_ingest("true,predicted\n")
 
+    def test_a_string_of_predictions_is_refused(self):
+        # not read as the one-letter labels d, g and o
+        with pytest.raises(MalformedRow, match=r"^not a mapping label -> "
+                           r"predicted labels: \{'cat': 'dog'\}$"):
+            confusion_ingest({"cat": "dog"})
+
+    def test_a_string_item_is_refused(self):
+        # not read as the pair (a, b)
+        with pytest.raises(MalformedRow,
+                           match=r"^not a \(true, predicted\) pair: 'ab'$"):
+            confusion_ingest(["ab"])
+
     def test_label_uncertainty_normalizes_the_output_axis(self):
         ch = confusion_ingest(self.CSV)
         m = label_uncertainty(ch)

@@ -223,11 +223,6 @@ class TestInducedPair:
         assert pair.marginal_range("Y") == frozenset([1, 2, 3, 4, 5, 6, 11]) \
             | frozenset(range(13, 20))
 
-    def test_full_output_ground_retained(self, fig5):
-        # the y ground stays the full alphabet so m stays normalized
-        pair = induced_pair(fig5, (1, 13))
-        assert set(pair.y_ground.labels) == set(range(1, 20))
-
 
 class TestMISupOracle:
     def test_matches_capacity_on_the_fixture(self, fig5):

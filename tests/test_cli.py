@@ -777,3 +777,27 @@ class TestExitContract:
         assert code in (0, 1, 2), (argv, files, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert (code == 2) == err.getvalue().startswith("error: ")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["rates", "--delta", "0", "--n-max", "2"], "--n-max needs --sequence"),
+        (["rates", "--n-max", "2"], "--n-max needs --sequence"),
+        (["rates", "--sequence", '{"kind": "zero"}', "--delta", "0"],
+         "--sequence (profile) takes no --delta or --horizon"),
+        (["rates", "--sequence", '{"kind": "zero"}', "--horizon", "2"],
+         "--sequence (profile) takes no --delta or --horizon"),
+        (["classify", "--matrix", "m.json", "--confusion", "c.csv",
+          "--delta", "0"], "give --confusion or --matrix, not both"),
+        (["hamming", "--words", "01,10", "--codebook", "w.txt", "--tau", "0"],
+         "give --words or --codebook, not both"),
+    ], ids=["n-max-with-delta", "n-max-alone", "sequence-with-delta",
+            "sequence-with-horizon", "matrix-and-confusion",
+            "words-and-codebook"])
+    def test_a_flag_the_mode_would_ignore_is_refused(self, argv, message,
+                                                     capsys):
+        # refused before any input is read: m.json, c.csv and w.txt exist
+        # nowhere
+        if argv[0] == "rates":
+            argv = [argv[0], "--channel", "fig5.json", "--m", "card:19",
+                    *argv[1:]]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -18,11 +18,10 @@ from uvinfo import (
     DeltaOutOfRange,
     EquivocationMatrix,
     ExplicitWeights,
-    FiniteGround,
-    IntervalGround,
     IntervalUnion,
     LengthMismatch,
     ProductChannel,
+    Rate,
     UncertainPair,
     UvinfoError,
     association_sets,
@@ -148,6 +147,8 @@ COUNT_CALLS = {
     "CardinalityPower base_size": lambda ch, m, n: CardinalityPower(n),
     "CardinalityPower exponent": lambda ch, m, n: CardinalityPower(4, n),
     "BitString length": lambda ch, m, n: BitString(n, 0),
+    "Rate count": lambda ch, m, n: Rate(n, 1),
+    "Rate horizon": lambda ch, m, n: Rate(2, n),
 }
 
 
@@ -192,29 +193,18 @@ STRUCTURAL_CALLS = {
     "confusion_ingest, an int for predictions": lambda: confusion_ingest({1: 5}),
     "EquivocationMatrix.of, an int key":
         lambda: EquivocationMatrix.of([1, 2], {1: "1/2"}),
-    "FiniteGround.subset, an unhashable label":
-        lambda: FiniteGround.of([1, 2]).subset([[1]]),
-    "FiniteGround.of, incomparable labels": lambda: FiniteGround.of([1, "a"]),
-    "FiniteGround.subset, incomparable stray labels":
-        lambda: FiniteGround.of([1, 2]).subset([3, "a"]),
     "ExplicitWeights.of_mapping, incomparable labels":
         lambda: ExplicitWeights.of_mapping({1: 1, "a": 1}),
     "ball_channel, incomparable points":
         lambda: ball_channel([1, "a"], lambda a, b: 0, 1),
     "UncertainPair.finite, incomparable labels":
         lambda: UncertainPair.finite([(1, "a"), ("b", 2)]),
-    "UncertainPair.finite, an int x ground":
-        lambda: UncertainPair.finite([(1, 2)], x_ground=5),
-    "UncertainPair.finite, an int y ground":
-        lambda: UncertainPair.finite([(1, 2)], y_ground=3),
+    "UncertainPair.finite, incomparable y labels":
+        lambda: UncertainPair.finite([(1, "a"), (2, 3)]),
     "UncertainPair.hybrid, an int cell": lambda: UncertainPair.hybrid({1: 5}),
     "UncertainPair.hybrid, a list": lambda: UncertainPair.hybrid([(1, 2)]),
     "UncertainPair.hybrid, incomparable x labels": lambda: UncertainPair.hybrid(
         {1: IntervalUnion.of([(0, 1)]), "a": IntervalUnion.of([(0, 1)])}),
-    "UncertainPair.hybrid, an int x ground": lambda: UncertainPair.hybrid(
-        {1: IntervalUnion.of([(0, 1)])}, x_ground=3),
-    "UncertainPair.hybrid, an int y ground": lambda: UncertainPair.hybrid(
-        {1: IntervalUnion.of([(0, 1)])}, y_ground=3),
     "ExplicitWeights.of_mapping, a list": lambda: ExplicitWeights.of_mapping([1, 2]),
     "BitString.of, an int": lambda: BitString.of(5),
     "hamming_distance_bound, an int codebook":
@@ -287,18 +277,23 @@ PINNED_REFUSALS = {
     "IntervalUnion.of, endpoints out of order": (
         lambda: IntervalUnion.of([(2, 1)]),
         UvinfoError, "interval endpoints out of order: [2, 1]"),
-    "FiniteGround.of, no label": (
-        lambda: FiniteGround.of([]),
-        UvinfoError, "a finite ground needs at least one label"),
-    "IntervalGround.of, no support": (
-        lambda: IntervalGround.of([]),
-        UvinfoError, "an interval ground needs nonempty support"),
+    "UncertainPair.hybrid, no cell": (
+        lambda: UncertainPair.hybrid({}),
+        UvinfoError, "an interval pair needs at least one x"),
     "within_noise_floor, a zero floor": (
         lambda: ConfidenceSequence.zero().within_noise_floor(0),
         UvinfoError, "the noise floor must lie in (0, 1]"),
     "Channel.image, an unhashable symbol": (
         lambda: Channel.of({1: {0}}).image([1]),
         UvinfoError, "[1] is not an input symbol"),
+    # a rate renders log2(count)/horizon, so neither can be 0 or less
+    **{f"Rate, {name}": (
+        lambda args=args: Rate(*args),
+        UvinfoError, f"the {field} must be a positive integer")
+       for name, args, field in (
+           ("no codeword", (0, 1), "count"), ("horizon 0", (3, 0), "horizon"),
+           ("a negative horizon", (2, -1), "horizon"),
+           ("a boolean count", (True, 1), "count"))},
 }
 
 

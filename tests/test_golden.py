@@ -109,6 +109,19 @@ REFUSED = {
                             "--m", "card:19", "--delta", "0"],
     "refuse-hamming-without-words": ["hamming", "--tau", "1/7"],
     "refuse-classify-without-input": ["classify", "--delta", "1/4"],
+    # flags the chosen mode would ignore
+    "refuse-n-max-without-sequence": ["rates", *FIG5, "--delta", "2/9",
+                                      "--n-max", "2"],
+    "refuse-sequence-with-delta": ["rates", *FIG5, "--sequence", SEQUENCE,
+                                   "--delta", "2/9"],
+    "refuse-sequence-with-horizon": ["rates", *FIG5, "--sequence", SEQUENCE,
+                                     "--horizon", "2"],
+    "refuse-classify-matrix-and-confusion": [
+        "classify", "--matrix", "matrix.json", "--confusion", "records.csv",
+        "--delta", "1/4"],
+    "refuse-hamming-words-and-codebook": [
+        "hamming", "--words", "0000000,1110000", "--codebook", "words.txt",
+        "--tau", "1/7"],
 }
 
 

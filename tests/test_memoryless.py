@@ -188,6 +188,21 @@ class TestRateAtHorizon:
         with pytest.raises(HorizonTooLarge, match="horizon 501 exceeds"):
             ProductChannel(one, 501).materialize()
 
+    @pytest.mark.parametrize("mapping,m,count", [
+        ({i: [i % 30] for i in range(600)}, CardinalityPower(30), 30),
+        ({0: range(4000), 1: range(4000, 7001)}, CardinalityPower(7001), 2),
+    ], ids=["600-inputs", "7001-outputs"])
+    def test_horizon_one_is_within_every_cap(self, mapping, m, count):
+        # one-symbol blocks are the base's own inputs and outputs, so a base
+        # past a block cap still has its horizon-1 rate and profile row
+        ch = Channel.of(mapping)
+        assert capacity(ch, m, F(0)).count == count
+        assert rate_at_horizon(ch, m, F(0), 1) == Rate(count, 1)
+        report = capacity_profile(ch, m, ConfidenceSequence.zero(), 2)
+        assert [(row.horizon, row.rate) for row in report.rows] == \
+            [(1, Rate(count, 1))]
+        assert report.notes[0].startswith("horizon 2 skipped: ")
+
     def test_products_match_the_materialized_product(self):
         # bases of 1-6 inputs, some sharing an image, at horizons 2 and 3,
         # and 4 within 500 block inputs, at fixed deltas and at the base's

@@ -18,10 +18,10 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(uvinfo.__file__)))
 PUBLIC_NAMES = [
     "AssociationSets", "BitString", "CapacityResult", "CardinalityPower",
     "Channel", "ConfidenceSequence", "DeltaOutOfRange", "DiameterPlusOne",
-    "EmptyPair", "EquivocationMatrix", "ExplicitWeights", "FiniteGround",
-    "HorizonTooLarge", "IncompatibleGround", "IntervalGround",
-    "IntervalUnion", "LebesguePlusOffset", "LengthMismatch", "LevelStatus",
-    "MIResult", "NonProductUncertainty", "NotCapacityAchieving",
+    "EmptyPair", "EquivocationMatrix", "ExplicitWeights", "HorizonTooLarge",
+    "IncompatibleGround", "IntervalUnion", "LebesguePlusOffset",
+    "LengthMismatch", "LevelStatus", "MIResult", "NonProductUncertainty",
+    "NotCapacityAchieving",
     "NotDisassociated", "NotDistinguishable", "NotNormalized",
     "OverlapFamily", "PointOutsideRange", "ProductChannel", "Rate",
     "SingleLetterCertificate", "TaxicabFamily", "UncertainPair",

@@ -1,10 +1,12 @@
 """The stored form of a joint range against a copy of the code it replaced.
 
-``UncertainPair`` stores every pair as its sections [Y|x].  It used to store
-a finite pair as a set of ``(x, y)`` pairs and an interval pair as sections;
-``ReferencePair``, ``reference_sections`` and ``reference_induced_pair`` are
-verbatim copies of that record and its readers, of ``infocalc._sections``
-and of ``chancap.induced_pair``.  Seeded pairs and channels must give equal
+``UncertainPair`` stores every pair as its sections [Y|x], and nothing else.
+It used to store a finite pair as a set of ``(x, y)`` pairs and an interval
+pair as sections, each beside an X and a Y ground; ``ReferencePair``,
+``reference_sections`` and ``reference_induced_pair`` are verbatim copies of
+that record and its readers, of ``infocalc._sections`` and of
+``chancap.induced_pair``, and ``FiniteGround`` and ``IntervalGround`` of the
+two ground classes they build.  Seeded pairs and channels must give equal
 results, or equal refusals (class and message), through the readers, the
 side profiles, the association sets, the overlap families, the taxicab
 family, the oracle's codebook rows, ``mi_sup_oracle`` and
@@ -24,10 +26,7 @@ from uvinfo.uvcore import (
     ArrangementCell,
     CardinalityPower,
     ExplicitWeights,
-    FiniteGround,
-    GroundSet,
     GroundSubset,
-    IntervalGround,
     IntervalUnion,
     LebesguePlusOffset,
     PointOutsideRange,
@@ -41,6 +40,55 @@ from uvinfo.uvcore import (
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the reference: the ground classes the record stored
+
+
+@_frozen
+class FiniteGround:
+    """A finite ground space with distinct, canonically ordered labels."""
+
+    labels: tuple
+
+    @staticmethod
+    def of(labels: Iterable) -> "FiniteGround":
+        ordered = _sorted_symbols(labels, "ground")
+        if not ordered:
+            raise UvinfoError("a finite ground needs at least one label")
+        return FiniteGround(ordered)
+
+    def __contains__(self, label) -> bool:
+        return label in set(self.labels)
+
+    def subset(self, labels: Iterable) -> frozenset:
+        try:
+            sub = frozenset(labels)
+        except TypeError:
+            raise UvinfoError("a subset is an iterable of hashable labels") from None
+        stray = sub - set(self.labels)
+        if stray:
+            raise UvinfoError(
+                f"labels outside the ground: {list(_sorted_symbols(stray, 'ground'))!r}")
+        return sub
+
+
+@_frozen
+class IntervalGround:
+    """A one-dimensional ground space: a closed interval union."""
+
+    support: IntervalUnion
+
+    @staticmethod
+    def of(pairs: Iterable[tuple]) -> "IntervalGround":
+        support = IntervalUnion.of(pairs)
+        if support.is_empty():
+            raise UvinfoError("an interval ground needs nonempty support")
+        return IntervalGround(support)
+
+
+GroundSet = FiniteGround | IntervalGround
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +386,6 @@ class TestPairsMatchTheReference:
     def test_seeded_pairs(self):
         kinds = set()
         for new, ref in seeded_pairs(28, 100):
-            assert new.x_ground == ref.x_ground and new.y_ground == ref.y_ground
             assert dict(new.cells) == reference_sections(ref, "Y")
             got = readings(new)
             with reference_form():
@@ -394,8 +441,7 @@ class TestChannelsMatchTheReference:
             ch, m, deltas = seeded_channel(rng)
             for cb in chancap.distinct_image_representatives(ch), ch.x_symbols[:1]:
                 new, ref = chancap.induced_pair(ch, cb), reference_induced_pair(ch, cb)
-                assert (new.x_ground, new.y_ground, new.joint) == \
-                    (ref.x_ground, ref.y_ground, ref.joint)
+                assert new.joint == ref.joint
             got = row_readings(ch, m, deltas)
             with reference_form():
                 want = row_readings(ch, m, deltas)

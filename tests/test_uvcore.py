@@ -1,4 +1,4 @@
-"""Ground structures and uncertainty functionals.
+"""Subsets, uncertainty functionals and uncertain pairs.
 
 The laws checked here (product rule, subadditivity, strong transitivity)
 are what the higher layers lean on, so they get property tests; the rest
@@ -14,7 +14,6 @@ from uvinfo import (
     CardinalityPower,
     DiameterPlusOne,
     ExplicitWeights,
-    FiniteGround,
     IncompatibleGround,
     IntervalUnion,
     LebesguePlusOffset,
@@ -306,16 +305,6 @@ class TestFinitePair:
     def test_reassembles(self):
         pair = UncertainPair.finite([(1, "u"), (2, "u"), (2, "w")])
         assert pair.reassembles()
-
-    @pytest.mark.parametrize("joint,stray", [
-        ([(1, "u"), (3, "u")], (3, "u")),
-        ([(1, "u"), (2, "w")], (2, "w")),
-    ], ids=["x-outside", "y-outside"])
-    def test_joint_outside_the_grounds(self, joint, stray):
-        with pytest.raises(UvinfoError) as info:
-            UncertainPair.finite(joint, x_ground=FiniteGround.of([1, 2]),
-                                 y_ground=FiniteGround.of(["u", "v"]))
-        assert str(info.value) == f"joint pair {stray!r} outside the grounds"
 
     @given(st.frozensets(
         st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
