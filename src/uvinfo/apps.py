@@ -15,19 +15,13 @@ import io
 import itertools
 import math
 from fractions import Fraction
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 
 from .uvcore import (CardinalityPower, UvinfoError, _frozen, _items,
                      _sorted_symbols, format_ratio, hamming_diameter, level,
                      positive_int, ratio)
-from .chancap import (
-    Channel,
-    _capacity_search,
-    _pair_values,
-    _require_normalized,
-    CapacityResult,
-)
+from .chancap import Channel, _capacity_search, CapacityResult
 
 HAMMING_MAX_LENGTH = 12
 
@@ -196,7 +190,10 @@ class EquivocationMatrix:
     v_min: Fraction
 
     @staticmethod
-    def of(labels, mapping: dict, v_min=1) -> "EquivocationMatrix":
+    def of(labels, mapping: Mapping, v_min=1) -> "EquivocationMatrix":
+        if not isinstance(mapping, Mapping):
+            raise UvinfoError(
+                f"a matrix maps label pairs to values, got {mapping!r}")
         labs = _sorted_symbols(labels, "label")
         if len(labs) < 2:
             raise UvinfoError("a matrix needs at least two labels")
@@ -225,14 +222,6 @@ class EquivocationMatrix:
                         for pair in itertools.combinations(labs, 2))
         return EquivocationMatrix(labs, entries, floor)
 
-    @staticmethod
-    def from_channel(ch: Channel, m) -> "EquivocationMatrix":
-        _require_normalized(ch, m)
-        mapping = dict(zip(itertools.combinations(ch.x_symbols, 2),
-                           _pair_values(ch, m)))
-        return EquivocationMatrix.of(ch.x_symbols, mapping,
-                                     v_min=ch.min_image_uncertainty(m))
-
     @cached_property
     def _by_pair(self) -> dict:
         return dict(self.entries)
@@ -258,62 +247,35 @@ def matrix_capacity(em: EquivocationMatrix, delta) -> CapacityResult:
 # confusion ingestion
 
 
-def confusion_ingest(source: str | Iterable) -> Channel:
-    """Build a label channel l -> N(l) from classification observations.
+def confusion_ingest(text: str) -> Channel:
+    """Build a label channel l -> N(l) from classification observations:
+    CSV text with header ``true,predicted``, one observation a row.
 
-    Accepts CSV text with header ``true,predicted``, an iterable of
-    (true, predicted) pairs, or a mapping label -> iterable of predicted
-    labels.  The input alphabet is the set of true labels; the output
-    alphabet is every label seen on either side.  A string given as the
-    predicted labels or as a pair is refused, not split into characters.
+    The input alphabet is the set of true labels; the output alphabet is
+    every label seen on either side.  A mapping label -> predicted labels
+    is already a channel: ``Channel.of(mapping, y_alphabet=...)``.
     """
-    if isinstance(source, dict):
-        try:
-            pairs = [(l, p) for l, preds in source.items()
-                     for p in (None if isinstance(preds, str) else preds)]
-        except TypeError:
-            raise MalformedRow(
-                f"not a mapping label -> predicted labels: {source!r}") from None
-    elif isinstance(source, str):
-        reader = csv.reader(io.StringIO(source))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow("empty CSV input") from None
-        if [h.strip() for h in header] != ["true", "predicted"]:
-            raise MalformedRow(
-                f"expected header 'true,predicted', got {header!r}")
-        pairs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                raise MalformedRow(f"line {lineno}: {row!r}")
-            pairs.append((row[0].strip(), row[1].strip()))
-    else:
-        pairs = []
-        try:
-            items = iter(source)
-        except TypeError:
-            raise MalformedRow(
-                f"not CSV text, pairs or a mapping: {source!r}") from None
-        for item in items:
-            try:
-                true, predicted = () if isinstance(item, str) else item
-            except (TypeError, ValueError):
-                raise MalformedRow(f"not a (true, predicted) pair: {item!r}") \
-                    from None
-            pairs.append((true, predicted))
-    if not pairs:
-        raise MalformedRow("no observations")
+    if not isinstance(text, str):
+        raise MalformedRow(f"not CSV text: {text!r}")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedRow("empty CSV input") from None
+    if [h.strip() for h in header] != ["true", "predicted"]:
+        raise MalformedRow(f"expected header 'true,predicted', got {header!r}")
     images: dict = {}
-    for true, predicted in pairs:
-        try:
-            images.setdefault(true, set()).add(predicted)
-        except TypeError:
-            raise MalformedRow(f"labels must be hashable: {(true, predicted)!r}") from None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2 or not row[0].strip() or not row[1].strip():
+            raise MalformedRow(f"line {lineno}: {row!r}")
+        true, predicted = row[0].strip(), row[1].strip()
+        images.setdefault(true, set()).add(predicted)
+    if not images:
+        raise MalformedRow("no observations")
     return Channel.of({l: frozenset(ns) for l, ns in images.items()},
-                      y_alphabet=set(images) | {p for _, p in pairs})
+                      y_alphabet=set(images).union(*images.values()))
 
 
 def label_uncertainty(ch: Channel) -> CardinalityPower:

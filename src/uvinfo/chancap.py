@@ -101,7 +101,9 @@ class Channel:
     """A set-valued noise map on finite alphabets.
 
     Symbols may be any sortable hashables; every image must be a nonempty
-    subset of the output alphabet.
+    subset of the output alphabet.  ``Channel.of`` reads a mapping
+    input -> image, so a mapping label -> predicted labels is a confusion
+    channel as it stands; ``apps.confusion_ingest`` reads the CSV form.
     """
 
     x_symbols: tuple
@@ -143,16 +145,8 @@ class Channel:
         except (KeyError, TypeError):  # TypeError: an unhashable symbol
             raise UvinfoError(f"{x!r} is not an input symbol") from None
 
-    @property
-    def y_ground(self) -> frozenset:
-        return frozenset(self.y_symbols)
-
-    def min_image(self, m: UncertaintyFunction) -> frozenset:
-        """The minimum-uncertainty image, ties broken by least input symbol."""
-        return min(self.images, key=m.of)
-
     def min_image_uncertainty(self, m: UncertaintyFunction) -> Fraction:
-        return m.of(self.min_image(m))
+        return min(map(m.of, self.images))
 
 
 def ball_channel(points, distance: Callable, radius) -> Channel:
@@ -165,7 +159,7 @@ def ball_channel(points, distance: Callable, radius) -> Channel:
 
 
 def _require_normalized(ch: Channel, m: UncertaintyFunction) -> None:
-    _require_unit(m.of(ch.y_ground))
+    _require_unit(m.of(frozenset(ch.y_symbols)))
 
 
 def _require_unit(total: Fraction) -> None:
@@ -760,10 +754,12 @@ def distinct_image_representatives(ch: Channel) -> tuple:
 
 @_frozen
 class MISupResult(_CountResult):
+    """The sup of ``mi_sup_oracle``: its count, the first codebook to reach
+    it, and that codebook's level delta_tilde."""
+
     count: int
     codebook: tuple
     delta_tilde: Fraction
-    feasible_only: bool  # the mode asked for; both modes give one sup (_sup)
 
 
 def _uniform_x(pair: UncertainPair) -> CardinalityPower:
@@ -815,21 +811,21 @@ def _sup(rows: list, delta: Fraction) -> tuple:
     return best
 
 
-def mi_sup_oracle(ch: Channel, m: UncertaintyFunction, delta: Fraction, *,
-                  feasible_only: bool = True) -> MISupResult:
+def mi_sup_oracle(ch: Channel, m: UncertaintyFunction,
+                  delta: Fraction) -> MISupResult:
     """Brute-force the coding-theorem right side: the sup over codebooks X
     and levels delta_tilde <= delta / m([Y]) of the output-side mutual
     information at delta_tilde / |X|.
 
-    With ``feasible_only`` the sup ranges over (X, delta_tilde) whose
-    output-side overlap family exists (the feasible set); without it a
-    missing family scores 0 bits.  Both modes give the same sup: a
-    codebook's level-0 family never beats its top level, nor a missing one
-    a singleton codebook, so one walk at the top levels serves (``_sup``).
+    The sup is the same whether it ranges over the feasible set, the
+    (X, delta_tilde) whose output-side overlap family exists, or over every
+    pair with a missing family scoring 0 bits: a codebook's level-0 family
+    never beats its top level, nor a missing one a singleton codebook, so
+    one walk at the top levels answers both (``_sup``).
     """
     delta = _require_below_floor(ch, m, delta)
     count, delta_tilde, (codebook, _) = _sup(_codebook_rows(ch, m), delta)
-    return MISupResult(count, codebook, delta_tilde, feasible_only)
+    return MISupResult(count, codebook, delta_tilde)
 
 
 @_frozen

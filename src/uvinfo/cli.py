@@ -245,9 +245,12 @@ def _read_input(path: str | None, flag: str) -> str:
     """Read the UTF-8 text file given to ``--<flag>``.  A bare name that is
     not a file here falls back to the ``data`` directory beside this module,
     so the shipped fixtures work by name (fig5.json, walkers.json); a path
-    with a directory never does.  An unreadable file is a ``ParseError``."""
-    if not path:
+    with a directory never does.  An unreadable file is a ``ParseError``, and
+    so are a missing flag and an empty path."""
+    if path is None:
         raise ParseError(f"missing required input --{flag}")
+    if not path:
+        raise ParseError(f"the path given to --{flag} is empty")
     name = path
     if not os.path.dirname(path) and not os.path.exists(path):
         name = os.path.join(os.path.dirname(__file__), "data", path)
@@ -383,9 +386,9 @@ def _pair_and_measures(args):
     """The pair of --pair with its measures: --m-x and --m-y override the
     specs embedded in the pair file."""
     pair, m_x, m_y = parse_pair_spec(_read_input(args.pair, "pair"))
-    if args.m_x:
+    if args.m_x is not None:
         m_x = parse_m_spec(args.m_x)
-    if args.m_y:
+    if args.m_y is not None:
         m_y = parse_m_spec(args.m_y)
     if m_x is None or m_y is None:
         raise ParseError("uncertainty specs required (flags or pair fields)")
@@ -461,9 +464,9 @@ def _cmd_rates(args):
     if args.sequence is not None and (args.delta, args.horizon) != (None, None):
         raise ParseError("--sequence (profile) takes no --delta or --horizon")
     ch, m = _channel_and_measure(args)
-    if args.sequence:
+    if args.sequence is not None:
         seq = _parse_sequence(args.sequence)
-        n_max = _parse_int(args.n_max or 1, "n-max")
+        n_max = 1 if args.n_max is None else _parse_int(args.n_max, "n-max")
         report = memoryless.capacity_profile(ch, m, seq, n_max)
         payload = {
             "command": "rates",
@@ -481,7 +484,7 @@ def _cmd_rates(args):
         return payload, 0
     if args.delta is None:
         raise ParseError("rates needs --sequence (profile) or --delta")
-    n = _parse_int(args.horizon or 1, "horizon")
+    n = 1 if args.horizon is None else _parse_int(args.horizon, "horizon")
     delta = _parse_ratio(args.delta)
     rate = memoryless.rate_at_horizon(ch, m, delta, n)
     payload = {"command": "rates", "horizon": n, "delta_n": delta,
@@ -502,17 +505,27 @@ def _parse_sequence(text: str):
         raise ParseError(str(exc)) from None
 
 
+# the flags each certificate variant never reads, so refuses
+_UNREAD = {"T12": ("delta_star",), "T13": ("delta_star",),
+           "Cor2": ("delta1", "delta_bar", "delta_star", "sequence"),
+           "T14": ("delta1", "delta_bar", "sequence")}
+
+
 def _cmd_single_letter(args):
     from . import memoryless
+    for name in _UNREAD[args.variant]:
+        if getattr(args, name) is not None:
+            flag = name.replace("_", "-")
+            raise ParseError(f"--variant {args.variant} takes no --{flag}")
     ch, m = _channel_and_measure(args)
     kwargs = {}
-    if args.codebook:
+    if args.codebook is not None:
         raw = [s.strip() for s in args.codebook.split(",")]
         kwargs["codebook"] = tuple(_normalize_symbols(raw))
     for name in ("delta1", "delta_bar", "delta_star"):
         if getattr(args, name) is not None:
             kwargs[name] = _parse_ratio(getattr(args, name))
-    if args.sequence:
+    if args.sequence is not None:
         kwargs["sequence"] = _parse_sequence(args.sequence)
     cert = memoryless.single_letter_check(ch, m, args.variant, **kwargs)
     return {"command": "single-letter", **_certificate_payload(cert)}, 0
@@ -521,7 +534,7 @@ def _cmd_single_letter(args):
 def _cmd_verify(args):
     from . import chancap, infocalc, memoryless
     ch, m = _channel_and_measure(args)
-    if args.deltas:
+    if args.deltas is not None:
         deltas = [_parse_ratio(t) for t in args.deltas.split(",")]
     else:
         _, deltas = chancap._noise_floor_search(ch, m)
@@ -574,13 +587,13 @@ def _cmd_hamming(args):
     from . import apps
     if args.words is not None and args.codebook is not None:
         raise ParseError("give --words or --codebook, not both")
-    if args.words:
+    if args.words is not None:
         words = [w.strip() for w in args.words.split(",")]
     else:
         words = _read_input(args.codebook, "codebook").split()
     cb = [apps.BitString.of(w) for w in words]
     tau = _parse_ratio(args.tau)
-    delta = _parse_ratio(args.delta or "0")
+    delta = Fraction(0) if args.delta is None else _parse_ratio(args.delta)
     try:
         report = apps.hamming_distance_bound(cb, tau, delta)
     except apps.NotDistinguishable as exc:
@@ -606,7 +619,7 @@ def _cmd_classify(args):
     if args.matrix is not None and args.confusion is not None:
         raise ParseError("give --confusion or --matrix, not both")
     delta = _parse_ratio(args.delta)
-    if args.matrix:
+    if args.matrix is not None:
         em = parse_matrix_spec(_read_input(args.matrix, "matrix"))
         res = apps.matrix_capacity(em, delta)
         return {"command": "classify", "source": "matrix",

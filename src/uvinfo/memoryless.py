@@ -98,9 +98,6 @@ class ProductChannel:
     def __post_init__(self) -> None:
         positive_int(self.horizon, "the horizon")
 
-    def output_count(self) -> int:
-        return len(self.base.y_symbols) ** self.horizon
-
     def materialize(self) -> Channel:
         self._require_caps()
         mapping = {}
@@ -234,15 +231,15 @@ class ConfidenceSequence:
             return self.head[n - 1]
         return self.scale * self.base ** n
 
-    def _decide(self, rel: str, c: Fraction, r: Fraction, start: int,
+    def _decide(self, rel: str, c: Fraction, r: Fraction,
                 bound: str) -> tuple[bool, str]:
-        """Exactly decide delta_n <rel> c * r**n for every n >= start, for
+        """Exactly decide delta_n <rel> c * r**n for every n >= 2, for
         c, r >= 0: the listed values one by one, then the tail, whose ratio
         (scale/c) * (base/r)**n to the bound is monotone in n.  So either the
         first tail horizon decides, or the tail fails eventually."""
         strict, weak = _RELATIONS[rel]
-        n0 = max(start, len(self.head) + 1)
-        for n in range(start, n0):
+        n0 = max(2, len(self.head) + 1)
+        for n in range(2, n0):
             if not strict(self.head[n - 1], c * r ** n):
                 v = format_ratio(self.head[n - 1])
                 return False, f"delta_{n} = {v}, not {rel} {bound}"
@@ -262,18 +259,9 @@ class ConfidenceSequence:
     def is_identically_zero(self) -> bool:
         return not any(self.head) and self.scale * self.base == 0
 
-    def within_noise_floor(self, v_min: Fraction) -> tuple[bool, str]:
-        """Exactly decide 0 <= delta_n < v_min**n for every n."""
-        v_min = ratio(v_min)
-        if not 0 < v_min <= 1:
-            raise UvinfoError("the noise floor must lie in (0, 1]")
-        if self.value_at(1) < 0:
-            return False, f"delta_1 = {format_ratio(self.value_at(1))}, not >= 0"
-        return self._decide("<", 1, v_min, 1, "the noise floor")
-
     def tail_at_most_power(self, q: Fraction) -> tuple[bool, str]:
         """Exactly decide delta_n <= q**n for all n >= 2."""
-        return self._decide("<=", 1, q, 2, "q^n")
+        return self._decide("<=", 1, q, "q^n")
 
     def tail_at_least_geometric(self, floor_scale: Fraction,
                                 floor_base: Fraction) -> tuple[bool, str]:
@@ -281,12 +269,12 @@ class ConfidenceSequence:
         n >= 2."""
         if floor_scale == 0 or floor_base == 0:
             return True, "zero floor"
-        return self._decide(">=", floor_scale / floor_base, floor_base, 2,
+        return self._decide(">=", floor_scale / floor_base, floor_base,
                             "the floor")
 
     def tail_below_one(self) -> tuple[bool, str]:
         """Exactly decide delta_n < 1 for all n >= 2."""
-        return self._decide("<", 1, 1, 2, "1")
+        return self._decide("<", 1, 1, "1")
 
 
 def parse_sequence_spec(obj: dict) -> ConfidenceSequence:

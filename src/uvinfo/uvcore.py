@@ -597,24 +597,6 @@ class UncertainPair:
         out.sort(key=lambda c: c.reps[0])
         return out
 
-    # -- reassembly check ----------------------------------------------
-
-    def reassembles(self) -> bool:
-        """The defining identity: the joint equals the union over y of
-        ``section(y) x {y}``.  Each stored section [Y|x] is rebuilt as the
-        union of the Y classes whose section holds x: the points of a finite
-        axis, the arrangement cells' supports on an interval one."""
-        if self.is_hybrid():
-            classes = [(cell.xset, cell.support) for cell in self.arrangement()]
-        else:
-            classes = [(self.conditional_range("X", y), frozenset([y]))
-                       for y in self.marginal_range("Y")]
-        rebuilt: dict = {}
-        for xset, support in classes:
-            for x in xset:
-                rebuilt[x] = rebuilt[x] | support if x in rebuilt else support
-        return rebuilt == dict(self.cells)
-
 
 __all__ = [
     "ArrangementCell",

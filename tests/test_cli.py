@@ -23,6 +23,10 @@ from uvinfo.cli import (
 )
 
 F = Fraction
+FIG5 = ["--channel", "fig5.json", "--m", "card:19"]
+EMPTY_M = ("unknown uncertainty spec ''; use card:<base>[:<exp>], "
+           "leb+<offset>, or diam:<normalizer>")
+EMPTY_RATIO = "not a valid ratio: ''"
 
 
 def run(args, capsys):
@@ -789,15 +793,81 @@ class TestExitContract:
           "--delta", "0"], "give --confusion or --matrix, not both"),
         (["hamming", "--words", "01,10", "--codebook", "w.txt", "--tau", "0"],
          "give --words or --codebook, not both"),
+        *((["single-letter", "--variant", variant, "--codebook", "1,7,13",
+            f"--{flag}", value], f"--variant {variant} takes no --{flag}")
+          for variant, flag, value in (
+              ("Cor2", "delta1", "1/2"), ("Cor2", "delta-bar", "1/3"),
+              ("Cor2", "delta-star", "1/5"), ("Cor2", "sequence", "s.json"),
+              ("T14", "delta1", "1/2"), ("T14", "delta-bar", "1/3"),
+              ("T14", "sequence", "s.json"), ("T12", "delta-star", "1/5"),
+              ("T13", "delta-star", "1/5"))),
     ], ids=["n-max-with-delta", "n-max-alone", "sequence-with-delta",
             "sequence-with-horizon", "matrix-and-confusion",
-            "words-and-codebook"])
+            "words-and-codebook", "Cor2-delta1", "Cor2-delta-bar",
+            "Cor2-delta-star", "Cor2-sequence", "T14-delta1", "T14-delta-bar",
+            "T14-sequence", "T12-delta-star", "T13-delta-star"])
     def test_a_flag_the_mode_would_ignore_is_refused(self, argv, message,
                                                      capsys):
-        # refused before any input is read: m.json, c.csv and w.txt exist
-        # nowhere
+        # refused before any input is read: m.json, c.csv, w.txt, s.json
+        # and ch.json exist nowhere
         if argv[0] == "rates":
             argv = [argv[0], "--channel", "fig5.json", "--m", "card:19",
                     *argv[1:]]
+        if argv[0] == "single-letter":
+            argv = [argv[0], "--channel", "ch.json", "--m", "card:19",
+                    *argv[1:]]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["analyze", "--pair", "walkers.json", "--m-x", ""], EMPTY_M),
+        (["analyze", "--pair", "walkers.json", "--m-y", ""], EMPTY_M),
+        (["analyze", "--pair", "walkers.json", "--delta1", "",
+          "--delta2", "1/4"], EMPTY_RATIO),
+        (["analyze", "--pair", "walkers.json", "--delta1", "1/6",
+          "--delta2", ""], EMPTY_RATIO),
+        (["mi", "--pair", "walkers.json", "--delta1", "1/6", "--m-x", ""],
+         EMPTY_M),
+        (["mi", "--pair", "walkers.json", "--delta1", "1/6", "--m-y", ""],
+         EMPTY_M),
+        (["rates", *FIG5, "--delta", ""], EMPTY_RATIO),
+        (["rates", *FIG5, "--delta", "0", "--horizon", ""],
+         "--horizon must be an integer, got ''"),
+        (["rates", *FIG5, "--sequence", ""],
+         "the path given to --sequence is empty"),
+        (["rates", *FIG5, "--sequence", '{"kind": "zero"}', "--n-max", ""],
+         "--n-max must be an integer, got ''"),
+        (["single-letter", *FIG5, "--variant", "Cor2", "--codebook", ""],
+         "'' is not an input symbol"),
+        (["single-letter", *FIG5, "--variant", "T12", "--codebook", "1,7,13",
+          "--delta1", "", "--sequence", '{"kind": "zero"}'], EMPTY_RATIO),
+        (["single-letter", *FIG5, "--variant", "T12", "--codebook", "1,7,13",
+          "--delta1", "2/9", "--delta-bar", "", "--sequence",
+          '{"kind": "zero"}'], EMPTY_RATIO),
+        (["single-letter", *FIG5, "--variant", "T14", "--delta-star", ""],
+         EMPTY_RATIO),
+        (["single-letter", *FIG5, "--variant", "T12", "--codebook", "1,7,13",
+          "--delta1", "2/9", "--sequence", ""],
+         "the path given to --sequence is empty"),
+        (["verify", *FIG5, "--deltas", ""], EMPTY_RATIO),
+        (["hamming", "--codebook", "", "--tau", "1/7"],
+         "the path given to --codebook is empty"),
+        (["hamming", "--words", "", "--tau", "1/7"], "not a bit string: ''"),
+        (["hamming", "--words", "01,10", "--tau", "0", "--delta", ""],
+         EMPTY_RATIO),
+        (["classify", "--confusion", "", "--delta", "0"],
+         "the path given to --confusion is empty"),
+        (["classify", "--matrix", "", "--delta", "0"],
+         "the path given to --matrix is empty"),
+    ], ids=["analyze-m-x", "analyze-m-y", "analyze-delta1", "analyze-delta2",
+            "mi-m-x", "mi-m-y", "rates-delta", "rates-horizon",
+            "rates-sequence", "rates-n-max", "single-letter-codebook",
+            "single-letter-delta1", "single-letter-delta-bar",
+            "single-letter-delta-star", "single-letter-sequence",
+            "verify-deltas", "hamming-codebook", "hamming-words",
+            "hamming-delta", "classify-confusion", "classify-matrix"])
+    def test_an_empty_value_is_refused(self, argv, message, capsys):
+        # an empty value reaches the flag's reader: it is never read as a
+        # flag left out, which would run a default or name another flag
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -5,6 +5,7 @@ whatever its arguments.  A delta or a level is read exactly: an int, a
 float, a decimal string, a boolean or ``None`` is refused.  A horizon, a
 size or a length is an int of at least 1, and anything else is refused."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,14 @@ def _pair(ch):
     return induced_pair(ch, ch.x_symbols), CardinalityPower(len(ch.x_symbols))
 
 
+def _matrix(ch, m):
+    """The equivocation matrix of the channel, with its noise floor."""
+    return EquivocationMatrix.of(
+        ch.x_symbols, {(a, b): m.of(ch.image(a) & ch.image(b))
+                       for a, b in itertools.combinations(ch.x_symbols, 2)},
+        v_min=ch.min_image_uncertainty(m))
+
+
 def _assoc(ch, m):
     pair, m_x = _pair(ch)
     return association_sets(pair, m_x, m)
@@ -98,8 +107,6 @@ DELTA_CALLS = {
     "check_distinguishable": lambda ch, m, d:
         check_distinguishable(ch, m, ch.x_symbols[:2], d),
     "mi_sup_oracle": lambda ch, m, d: mi_sup_oracle(ch, m, d),
-    "mi_sup_oracle, every level": lambda ch, m, d:
-        mi_sup_oracle(ch, m, d, feasible_only=False),
     "verify_coding_theorem": lambda ch, m, d:
         verify_coding_theorem(ch, m, [F(0), d]),
     "rate_at_horizon 1": lambda ch, m, d: rate_at_horizon(ch, m, d, 1),
@@ -108,7 +115,7 @@ DELTA_CALLS = {
         information_rate_at_horizon(ch, m, d, 2),
     "avg_overlap_capacity": lambda ch, m, d: avg_overlap_capacity(ch, m, d),
     "matrix_capacity": lambda ch, m, d:
-        matrix_capacity(EquivocationMatrix.from_channel(ch, m), d),
+        matrix_capacity(_matrix(ch, m), d),
     "tensorization_check": lambda ch, m, d:
         tensorization_check([induced_pair(ch, ch.x_symbols)], m, d),
     "hamming_distance_bound, delta": lambda ch, m, d:
@@ -185,14 +192,10 @@ STRUCTURAL_CALLS = {
     "IntervalUnion.of, a pair of one": lambda: IntervalUnion.of([(1,)]),
     "UncertainPair.finite, ints for pairs": lambda: UncertainPair.finite([1, 2]),
     "confusion_ingest, an int": lambda: confusion_ingest(5),
-    "confusion_ingest, incomparable labels": lambda: confusion_ingest([(1, "a")]),
-    "confusion_ingest, an unhashable true label":
-        lambda: confusion_ingest([([1], "a")]),
-    "confusion_ingest, an unhashable predicted label":
-        lambda: confusion_ingest({1: [[1]]}),
-    "confusion_ingest, an int for predictions": lambda: confusion_ingest({1: 5}),
     "EquivocationMatrix.of, an int key":
         lambda: EquivocationMatrix.of([1, 2], {1: "1/2"}),
+    "EquivocationMatrix.of, a list":
+        lambda: EquivocationMatrix.of(["a", "b"], [("a", "b")]),
     "ExplicitWeights.of_mapping, incomparable labels":
         lambda: ExplicitWeights.of_mapping({1: 1, "a": 1}),
     "ball_channel, incomparable points":
@@ -210,8 +213,6 @@ STRUCTURAL_CALLS = {
     "hamming_distance_bound, an int codebook":
         lambda: hamming_distance_bound(5, 0, 0),
     "ConfidenceSequence.explicit, an int": lambda: ConfidenceSequence.explicit(5),
-    "within_noise_floor, a float floor":
-        lambda: ConfidenceSequence.explicit([F(1, 10)]).within_noise_floor(0.1),
     "verify_coding_theorem, an int grid": lambda: verify_coding_theorem(
         Channel.of({1: {0}}), CardinalityPower(1), 0),
     "tensorization_check, an int": lambda: tensorization_check(
@@ -255,9 +256,9 @@ PINNED_REFUSALS = {
         UvinfoError, "asymmetric entries for pair (1, 2): 1/2 vs 1/3"),
     "confusion_ingest, empty text": (
         lambda: confusion_ingest(""), MalformedRow, "empty CSV input"),
-    "confusion_ingest, a triple": (
-        lambda: confusion_ingest([(1, 2, 3)]),
-        MalformedRow, "not a (true, predicted) pair: (1, 2, 3)"),
+    "confusion_ingest, not CSV text": (
+        lambda: confusion_ingest({"cat": ["dog"]}),
+        MalformedRow, "not CSV text: {'cat': ['dog']}"),
     "avg_overlap_capacity, 21 inputs": (
         lambda: avg_overlap_capacity(Channel.of({x: {x} for x in range(21)}),
                                      CardinalityPower(21), 0),
@@ -280,9 +281,6 @@ PINNED_REFUSALS = {
     "UncertainPair.hybrid, no cell": (
         lambda: UncertainPair.hybrid({}),
         UvinfoError, "an interval pair needs at least one x"),
-    "within_noise_floor, a zero floor": (
-        lambda: ConfidenceSequence.zero().within_noise_floor(0),
-        UvinfoError, "the noise floor must lie in (0, 1]"),
     "Channel.image, an unhashable symbol": (
         lambda: Channel.of({1: {0}}).image([1]),
         UvinfoError, "[1] is not an input symbol"),

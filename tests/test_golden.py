@@ -122,6 +122,14 @@ REFUSED = {
     "refuse-hamming-words-and-codebook": [
         "hamming", "--words", "0000000,1110000", "--codebook", "words.txt",
         "--tau", "1/7"],
+    "refuse-single-letter-cor2-delta1": [
+        "single-letter", *FIG5, "--variant", "Cor2", "--codebook", "1,7,13",
+        "--delta1", "1/2"],
+    # an empty value is read, never taken for a flag left out
+    "refuse-empty-deltas": ["verify", *FIG5, "--deltas", ""],
+    "refuse-empty-horizon": ["rates", *FIG5, "--delta", "2/9",
+                             "--horizon", ""],
+    "refuse-empty-words": ["hamming", "--words", "", "--tau", "1/7"],
 }
 
 

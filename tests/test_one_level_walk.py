@@ -6,10 +6,11 @@ mode.  It used to try level 0 for every row as well, and to drop a missing
 family only in the feasible mode; ``reference_sup`` is a verbatim copy of
 that walk, ``reference_verify`` and ``reference_certify_t14`` verbatim copies
 of ``verify_coding_theorem`` and ``memoryless._certify_t14`` as they called
-it.  Seeded channels must give the same ``MISupResult`` and the same row
-object in both modes, the same ``verify_coding_theorem`` report, and the same
-T14 certificates, from ``single_letter_check`` and from the profiles of
-vanishing sequences.
+it, except that a ``MISupResult`` no longer records the mode.  Seeded
+channels must give the ``mi_sup_oracle`` result and the same row object as
+the reference in both of its modes, the same ``verify_coding_theorem``
+report, and the same T14 certificates, from ``single_letter_check`` and
+from the profiles of vanishing sequences.
 """
 
 import random
@@ -50,8 +51,7 @@ def reference_sup(rows: list, delta: Fraction, feasible_only: bool) -> tuple:
                 continue
             count = 1 if sets is None else len(sets)
             if best is None or count > best[0].count:
-                best = MISupResult(count, codebook, delta_tilde,
-                                   feasible_only), row
+                best = MISupResult(count, codebook, delta_tilde), row
     assert best is not None, "the singleton codebook is always feasible"
     return best
 
@@ -147,11 +147,11 @@ class TestOneWalkMatchesTheTwoLevelWalk:
                 levels.add(delta_tilde > 0)
                 for mode in (True, False):
                     want, want_row = reference_sup(rows, delta, mode)
-                    got = MISupResult(count, row[0], delta_tilde, mode)
+                    got = MISupResult(count, row[0], delta_tilde)
                     assert (got, repr(got)) == (want, repr(want))
                     assert row is want_row
                     assert outcome(lambda: chancap.mi_sup_oracle(
-                        ch, m, delta, feasible_only=mode)) == (want, repr(want))
+                        ch, m, delta)) == (want, repr(want))
             got = [outcome(chancap.verify_coding_theorem, ch, m, deltas)]
             want = [outcome(reference_verify, ch, m, deltas)]
             sequences = (ConfidenceSequence.zero(),
@@ -187,6 +187,5 @@ class TestOneWalkMatchesTheTwoLevelWalk:
         for kind, (ch, m, deltas) in seeded_cases(7, 8):
             chancap.verify_coding_theorem(ch, m, deltas)
             for delta in deltas:
-                for mode in (True, False):
-                    chancap.mi_sup_oracle(ch, m, delta, feasible_only=mode)
+                chancap.mi_sup_oracle(ch, m, delta)
         assert sides and "X" not in sides
