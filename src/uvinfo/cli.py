@@ -505,7 +505,7 @@ def _parse_sequence(text: str):
         raise ParseError(str(exc)) from None
 
 
-# the flags each certificate variant never reads, so refuses
+# the flags each certificate variant never reads: giving one is refused
 _UNREAD = {"T12": ("delta_star",), "T13": ("delta_star",),
            "Cor2": ("delta1", "delta_bar", "delta_star", "sequence"),
            "T14": ("delta1", "delta_bar", "sequence")}
