@@ -106,8 +106,6 @@ def parse_channel_spec(text: str):
     if not isinstance(obj, dict) or not isinstance(obj.get("map"), dict):
         raise ParseError("a channel spec is an object with a 'map' field")
     raw_map = obj["map"]
-    if not raw_map:
-        raise ValidationError("the channel map is empty")
     stray = set(obj) - {"map", "outputs"}
     if stray:
         raise ParseError(f"unknown channel field {sorted(stray)[0]!r}")
@@ -122,8 +120,6 @@ def parse_channel_spec(text: str):
     for x, image in zip(xs, raw_map.values()):
         if not isinstance(image, list):
             raise ParseError(f"image of input {x!r} must be a list")
-        if not image:
-            raise ValidationError(f"empty image for input {x!r}")
         y_raw.extend(image)
     outputs = obj.get("outputs")
     if outputs is not None:
@@ -382,15 +378,15 @@ _MI_STATUS = {"associated": "Associated", "disassociated": "Disassociated",
 # (payload, exit_code))
 
 
-def _pair_and_measures(args):
+def _pair_and_measures(args, unread=None):
     """The pair of --pair with its measures: --m-x and --m-y override the
-    specs embedded in the pair file."""
+    specs in the pair file, and the measure ``unread`` may be absent."""
     pair, m_x, m_y = parse_pair_spec(_read_input(args.pair, "pair"))
     if args.m_x is not None:
         m_x = parse_m_spec(args.m_x)
     if args.m_y is not None:
         m_y = parse_m_spec(args.m_y)
-    if m_x is None or m_y is None:
+    if (m_x is None and unread != "m_x") or (m_y is None and unread != "m_y"):
         raise ParseError("uncertainty specs required (flags or pair fields)")
     return pair, m_x, m_y
 
@@ -434,7 +430,11 @@ def _cmd_analyze(args):
 
 def _cmd_mi(args):
     from . import infocalc
-    pair, m_x, m_y = _pair_and_measures(args)
+    # YgivenX never reads m_x (XgivenY still accepts its unread --m-y)
+    if args.direction == "YgivenX" and args.m_x is not None:
+        raise ParseError("--direction YgivenX takes no --m-x")
+    pair, m_x, m_y = _pair_and_measures(
+        args, "m_x" if args.direction == "YgivenX" else "m_y")
     delta = _parse_ratio(args.delta1)
     result = infocalc.mutual_information(pair, m_x, m_y, delta,
                                          args.direction)
@@ -505,16 +505,11 @@ def _parse_sequence(text: str):
         raise ParseError(str(exc)) from None
 
 
-# the flags each certificate variant never reads: giving one is refused
-_UNREAD = {"T12": ("delta_star",), "T13": ("delta_star",),
-           "Cor2": ("delta1", "delta_bar", "delta_star", "sequence"),
-           "T14": ("delta1", "delta_bar", "sequence")}
-
-
 def _cmd_single_letter(args):
     from . import memoryless
-    for name in _UNREAD[args.variant]:
-        if getattr(args, name) is not None:
+    for name in ("delta1", "delta_bar", "delta_star", "sequence"):
+        if (getattr(args, name) is not None
+                and name not in memoryless._READS[args.variant]):
             flag = name.replace("_", "-")
             raise ParseError(f"--variant {args.variant} takes no --{flag}")
     ch, m = _channel_and_measure(args)

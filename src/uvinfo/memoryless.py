@@ -351,6 +351,10 @@ class SingleLetterCertificate:
 
 _NOTIONS = {"T12": "C_N({delta_n})^*", "Cor2": "C_N^{0*}",
             "T13": "C_N({delta_n})_*", "T14": "C_N({down 0})_*"}
+# the inputs each variant reads: giving any other is refused
+_READS = {"T12": ("codebook", "delta1", "delta_bar", "sequence"),
+          "T13": ("codebook", "delta1", "delta_bar", "sequence"),
+          "Cor2": ("codebook",), "T14": ("codebook", "delta_star")}
 
 
 def _containment_condition(ch: Channel, codebook, sets) -> Condition:
@@ -406,6 +410,9 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
                         delta_star=None) -> SingleLetterCertificate:
     """Evaluate one of the sufficient-condition certificates exactly.
 
+    T12 and T13 read codebook, delta1, delta_bar and sequence, Cor2 only
+    codebook, and T14 codebook and delta_star; any other input is refused.
+
     The supplied codebook must attain the one-dimensional optimum (capacity
     count at delta_1 for T12/Cor2/T13; the sup over delta_1 below the noise
     floor for T14) with its output family at the checked level — otherwise
@@ -416,6 +423,10 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
     """
     if not isinstance(variant, str) or variant not in _NOTIONS:
         raise UvinfoError(f"unknown certificate variant {variant!r}")
+    for name, value in (("delta1", delta1), ("delta_bar", delta_bar),
+                        ("sequence", sequence), ("delta_star", delta_star)):
+        if value is not None and name not in _READS[variant]:
+            raise UvinfoError(f"{variant} takes no {name}")
     if variant == "T14":
         best = _horizon_one_sup(ch, m)
         if codebook is None:
@@ -428,16 +439,14 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
     if variant == "Cor2":
         if codebook is None:
             raise UvinfoError("Cor2 needs a codebook")
-        # the zero-error corollary ignores any delta_1 or delta_bar given
-        delta1, delta_bar = Fraction(0), None
+        delta1 = Fraction(0)
     elif (codebook is None or delta1 is None
           or not isinstance(sequence, ConfidenceSequence)):
         raise UvinfoError(f"{variant} needs a codebook, delta_1, and a sequence")
     cb = as_codebook(ch, codebook)
     delta1 = ratio(delta1)
     expected = capacity(ch, m, delta1).count
-    if delta_bar is not None:
-        delta_bar = ratio(delta_bar)
+    delta_bar = None if delta_bar is None else ratio(delta_bar)
     return _certify(variant, ch, m, _codebook_row(ch, m, cb), expected, delta1,
                     delta_bar, sequence)
 

@@ -291,11 +291,6 @@ class IntervalUnion:
     def endpoints(self) -> list[Fraction]:
         return [p for piece in self.pieces for p in piece]
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.pieces:
-            return "{}"
-        return " u ".join(f"[{format_ratio(lo)}, {format_ratio(hi)}]" for lo, hi in self.pieces)
-
 
 GroundSubset = frozenset | IntervalUnion
 

@@ -56,8 +56,13 @@ class TestChannelSpec:
             parse_channel_spec('{"map":\n !}')
 
     def test_empty_image_names_the_symbol(self):
-        with pytest.raises(ValidationError, match="input 3"):
+        with pytest.raises(ValidationError, match="image of 3 is empty"):
             parse_channel_spec('{"map": {"3": []}}')
+
+    def test_an_empty_map_is_refused(self):
+        with pytest.raises(ValidationError,
+                           match="a channel needs at least one input symbol"):
+            parse_channel_spec('{"map": {}}')
 
     def test_alphabet_violation_names_both_symbols(self):
         with pytest.raises(ValidationError, match="symbol 2 of input 1"):
@@ -163,6 +168,20 @@ class TestCommands:
         # which straddle 1/6, so no family exists there any more
         assert code == 0
         assert json.loads(out)["status"] == "Neither"
+
+    def test_mi_needs_no_measure_its_direction_never_reads(
+            self, tmp_path, monkeypatch, capsys):
+        # YgivenX reads only m_y, so a pair file without m_x answers as the
+        # bundled walkers.json does
+        _, want, _ = run(["mi", "--pair", "walkers.json", "--delta1", "1/4",
+                          "--direction", "YgivenX"], capsys)
+        spec = json.loads(cli._read_input("walkers.json", "pair"))
+        del spec["m_x"]
+        (tmp_path / "pair.json").write_text(json.dumps(spec))
+        monkeypatch.chdir(tmp_path)
+        argv = ["mi", "--pair", "pair.json", "--delta1", "1/4", "--direction"]
+        assert run([*argv, "YgivenX"], capsys) == (0, want, "")
+        assert run([*argv, "XgivenY"], capsys)[0] == 2
 
     def test_analyze_reports_association_values(self, capsys):
         code, out, _ = run(["--format", "json", "analyze", "--pair",
@@ -801,15 +820,18 @@ class TestExitContract:
               ("T14", "delta1", "1/2"), ("T14", "delta-bar", "1/3"),
               ("T14", "sequence", "s.json"), ("T12", "delta-star", "1/5"),
               ("T13", "delta-star", "1/5"))),
+        (["mi", "--pair", "p.json", "--delta1", "1/6", "--direction",
+          "YgivenX", "--m-x", "card:4"], "--direction YgivenX takes no --m-x"),
     ], ids=["n-max-with-delta", "n-max-alone", "sequence-with-delta",
             "sequence-with-horizon", "matrix-and-confusion",
             "words-and-codebook", "Cor2-delta1", "Cor2-delta-bar",
             "Cor2-delta-star", "Cor2-sequence", "T14-delta1", "T14-delta-bar",
-            "T14-sequence", "T12-delta-star", "T13-delta-star"])
+            "T14-sequence", "T12-delta-star", "T13-delta-star",
+            "mi-YgivenX-m-x"])
     def test_a_flag_the_mode_would_ignore_is_refused(self, argv, message,
                                                      capsys):
-        # refused before any input is read: m.json, c.csv, w.txt, s.json
-        # and ch.json exist nowhere
+        # refused before any input is read: m.json, c.csv, w.txt, s.json,
+        # ch.json and p.json exist nowhere
         if argv[0] == "rates":
             argv = [argv[0], "--channel", "fig5.json", "--m", "card:19",
                     *argv[1:]]

@@ -284,6 +284,29 @@ PINNED_REFUSALS = {
     "Channel.image, an unhashable symbol": (
         lambda: Channel.of({1: {0}}).image([1]),
         UvinfoError, "[1] is not an input symbol"),
+    # an input the certificate variant never reads
+    "single_letter_check, T12 with delta_star": (
+        lambda: single_letter_check(
+            Channel.of({1: {0}, 2: {1}}), CardinalityPower(2), "T12",
+            codebook=(1, 2), delta1=0, sequence=ConfidenceSequence.zero(),
+            delta_star="1/5"),
+        UvinfoError, "T12 takes no delta_star"),
+    "single_letter_check, T13 with delta_star": (
+        lambda: single_letter_check(
+            Channel.of({1: {0}, 2: {1}}), CardinalityPower(2), "T13",
+            codebook=(1, 2), delta1=0, sequence=ConfidenceSequence.zero(),
+            delta_star="1/5"),
+        UvinfoError, "T13 takes no delta_star"),
+    "single_letter_check, Cor2 with delta1": (
+        lambda: single_letter_check(
+            Channel.of({1: {0}, 2: {1}}), CardinalityPower(2), "Cor2",
+            codebook=(1, 2), delta1="1/2"),
+        UvinfoError, "Cor2 takes no delta1"),
+    "single_letter_check, T14 with a sequence": (
+        lambda: single_letter_check(
+            Channel.of({1: {0}, 2: {1}}), CardinalityPower(2), "T14",
+            sequence=ConfidenceSequence.zero()),
+        UvinfoError, "T14 takes no sequence"),
     # a rate renders log2(count)/horizon, so neither can be 0 or less
     **{f"Rate, {name}": (
         lambda args=args: Rate(*args),

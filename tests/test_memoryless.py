@@ -619,6 +619,25 @@ class TestVanishingCertificate:
             single_letter_check(fig5, M1, "T99")
 
 
+# the inputs each certificate variant reads; any other is refused
+READS = {"T12": ("codebook", "delta1", "delta_bar", "sequence"),
+         "T13": ("codebook", "delta1", "delta_bar", "sequence"),
+         "Cor2": ("codebook",), "T14": ("codebook", "delta_star")}
+
+
+@pytest.mark.parametrize("variant,name", [
+    (variant, name) for variant in READS
+    for name in ("delta1", "delta_bar", "sequence", "delta_star")
+    if name not in READS[variant]])
+def test_unread_inputs_are_refused(fig5, variant, name):
+    given = {"codebook": (1, 7, 13), "delta1": F(2, 9), "delta_bar": F(1, 6),
+             "sequence": geometric_tail(), "delta_star": F(24, 6859)}
+    kwargs = {k: v for k, v in given.items() if k in READS[variant]}
+    with pytest.raises(UvinfoError) as info:
+        single_letter_check(fig5, M1, variant, **kwargs, **{name: given[name]})
+    assert str(info.value) == f"{variant} takes no {name}"
+
+
 # ---------------------------------------------------------------------------
 # capacity profiles
 
@@ -964,12 +983,14 @@ class TestCertificateSearchMatchesTheReference:
         codebook = tuple(rng.sample(ch.x_symbols,
                                     rng.randint(1, len(ch.x_symbols))))
         variant = rng.choice(("T12", "Cor2", "T13", "T14"))
-        # each argument is left out now and then, to reach every refusal
+        # each argument is left out now and then, to reach every refusal;
+        # only the inputs the variant reads are given
         kwargs = {"codebook": rng.choice((codebook,) * 3 + (None,)),
                   "delta1": rng.choice(_LEVELS * 2 + [None]),
                   "delta_bar": rng.choice((None, None, rng.choice(_LEVELS))),
                   "sequence": rng.choice((seq,) * 3 + (None,)),
                   "delta_star": rng.choice((None, rng.choice(_LEVELS)))}
+        kwargs = {k: v for k, v in kwargs.items() if k in READS[variant]}
         assert _outcome(single_letter_check, ch, m, variant, **kwargs) \
             == _outcome(_ref_single_letter, ch, m, variant, **kwargs)
 
