@@ -9,6 +9,7 @@ byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -430,11 +431,12 @@ def _cmd_analyze(args):
 
 def _cmd_mi(args):
     from . import infocalc
-    # YgivenX never reads m_x (XgivenY still accepts its unread --m-y)
-    if args.direction == "YgivenX" and args.m_x is not None:
-        raise ParseError("--direction YgivenX takes no --m-x")
-    pair, m_x, m_y = _pair_and_measures(
-        args, "m_x" if args.direction == "YgivenX" else "m_y")
+    # each direction measures only the side it conditions on
+    unread = "m_x" if args.direction == "YgivenX" else "m_y"
+    if getattr(args, unread) is not None:
+        flag = unread.replace("_", "-")
+        raise ParseError(f"--direction {args.direction} takes no --{flag}")
+    pair, m_x, m_y = _pair_and_measures(args, unread)
     delta = _parse_ratio(args.delta1)
     result = infocalc.mutual_information(pair, m_x, m_y, delta,
                                          args.direction)
@@ -512,6 +514,10 @@ def _cmd_single_letter(args):
                 and name not in memoryless._READS[args.variant]):
             flag = name.replace("_", "-")
             raise ParseError(f"--variant {args.variant} takes no --{flag}")
+    if (args.variant == "T14" and args.codebook is None
+            and args.delta_star is not None):
+        raise ParseError("--variant T14 without --codebook takes no "
+                         "--delta-star")
     ch, m = _channel_and_measure(args)
     kwargs = {}
     if args.codebook is not None:
@@ -862,5 +868,16 @@ def main(argv=None) -> None:
     sys.exit(run_command(_build_parser().parse_args(argv)))
 
 
+def _process_main() -> None:
+    """Run ``main`` as the ``uvinfo`` process.  On every way out the heap
+    is frozen, so the full collections of interpreter teardown have nothing
+    to walk; atexit handlers and the flushes of stdout and stderr still run.
+    ``main`` never freezes: an in-process caller keeps its collector."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    _process_main()

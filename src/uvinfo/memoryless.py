@@ -351,7 +351,8 @@ class SingleLetterCertificate:
 
 _NOTIONS = {"T12": "C_N({delta_n})^*", "Cor2": "C_N^{0*}",
             "T13": "C_N({delta_n})_*", "T14": "C_N({down 0})_*"}
-# the inputs each variant reads: giving any other is refused
+# the inputs each variant reads: giving any other is refused (and T14 reads
+# delta_star only with a codebook: its search finds its own level)
 _READS = {"T12": ("codebook", "delta1", "delta_bar", "sequence"),
           "T13": ("codebook", "delta1", "delta_bar", "sequence"),
           "Cor2": ("codebook",), "T14": ("codebook", "delta_star")}
@@ -411,7 +412,8 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
     """Evaluate one of the sufficient-condition certificates exactly.
 
     T12 and T13 read codebook, delta1, delta_bar and sequence, Cor2 only
-    codebook, and T14 codebook and delta_star; any other input is refused.
+    codebook, and T14 codebook and, with a codebook, delta_star; any other
+    input is refused.
 
     The supplied codebook must attain the one-dimensional optimum (capacity
     count at delta_1 for T12/Cor2/T13; the sup over delta_1 below the noise
@@ -428,6 +430,8 @@ def single_letter_check(ch: Channel, m: UncertaintyFunction, variant: str, *,
         if value is not None and name not in _READS[variant]:
             raise UvinfoError(f"{variant} takes no {name}")
     if variant == "T14":
+        if codebook is None and delta_star is not None:
+            raise UvinfoError("T14 without a codebook takes no delta_star")
         best = _horizon_one_sup(ch, m)
         if codebook is None:
             return _certify_t14(ch, m, _codebook_rows(ch, m), *best)

@@ -820,14 +820,19 @@ class TestExitContract:
               ("T14", "delta1", "1/2"), ("T14", "delta-bar", "1/3"),
               ("T14", "sequence", "s.json"), ("T12", "delta-star", "1/5"),
               ("T13", "delta-star", "1/5"))),
+        (["single-letter", "--variant", "T14", "--delta-star", "1/5"],
+         "--variant T14 without --codebook takes no --delta-star"),
         (["mi", "--pair", "p.json", "--delta1", "1/6", "--direction",
           "YgivenX", "--m-x", "card:4"], "--direction YgivenX takes no --m-x"),
+        (["mi", "--pair", "p.json", "--delta1", "1/6", "--m-y", "card:4"],
+         "--direction XgivenY takes no --m-y"),
     ], ids=["n-max-with-delta", "n-max-alone", "sequence-with-delta",
             "sequence-with-horizon", "matrix-and-confusion",
             "words-and-codebook", "Cor2-delta1", "Cor2-delta-bar",
             "Cor2-delta-star", "Cor2-sequence", "T14-delta1", "T14-delta-bar",
             "T14-sequence", "T12-delta-star", "T13-delta-star",
-            "mi-YgivenX-m-x"])
+            "T14-delta-star-without-codebook", "mi-YgivenX-m-x",
+            "mi-XgivenY-m-y"])
     def test_a_flag_the_mode_would_ignore_is_refused(self, argv, message,
                                                      capsys):
         # refused before any input is read: m.json, c.csv, w.txt, s.json,
@@ -850,8 +855,8 @@ class TestExitContract:
           "--delta2", ""], EMPTY_RATIO),
         (["mi", "--pair", "walkers.json", "--delta1", "1/6", "--m-x", ""],
          EMPTY_M),
-        (["mi", "--pair", "walkers.json", "--delta1", "1/6", "--m-y", ""],
-         EMPTY_M),
+        (["mi", "--pair", "walkers.json", "--delta1", "1/6", "--direction",
+          "YgivenX", "--m-y", ""], EMPTY_M),
         (["rates", *FIG5, "--delta", ""], EMPTY_RATIO),
         (["rates", *FIG5, "--delta", "0", "--horizon", ""],
          "--horizon must be an integer, got ''"),
@@ -866,8 +871,8 @@ class TestExitContract:
         (["single-letter", *FIG5, "--variant", "T12", "--codebook", "1,7,13",
           "--delta1", "2/9", "--delta-bar", "", "--sequence",
           '{"kind": "zero"}'], EMPTY_RATIO),
-        (["single-letter", *FIG5, "--variant", "T14", "--delta-star", ""],
-         EMPTY_RATIO),
+        (["single-letter", *FIG5, "--variant", "T14", "--codebook", "1,7,13",
+          "--delta-star", ""], EMPTY_RATIO),
         (["single-letter", *FIG5, "--variant", "T12", "--codebook", "1,7,13",
           "--delta1", "2/9", "--sequence", ""],
          "the path given to --sequence is empty"),

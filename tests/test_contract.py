@@ -307,6 +307,11 @@ PINNED_REFUSALS = {
             Channel.of({1: {0}, 2: {1}}), CardinalityPower(2), "T14",
             sequence=ConfidenceSequence.zero()),
         UvinfoError, "T14 takes no sequence"),
+    "single_letter_check, T14 with delta_star and no codebook": (
+        lambda: single_letter_check(
+            Channel.of({1: {0}, 2: {1}}), CardinalityPower(2), "T14",
+            delta_star="1/5"),
+        UvinfoError, "T14 without a codebook takes no delta_star"),
     # a rate renders log2(count)/horizon, so neither can be 0 or less
     **{f"Rate, {name}": (
         lambda args=args: Rate(*args),

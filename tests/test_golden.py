@@ -62,8 +62,7 @@ EXTRA = {
     "analyze-flags-override": ["analyze", "--pair", "walkers.json",
                                "--m-x", "card:5", "--m-y", "leb+5",
                                "--delta1", "1/4", "--delta2", "1/4"],
-    "mi-default-direction": ["mi", "--pair", "walkers.json", "--delta1", "1/4",
-                             "--m-y", "leb+10"],
+    "mi-default-direction": ["mi", "--pair", "walkers.json", "--delta1", "1/4"],
     "mi-y-given-x": ["mi", "--pair", "walkers.json", "--delta1", "1/6",
                      "--direction", "YgivenX"],
     "capacity-format-after": ["capacity", *FIG5, "--delta", "4/9",

@@ -1,18 +1,23 @@
-"""Start-up: the lazy public namespace of ``uvinfo`` and the modules each
-command loads."""
+"""Start-up and teardown: the lazy public namespace of ``uvinfo``, the
+modules each command loads, and the process entry that freezes the heap on
+the way out."""
 
 import ast
+import gc
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import uvinfo
+from uvinfo import cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(uvinfo.__file__)))
+TESTS = pathlib.Path(__file__).parent
 
 # the public names; the lazy namespace must serve exactly these
 PUBLIC_NAMES = [
@@ -250,3 +255,80 @@ def test_no_module_imports_typing_or_importlib_resources(module):
             named.update(f"{node.module}.{a.name}" for a in node.names)
     assert not {m for m in named if m == "typing" or m.startswith("typing.")
                 or m.startswith("importlib.resources")}
+
+
+# one way out of the command each: a success, an input error, a usage error
+EXITS = {
+    "success": (["capacity", "--channel", "fig5.json", "--m", "card:19",
+                 "--delta", "2/9"], 0),
+    "input-error": (["capacity", "--channel", "fig5.json", "--m", "card:19",
+                     "--delta", "0.5"], 2),
+    "usage-error": (["capacity", "--no-such-flag"], 2),
+}
+
+
+class TestProcessEntry:
+    """``uvinfo`` and ``python -m uvinfo.cli`` run ``cli._process_main``,
+    which freezes the heap once on every way out; ``main`` never freezes.
+    Each in-process test replaces ``gc.freeze``, which would otherwise
+    freeze the test run's own heap."""
+
+    @pytest.fixture
+    def freezes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(None))
+        return calls
+
+    @pytest.mark.parametrize("argv,code", EXITS.values(), ids=EXITS)
+    def test_the_entry_exits_as_main_and_freezes_once(
+            self, argv, code, freezes, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as direct:
+            cli.main(argv)
+        printed = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["uvinfo", *argv])
+        with pytest.raises(SystemExit) as entry:
+            cli._process_main()
+        assert (direct.value.code, entry.value.code) == (code, code)
+        assert capsys.readouterr() == printed
+        assert len(freezes) == 1
+
+    @pytest.mark.parametrize("argv", [v[0] for v in EXITS.values()],
+                             ids=EXITS)
+    def test_main_never_freezes(self, argv, freezes, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert freezes == []
+
+    def test_the_installed_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+        with open(TESTS.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"uvinfo": "uvinfo.cli:_process_main"}
+
+    @pytest.mark.parametrize("way,case", [
+        ("success", "readme/capacity/text"),
+        ("input-error", "refused/refuse-decimal-delta")])
+    def test_the_module_prints_the_golden_bytes(self, way, case, tmp_path):
+        golden = json.loads((TESTS / "golden" / "outputs.json").read_text(
+            encoding="utf-8"))[case]
+        argv = EXITS[way][0]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-m", "uvinfo.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert {"exit": proc.returncode, "stdout": proc.stdout,
+                "stderr": proc.stderr} == golden
+
+    def test_atexit_handlers_run_after_the_freeze(self, tmp_path):
+        # the handler runs at teardown, after the entry has frozen the heap
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count()"
+                " > 0, file=sys.stderr))\n"
+                f"sys.argv = ['uvinfo', *{EXITS['success'][0]!r}]\n"
+                "runpy.run_module('uvinfo.cli', run_name='__main__')")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+        assert proc.stdout.startswith("command: capacity\n")
