@@ -39,22 +39,12 @@ CARD_MAX_BITS = 4096
 
 
 class ParseError(UvinfoError):
-    """The input text does not parse (bad JSON, bad ratio, bad spec)."""
-
-
-class ValidationError(UvinfoError):
-    """The input parses but violates a structural invariant."""
+    """The input breaks the command's own rules: bad JSON, a bad spec or a
+    flag its mode never reads.  What the library refuses passes as it is."""
 
 
 # ---------------------------------------------------------------------------
 # input parsing
-
-
-def _parse_ratio(text) -> Fraction:
-    try:
-        return ratio(text)
-    except UvinfoError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def _parse_int(value, name: str) -> int:
@@ -84,9 +74,22 @@ def _normalize_symbols(raw: list) -> list:
     return [str(v) for v in raw]
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; a key given twice is refused, since keeping
+    either value would answer for an input the file does not describe."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"invalid JSON: the key {key!r} is given twice")
+            seen.add(key)
+    return obj
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -114,7 +117,7 @@ def parse_channel_spec(text: str):
     seen = {}
     for key, x in zip(raw_map, xs):
         if x in seen:
-            raise ValidationError(
+            raise ParseError(
                 f"input keys {seen[x]!r} and {key!r} both read as {x!r}")
         seen[x] = key
     y_raw = []
@@ -131,11 +134,8 @@ def parse_channel_spec(text: str):
     it = iter(ys)
     mapping = {x: frozenset(next(it) for _ in image)
                for x, image in zip(xs, raw_map.values())}
-    try:
-        return chancap.Channel.of(
-            mapping, y_alphabet=None if outputs is None else tuple(it))
-    except UvinfoError as exc:
-        raise ValidationError(str(exc)) from None
+    return chancap.Channel.of(
+        mapping, y_alphabet=None if outputs is None else tuple(it))
 
 
 def parse_pair_spec(text: str):
@@ -166,18 +166,12 @@ def parse_pair_spec(text: str):
             raise ParseError("a hybrid pair needs a nonempty 'cells' object")
         built = {}
         for label, pieces in cells.items():
-            if not isinstance(pieces, list) or not pieces:
-                raise ValidationError(f"empty cell for label {label!r}")
-            try:
-                built[label] = IntervalUnion.of(
-                    (_parse_ratio(lo), _parse_ratio(hi)) for lo, hi in pieces)
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"cell pieces of {label!r} are [lo, hi] pairs") from None
-        try:
-            return UncertainPair.hybrid(built), m_x, m_y
-        except UvinfoError as exc:
-            raise ValidationError(str(exc)) from None
+            if not isinstance(pieces, list):
+                raise ParseError(f"cell for label {label!r} must be a list")
+            if not pieces:
+                raise ParseError(f"empty cell for label {label!r}")
+            built[label] = IntervalUnion.of(pieces)
+        return UncertainPair.hybrid(built), m_x, m_y
     raise ParseError(f"unknown pair kind {kind!r} (finite or hybrid)")
 
 
@@ -200,9 +194,9 @@ def parse_m_spec(text: str):
                                  f"{CARD_MAX_BITS} bits")
             return CardinalityPower(base, exp)
         if t.startswith("leb+"):
-            return LebesguePlusOffset(_parse_ratio(t[4:]))
+            return LebesguePlusOffset(ratio(t[4:]))
         if t.startswith("diam:"):
-            return DiameterPlusOne(_parse_ratio(t[5:]))
+            return DiameterPlusOne(ratio(t[5:]))
     except ValueError:
         raise ParseError(f"non-integer field in {text!r}") from None
     except UvinfoError as exc:
@@ -230,12 +224,13 @@ def parse_matrix_spec(text: str):
         if any(isinstance(label, (list, dict)) for label in row[:2]):
             raise ParseError(f"matrix entry labels are JSON scalars: {row!r}")
         _refuse_booleans(row[:2], "label")
-        mapping[(row[0], row[1])] = _parse_ratio(row[2])
-    try:
-        return apps.EquivocationMatrix.of(
-            obj["labels"], mapping, v_min=_parse_ratio(obj.get("v_min", 1)))
-    except UvinfoError as exc:
-        raise ValidationError(str(exc)) from None
+        pair, value = (row[0], row[1]), ratio(row[2])
+        if mapping.setdefault(pair, value) != value:
+            raise ParseError(
+                f"conflicting entries for pair {pair!r}: "
+                f"{format_ratio(mapping[pair])} vs {format_ratio(value)}")
+    return apps.EquivocationMatrix.of(
+        obj["labels"], mapping, v_min=ratio(obj.get("v_min", 1)))
 
 
 def _read_input(path: str | None, flag: str) -> str:
@@ -299,11 +294,8 @@ def _text_lines(obj, indent: int = 0) -> list:
                 lines.extend(_text_lines(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_inline(value)}")
-    elif isinstance(obj, list):
+    else:  # a list that _nested accepts: report rows, each a dict
         for item in obj:
-            if not isinstance(item, dict):
-                lines.append(f"{pad}- {_inline(item)}")
-                continue
             flat = "  ".join(f"{k}={_inline(v)}" for k, v in item.items()
                              if not _nested(v))
             lines.append(f"{pad}- {flat}" if flat else f"{pad}-")
@@ -311,8 +303,6 @@ def _text_lines(obj, indent: int = 0) -> list:
                 if _nested(v):
                     lines.append(f"{pad}  {k}:")
                     lines.extend(_text_lines(v, indent + 2))
-    else:
-        lines.append(f"{pad}{_inline(obj)}")
     return lines
 
 
@@ -411,7 +401,7 @@ def _cmd_analyze(args):
     if (args.delta1 is None) != (args.delta2 is None):
         raise ParseError("give both --delta1 and --delta2 or neither")
     if args.delta1 is not None:
-        delta1, delta2 = _parse_ratio(args.delta1), _parse_ratio(args.delta2)
+        delta1, delta2 = ratio(args.delta1), ratio(args.delta2)
         status = infocalc.classify_levels(assoc, delta1, delta2)
         payload["levels"] = {"delta1": delta1, "delta2": delta2,
                              "variant": status.variant,
@@ -437,7 +427,7 @@ def _cmd_mi(args):
         flag = unread.replace("_", "-")
         raise ParseError(f"--direction {args.direction} takes no --{flag}")
     pair, m_x, m_y = _pair_and_measures(args, unread)
-    delta = _parse_ratio(args.delta1)
+    delta = ratio(args.delta1)
     result = infocalc.mutual_information(pair, m_x, m_y, delta,
                                          args.direction)
     payload = {
@@ -455,7 +445,7 @@ def _cmd_mi(args):
 def _cmd_capacity(args):
     from . import chancap
     ch, m = _channel_and_measure(args)
-    res = chancap.capacity(ch, m, _parse_ratio(args.delta))
+    res = chancap.capacity(ch, m, ratio(args.delta))
     return {"command": "capacity", **_capacity_payload(res)}, 0
 
 
@@ -487,7 +477,7 @@ def _cmd_rates(args):
     if args.delta is None:
         raise ParseError("rates needs --sequence (profile) or --delta")
     n = 1 if args.horizon is None else _parse_int(args.horizon, "horizon")
-    delta = _parse_ratio(args.delta)
+    delta = ratio(args.delta)
     rate = memoryless.rate_at_horizon(ch, m, delta, n)
     payload = {"command": "rates", "horizon": n, "delta_n": delta,
                "count": rate.count, "bits": rate.render(),
@@ -501,10 +491,7 @@ def _parse_sequence(text: str):
     from . import memoryless
     if not text.lstrip().startswith("{"):
         text = _read_input(text, "sequence")
-    try:
-        return memoryless.parse_sequence_spec(_load_json(text))
-    except UvinfoError as exc:
-        raise ParseError(str(exc)) from None
+    return memoryless.parse_sequence_spec(_load_json(text))
 
 
 def _cmd_single_letter(args):
@@ -525,7 +512,7 @@ def _cmd_single_letter(args):
         kwargs["codebook"] = tuple(_normalize_symbols(raw))
     for name in ("delta1", "delta_bar", "delta_star"):
         if getattr(args, name) is not None:
-            kwargs[name] = _parse_ratio(getattr(args, name))
+            kwargs[name] = ratio(getattr(args, name))
     if args.sequence is not None:
         kwargs["sequence"] = _parse_sequence(args.sequence)
     cert = memoryless.single_letter_check(ch, m, args.variant, **kwargs)
@@ -536,7 +523,7 @@ def _cmd_verify(args):
     from . import chancap, infocalc, memoryless
     ch, m = _channel_and_measure(args)
     if args.deltas is not None:
-        deltas = [_parse_ratio(t) for t in args.deltas.split(",")]
+        deltas = [ratio(t) for t in args.deltas.split(",")]
     else:
         _, deltas = chancap._noise_floor_search(ch, m)
     failures = 0
@@ -593,8 +580,8 @@ def _cmd_hamming(args):
     else:
         words = _read_input(args.codebook, "codebook").split()
     cb = [apps.BitString.of(w) for w in words]
-    tau = _parse_ratio(args.tau)
-    delta = Fraction(0) if args.delta is None else _parse_ratio(args.delta)
+    tau = ratio(args.tau)
+    delta = Fraction(0) if args.delta is None else ratio(args.delta)
     try:
         report = apps.hamming_distance_bound(cb, tau, delta)
     except apps.NotDistinguishable as exc:
@@ -619,18 +606,14 @@ def _cmd_classify(args):
     from . import apps, chancap
     if args.matrix is not None and args.confusion is not None:
         raise ParseError("give --confusion or --matrix, not both")
-    delta = _parse_ratio(args.delta)
+    delta = ratio(args.delta)
     if args.matrix is not None:
         em = parse_matrix_spec(_read_input(args.matrix, "matrix"))
         res = apps.matrix_capacity(em, delta)
         return {"command": "classify", "source": "matrix",
                 "labels": list(em.labels), "v_min": em.v_min,
                 **_capacity_payload(res)}, 0
-    text = _read_input(args.confusion, "confusion")
-    try:
-        ch = apps.confusion_ingest(text)
-    except apps.MalformedRow as exc:
-        raise ParseError(str(exc)) from None
+    ch = apps.confusion_ingest(_read_input(args.confusion, "confusion"))
     m = apps.label_uncertainty(ch)
     res = chancap.capacity(ch, m, delta)
     return {"command": "classify", "source": "confusion",

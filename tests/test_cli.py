@@ -9,12 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uvinfo import CardinalityPower, DiameterPlusOne, LebesguePlusOffset, cli
+from uvinfo import (CardinalityPower, DiameterPlusOne, LebesguePlusOffset,
+                    UvinfoError, cli)
 from uvinfo.cli import (
     CARD_MAX_BITS,
     CARD_MAX_EXPONENT,
     ParseError,
-    ValidationError,
     main,
     parse_channel_spec,
     parse_m_spec,
@@ -56,16 +56,16 @@ class TestChannelSpec:
             parse_channel_spec('{"map":\n !}')
 
     def test_empty_image_names_the_symbol(self):
-        with pytest.raises(ValidationError, match="image of 3 is empty"):
+        with pytest.raises(UvinfoError, match="image of 3 is empty"):
             parse_channel_spec('{"map": {"3": []}}')
 
     def test_an_empty_map_is_refused(self):
-        with pytest.raises(ValidationError,
+        with pytest.raises(UvinfoError,
                            match="a channel needs at least one input symbol"):
             parse_channel_spec('{"map": {}}')
 
     def test_alphabet_violation_names_both_symbols(self):
-        with pytest.raises(ValidationError, match="symbol 2 of input 1"):
+        with pytest.raises(UvinfoError, match="symbol 2 of input 1"):
             parse_channel_spec('{"map": {"1": [1, 2]}, "outputs": [1]}')
 
     @pytest.mark.parametrize("key", ["²", "--1", "-", "1.0", "1" * 5000],
@@ -103,7 +103,7 @@ class TestPairSpec:
             parse_pair_spec('{"kind": "mystery"}')
 
     def test_empty_cell_names_the_label(self):
-        with pytest.raises(ValidationError, match="'a'"):
+        with pytest.raises(ParseError, match="'a'"):
             parse_pair_spec('{"kind": "hybrid", "cells": {"a": []}}')
 
 
@@ -120,13 +120,25 @@ class TestMSpec:
     def test_accepted_forms(self, text, expected):
         assert parse_m_spec(text) == expected
 
-    @pytest.mark.parametrize("bad", ["card:", "card:x", "card:4:2:1",
-                                     "leb+0.5", "gauss:3", "card:-1"])
+    REJECTED = {
+        "card:": "non-integer field in 'card:'",
+        "card:x": "non-integer field in 'card:x'",
+        "card:4:2:1": "bad uncertainty spec 'card:4:2:1': "
+                      "bad cardinality spec 'card:4:2:1'",
+        "leb+0.5": "bad uncertainty spec 'leb+0.5': "
+                   "decimal notation is not exact: '0.5'",
+        "gauss:3": "unknown uncertainty spec 'gauss:3'; use card:<base>"
+                   "[:<exp>], leb+<offset>, or diam:<normalizer>",
+        # card:-1 parses the int but the functional must refuse it
+        "card:-1": "bad uncertainty spec 'card:-1': "
+                   "base_size must be a positive integer",
+    }
+
+    @pytest.mark.parametrize("bad", sorted(REJECTED))
     def test_rejected_forms(self, bad):
-        with pytest.raises((ParseError, ValidationError, Exception)):
-            m = parse_m_spec(bad)
-            # card:-1 parses the int but the functional must refuse it
-            assert m is not None and bad != "card:-1"
+        with pytest.raises(ParseError) as info:
+            parse_m_spec(bad)
+        assert str(info.value) == self.REJECTED[bad]
 
 
 class TestMatrixSpec:
@@ -136,6 +148,11 @@ class TestMatrixSpec:
             ' "v_min": "1/2"}')
         assert em.value("a", "b") == F(1, 3)
         assert em.v_min == F(1, 2)
+
+    def test_a_pair_repeated_with_its_value_is_read_once(self):
+        em = parse_matrix_spec('{"labels": ["a", "b"], "entries": '
+                               '[["a", "b", "1/2"], ["a", "b", "2/4"]]}')
+        assert em.value("a", "b") == F(1, 2)
 
     def test_bad_entry_shape(self):
         with pytest.raises(ParseError, match="matrix entry"):
@@ -502,6 +519,48 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--channel", '{"map": {"3": 5}}', "image of input 3 must be a list"),
+        ("--channel", '{"map": {"1": [1]}, "outputs": []}',
+         "'outputs' must be a nonempty list"),
+        ("--pair", '{"kind": "finite", "joint": [[1, 2, 3]]}',
+         "'joint' entries are [x, y] pairs"),
+        ("--pair", '{"kind": "hybrid", "cells": []}',
+         "a hybrid pair needs a nonempty 'cells' object"),
+        ("--pair", '{"kind": "hybrid", "cells": {"a": 5}}',
+         "cell for label 'a' must be a list"),
+        ("--pair", '{"kind": "hybrid", "cells": {"a": [[1]]}}',
+         "an interval union is read from (lo, hi) pairs"),
+        ("--pair", '{"kind": "hybrid", "cells": {"a": [5]}}',
+         "an interval union is read from (lo, hi) pairs"),
+        ("--matrix", '{"labels": ["a", "b"], "entries": {}}',
+         "'entries' must be a list of [l1, l2, value] rows"),
+        ("--matrix", '{"labels": ["a", "b"], "entries": '
+                     '[["a", "b", "1/2"], ["a", "b", "0"]]}',
+         "conflicting entries for pair ('a', 'b'): 1/2 vs 0"),
+        ("--confusion", "true,predicted\na,b,c\n", "line 2: ['a', 'b', 'c']"),
+        ("--channel", '{"map": {"1": [1], "2": [2], "1": [1, 2]}}',
+         "invalid JSON: the key '1' is given twice"),
+        ("--pair", '{"kind": "hybrid", "cells": {"a": [[0, 1]], '
+                   '"a": [[5, 6]]}}',
+         "invalid JSON: the key 'a' is given twice"),
+        ("--sequence", '{"kind": "geometric", "base": "1/2", "base": "2"}',
+         "invalid JSON: the key 'base' is given twice"),
+    ], ids=["image-not-a-list", "empty-outputs", "joint-entry-not-a-pair",
+            "cells-not-an-object", "cell-not-a-list", "cell-piece-of-one",
+            "cell-piece-not-a-list", "entries-not-a-list",
+            "matrix-pair-given-two-values", "confusion-row-of-three",
+            "channel-input-given-twice", "pair-label-given-twice",
+            "sequence-field-given-twice"])
+    def test_malformed_input_file_exits_two(self, capsys, tmp_path, flag,
+                                            text, message):
+        # raw text, since json.dumps writes no key twice; a key given twice
+        # and a matrix pair given two values used to keep their last value
+        src = tmp_path / "input"
+        src.write_text(text)
+        code, out, err = run(READERS[flag](str(src)), capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("text", [
         '{"map": {"1": [%s]}}' % ("1" * 5000),
         '{"map": %s}' % ("[" * 100000 + "]" * 100000),
@@ -647,6 +706,14 @@ BAD_M_SPECS = st.sampled_from([
     "leb+-1", "diam:1", "diam:3", "diam:0", "gauss:3"])
 
 
+def twice(obj: dict) -> bytes:
+    """The JSON text of ``obj`` with its first key given twice, which
+    ``json.dumps`` never writes; bytes, so a drawn JSON string stays apart."""
+    key, value = next(iter(obj.items()))
+    return ("{%s: %s, %s" % (json.dumps(key), json.dumps(value),
+                             json.dumps(obj)[1:])).encode()
+
+
 def mostly(draw, good, bad, odds=6):
     """``good`` drawn about ``odds - 1`` times in ``odds``, else ``bad``;
     ``bad`` goes with the last choice, since the draws lean to the first."""
@@ -664,8 +731,10 @@ def channels_and_measures(draw):
         spec["outputs"] = list(range(k))
     size = len(spec.get("outputs") or set().union(*spec["map"].values()))
     good = st.sampled_from([f"card:{size}", f"card:{size}:2"])
-    bad_spec = st.builds(lambda a, b: {"map": {"1": [a], "2": [0, b]}},
-                         ODD_SYMBOLS, ODD_SYMBOLS) | JSON
+    bad_spec = (st.builds(lambda a, b: {"map": {"1": [a], "2": [0, b]}},
+                          ODD_SYMBOLS, ODD_SYMBOLS)
+                | st.just(b'{"map": %s}' % twice(spec["map"]))
+                | st.builds(lambda a: {"map": {"1": a}}, SYMBOLS) | JSON)
     return (mostly(draw, st.just(spec), bad_spec, odds=3),
             mostly(draw, good, BAD_M_SPECS))
 
@@ -684,10 +753,13 @@ def pairs(draw):
     hybrid = {"kind": "hybrid", "m_x": f"card:{n}", "m_y": "leb+1",
               "cells": {str(x): draw(st.lists(piece, min_size=1, max_size=2))
                         for x in range(n)}}
-    bad = st.builds(lambda a, b, mx: {"kind": "finite",
-                                      "joint": [[a, 0], [1, b]],
-                                      "m_x": mx, "m_y": "card:1"},
-                    ODD_SYMBOLS, ODD_SYMBOLS, BAD_M_SPECS) | JSON
+    bad = (st.builds(lambda a, b, mx: {"kind": "finite",
+                                       "joint": [[a, 0], [1, b]],
+                                       "m_x": mx, "m_y": "card:1"},
+                     ODD_SYMBOLS, ODD_SYMBOLS, BAD_M_SPECS)
+           | st.just(b'{"kind": "hybrid", "cells": %s}' % twice(hybrid["cells"]))
+           | st.builds(lambda a: {**hybrid, "cells": {"0": a}}, SYMBOLS)
+           | JSON)
     return mostly(draw, st.sampled_from([finite, hybrid]), bad)
 
 
@@ -791,7 +863,8 @@ class TestExitContract:
     def test_every_input_exits_zero_one_or_two(self, workdir, drawn):
         argv, files = drawn
         for name, spec in files.items():
-            (workdir / name).write_text(json.dumps(spec))
+            (workdir / name).write_bytes(
+                spec if isinstance(spec, bytes) else json.dumps(spec).encode())
             argv = [a.replace(name, str(workdir / name)) for a in argv]
         args = cli._build_parser().parse_args(argv)
         out, err = io.StringIO(), io.StringIO()

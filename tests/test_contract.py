@@ -19,6 +19,7 @@ from uvinfo import (
     DeltaOutOfRange,
     EquivocationMatrix,
     ExplicitWeights,
+    HorizonTooLarge,
     IntervalUnion,
     LengthMismatch,
     ProductChannel,
@@ -272,6 +273,14 @@ PINNED_REFUSALS = {
     "tensorization_check, no component": (
         lambda: tensorization_check([], CardinalityPower(4), 0),
         UvinfoError, "at least one component pair is needed"),
+    "product_pair, past the point cap": (
+        lambda: product_pair([UncertainPair.finite((i, i) for i in range(84))] * 2),
+        HorizonTooLarge, "7056 product joint points exceed the cap of 7000"),
+    "capacity_profile, a sequence leaving [0, 1)": (
+        lambda: capacity_profile(
+            Channel.of({1: {0}, 2: {1}}), CardinalityPower(2),
+            ConfidenceSequence.explicit(["1/2", "3/2"]), 1),
+        DeltaOutOfRange, "sequence leaves [0, 1): delta_2 = 3/2, not < 1"),
     "product_pair, an interval pair": (
         lambda: product_pair([UncertainPair.hybrid({1: IntervalUnion.of([(0, 1)])})]),
         UvinfoError, "only finite pairs have a materialized product"),

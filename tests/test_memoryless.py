@@ -1082,6 +1082,20 @@ class TestTensorization:
         assert report.status == "skipped"
         assert "exponent 3" in report.reason
 
+    def test_skips_interval_components(self, fig5):
+        from uvinfo import IntervalUnion, UncertainPair
+        p = UncertainPair.hybrid({1: IntervalUnion.of([(0, 1)])})
+        report = tensorization_check([self.pair_of(fig5, (1, 13)), p], M1, F(0))
+        assert (report.status, report.reason) == (
+            "skipped", "interval components have no materialized product")
+
+    def test_skips_a_measure_without_the_product_rule(self, fig5):
+        p = self.pair_of(fig5, (1, 13))
+        report = tensorization_check([p, p], LebesguePlusOffset(1), F(0))
+        assert (report.status, report.reason) == (
+            "skipped",
+            "product rule fails for uncertainty kind 'lebesgue_plus_offset'")
+
     @pytest.mark.parametrize("m", [M1, M3])
     @pytest.mark.parametrize("where", ["alone", "first", "last"])
     def test_empty_component_raises_before_any_hypothesis(self, fig5, m, where):
